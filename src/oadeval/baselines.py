@@ -23,7 +23,7 @@ import zlib
 import numpy as np
 
 from .errors import ValidationError
-from .offline import FrameScoreMatrix, rasterize_frames
+from .offline import FrameScoreMatrix, frame_count, rasterize_frames
 from .timeline import (
     AnnotationTrack,
     LabelVocabulary,
@@ -50,7 +50,9 @@ def all_bg(track: AnnotationTrack, delta_t_s: float, vocab: LabelVocabulary,
     stream.extend(grid.labels)
     scores = None
     if fps is not None:
-        n_frames = len(rasterize_frames(track, fps, vocab))
+        if fps <= 0:
+            raise ValidationError(f"fps {fps} must be > 0")
+        n_frames = frame_count(track.duration_s, fps)
         scores = FrameScoreMatrix(track.video_id, fps,
                                   np.zeros((n_frames, len(vocab.classes))))
     return stream, scores

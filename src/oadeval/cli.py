@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .baselines import all_bg, perfect_model
@@ -84,15 +83,11 @@ def cmd_evaluate(args) -> int:
         return track, trace
 
     results = {}
-    ordered_ids = sorted(tracks)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {vid: pool.submit(evaluate_one, vid)
-                   for vid in ordered_ids if vid not in failures}
-    for vid in ordered_ids:
+    for vid in sorted(tracks):
         if vid in failures:
             continue
         try:
-            results[vid] = futures[vid].result()
+            results[vid] = evaluate_one(vid)
         except EvaluationError as exc:
             failures[vid] = str(exc)
 
@@ -216,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in MatchingMode],
                    default=MatchingMode.CLASS_AWARE.value)
     p.add_argument("--out-dir", default="oadeval_out")
-    p.add_argument("--jobs", type=int, default=4,
-                   help="videos evaluated concurrently")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="ignored; videos are evaluated one after another")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("offline", help="legacy frame-level mAP / cAP")

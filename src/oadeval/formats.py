@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
@@ -127,12 +128,25 @@ def _iter_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
+def _is_number(value) -> bool:
+    """True for a finite int or float; bools and NaN/Infinity are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _require(obj: dict, key: str, types, path, lineno):
     if key not in obj:
         raise ParseError("missing field", path=str(path), line=lineno, field=key)
     value = obj[key]
     if not isinstance(value, types):
         raise ParseError(f"expected {types} but got {type(value).__name__}",
+                         path=str(path), line=lineno, field=key)
+    if types == (int, float) and not _is_number(value):
+        raise ParseError(f"expected a finite number but got {value!r}",
                          path=str(path), line=lineno, field=key)
     return value
 
@@ -252,7 +266,7 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
         if entry.get("subset") != subset:
             continue
         duration = entry.get("duration")
-        if not isinstance(duration, (int, float)) or duration <= 0:
+        if not _is_number(duration) or duration <= 0:
             report.warn(f"video {video_id!r}: missing or invalid duration; skipped")
             report.videos_skipped += 1
             continue
@@ -390,7 +404,7 @@ def build_stream(kind: str, obj: dict, track: AnnotationTrack,
     video_id = obj["video_id"]
     if kind == "decisions":
         record_delta = obj.get("delta_t_s")
-        if not isinstance(record_delta, (int, float)):
+        if not _is_number(record_delta):
             raise ValidationError(
                 f"video {video_id!r}: decisions record needs numeric delta_t_s")
         if seconds_to_us(float(record_delta)) != seconds_to_us(delta_t_s):
@@ -424,8 +438,8 @@ def build_stream(kind: str, obj: dict, track: AnnotationTrack,
         for entry in events:
             if (not isinstance(entry, dict)
                     or not isinstance(entry.get("label"), str)
-                    or not isinstance(entry.get("start_s"), (int, float))
-                    or not isinstance(entry.get("end_s"), (int, float))):
+                    or not _is_number(entry.get("start_s"))
+                    or not _is_number(entry.get("end_s"))):
                 raise ValidationError(
                     f"video {video_id!r}: each event needs a label, "
                     "start_s and end_s")
@@ -442,7 +456,7 @@ def build_scores(obj: dict, track: AnnotationTrack,
     """Validate one scores record against its track."""
     video_id = obj["video_id"]
     fps = obj.get("fps")
-    if not isinstance(fps, (int, float)) or fps <= 0:
+    if not _is_number(fps) or fps <= 0:
         raise ValidationError(f"video {video_id!r}: scores record needs fps > 0")
     rows = obj.get("scores")
     if not isinstance(rows, list):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .timeline import AnnotationTrack, LabelVocabulary
+from .timeline import AnnotationTrack, LabelVocabulary, paint_midpoints
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +76,10 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
 
     Frame ``i`` (1-indexed) covers ``[(i-1)/fps, i/fps)``; its label is
     the interval covering the midpoint ``(i - 1/2)/fps``, ties resolved
-    as in the slot discretizer (earliest start, then label).
+    as in the slot discretizer (earliest start, then label). Midpoints
+    and interval bounds are compared as floats in seconds. The same
+    bisection sweep as the slot discretizer costs O(N + n log N) for
+    ``N`` frames and ``n`` intervals.
     """
     if fps <= 0:
         raise ValidationError(f"fps {fps} must be > 0")
@@ -84,18 +87,9 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
     for iv in intervals:
         vocab.require(iv.label)
     bounds = [(iv.start_us / 1e6, iv.end_us / 1e6, iv.label) for iv in intervals]
-    labels = []
-    for i in range(1, frame_count(track.duration_s, fps) + 1):
-        mid = (i - 0.5) / fps
-        label = vocab.background
-        for start, end, name in bounds:
-            if start > mid:
-                break
-            if mid < end:
-                label = name
-                break
-        labels.append(label)
-    return labels
+    mids = [(i - 0.5) / fps
+            for i in range(1, frame_count(track.duration_s, fps) + 1)]
+    return paint_midpoints(bounds, mids, vocab.background)
 
 
 def _collect(score_matrices, tracks, vocab):

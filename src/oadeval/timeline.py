@@ -13,6 +13,7 @@ upstream parsers cannot move a midpoint across an interval edge.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,8 +25,15 @@ DEFAULT_BACKGROUND = "background"
 
 
 def seconds_to_us(seconds: float) -> int:
-    """Convert seconds to integer microseconds (round half to even)."""
-    return round(seconds * US_PER_S)
+    """Convert seconds to integer microseconds (round half to even).
+
+    NaN and infinite times, including products that overflow to
+    infinity, raise :class:`ValidationError`.
+    """
+    try:
+        return round(seconds * US_PER_S)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"time {seconds} s is not a finite number") from exc
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,24 @@ def num_slots(duration_s: float, delta_t_s: float) -> int:
     return seconds_to_us(duration_s) // seconds_to_us(delta_t_s)
 
 
+def paint_midpoints(bounds: Sequence[tuple], mids: Sequence,
+                    background: str) -> list[str]:
+    """Label each midpoint by the interval covering it, background if none.
+
+    ``bounds`` holds ``(start, end, label)`` triples sorted by start then
+    label, in the same units as the ascending ``mids``. The midpoints an
+    interval covers, ``start <= mid < end``, form one index range found by
+    bisection. Painting the intervals in reverse sort order leaves the
+    earliest start, then the smallest label, on top wherever they overlap.
+    """
+    labels = [background] * len(mids)
+    for start, end, label in reversed(bounds):
+        lo = bisect_left(mids, start)
+        hi = bisect_left(mids, end)
+        labels[lo:hi] = [label] * (hi - lo)
+    return labels
+
+
 def discretize(intervals: Iterable[TimeInterval], duration_s: float,
                delta_t_s: float, vocab: LabelVocabulary) -> SlotGrid:
     """Rasterize intervals onto a slot grid using the midpoint rule.
@@ -189,6 +215,10 @@ def discretize(intervals: Iterable[TimeInterval], duration_s: float,
     lexicographically smallest label. Midpoint membership is evaluated
     with doubled-microsecond integer arithmetic, so half-slot offsets
     stay exact even for odd microsecond slot sizes.
+
+    Each interval's slot range is found by bisecting the ascending
+    midpoints, so ``K`` slots and ``n`` intervals cost O(K + n log K);
+    overlapping intervals also repaint the slots they share.
     """
     intervals = sorted(intervals, key=lambda iv: (iv.start_us, iv.label))
     duration_us = seconds_to_us(duration_s)
@@ -208,17 +238,10 @@ def discretize(intervals: Iterable[TimeInterval], duration_s: float,
         raise DegenerateInputError(
             f"delta_t {delta_t_s} larger than duration {duration_s}: zero slots")
 
-    labels = []
-    for j in range(1, k + 1):
-        mid2 = (2 * j - 1) * delta_us  # twice the slot midpoint, in microseconds
-        label = vocab.background
-        for iv in intervals:
-            if 2 * iv.start_us > mid2:
-                break
-            if mid2 < 2 * iv.end_us:
-                label = iv.label
-                break
-        labels.append(label)
+    # twice the slot midpoints, in microseconds: (2j - 1) * delta for j = 1..k
+    mids2 = range(delta_us, (2 * k - 1) * delta_us + 1, 2 * delta_us)
+    bounds = [(2 * iv.start_us, 2 * iv.end_us, iv.label) for iv in intervals]
+    labels = paint_midpoints(bounds, mids2, vocab.background)
     return SlotGrid(delta_t_s=delta_t_s, labels=tuple(labels), vocab=vocab)
 
 

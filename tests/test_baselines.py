@@ -27,6 +27,11 @@ class TestAllBg:
         assert scores.scores.shape == (20, 2)
         assert not scores.scores.any()
 
+    @pytest.mark.parametrize("fps", [0.0, -2.0])
+    def test_non_positive_fps_rejected(self, vocab, worked_track, fps):
+        with pytest.raises(ValidationError, match="fps"):
+            all_bg(worked_track, 0.5, vocab, fps=fps)
+
     def test_perfect_on_background_only_video(self, vocab):
         track = AnnotationTrack("empty", 5.0, ())
         stream, _ = all_bg(track, 0.5, vocab)

@@ -124,6 +124,63 @@ class TestEvaluate:
         assert [f["video_id"] for f in summary["failures"]] == ["corrupt"]
         assert summary["videos_evaluated"] == 1
 
+    def test_nan_detection_fails_only_its_video(self, tmp_path):
+        gt = tmp_path / "gt.jsonl"
+        vocab = LabelVocabulary(classes=("jump",))
+        write_canonical_gt(CorpusManifest(vocabulary=vocab, tracks=(
+            AnnotationTrack("good", 2.0, (TimeInterval("jump", 0.0, 1.0),)),
+            AnnotationTrack("nan", 2.0, ()),
+            AnnotationTrack("other", 3.0, (TimeInterval("jump", 1.0, 2.0),)),
+        )), gt)
+        good = [
+            json.dumps({"record": "decisions", "video_id": "good",
+                        "delta_t_s": 0.5, "labels": ["jump"] * 4}),
+            json.dumps({"record": "detections", "video_id": "other",
+                        "events": [{"label": "jump", "start_s": 0.5,
+                                    "end_s": 2.0}]}),
+        ]
+        corrupt = json.dumps({"record": "detections", "video_id": "nan",
+                              "events": [{"label": "jump",
+                                          "start_s": float("nan"),
+                                          "end_s": 1.0}]})
+        assert "NaN" in corrupt
+        clean_pred, pred = tmp_path / "clean.jsonl", tmp_path / "p.jsonl"
+        clean_pred.write_text("\n".join(good) + "\n")
+        pred.write_text("\n".join([good[0], corrupt, good[1]]) + "\n")
+        clean_out, out = tmp_path / "clean", tmp_path / "out"
+        run("evaluate", "--gt", gt, "--pred", clean_pred, "--out-dir", clean_out)
+        assert run("evaluate", "--gt", gt, "--pred", pred,
+                   "--out-dir", out) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert [f["video_id"] for f in summary["failures"]] == ["nan"]
+        assert summary["videos_evaluated"] == 2
+        for name in ("good.trace.csv", "other.trace.csv"):
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes()
+
+    def test_nan_duration_is_a_located_error(self, tmp_path, worked_pred,
+                                             capsys):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(
+            '{"record": "vocabulary", "classes": ["jump"], '
+            '"background": "background"}\n'
+            '{"record": "video", "video_id": "worked-example", '
+            '"duration_s": NaN, "intervals": []}\n')
+        assert run("evaluate", "--gt", gt, "--pred", worked_pred,
+                   "--out-dir", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "duration_s" in err
+        assert "Traceback" not in err
+
+    def test_jobs_is_accepted_and_ignored(self, tmp_path, worked_gt,
+                                          worked_pred):
+        outs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / jobs
+            assert run("evaluate", "--gt", worked_gt, "--pred", worked_pred,
+                       "--jobs", jobs, "--out-dir", out) == 0
+            outs.append((out / "summary.json").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_missing_gt_file_is_io_error(self, tmp_path, worked_pred):
         assert run("evaluate", "--gt", tmp_path / "nope.jsonl",
                    "--pred", worked_pred, "--out-dir", tmp_path / "o") == 2

@@ -26,7 +26,9 @@ DATA = Path(__file__).parent / "data"
 
 def manifests():
     """Strategy for randomized, valid corpus manifests."""
-    names = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
+    # "bg" is the manifest's background label, never an action class
+    names = st.text(alphabet="abcdefgh", min_size=1, max_size=6).filter(
+        lambda name: name != "bg")
 
     @st.composite
     def build(draw):
@@ -105,6 +107,13 @@ class TestCanonicalGt:
         ('{"record": "video", "video_id": "v"}', "missing field"),
         ('{"record": "video", "video_id": "v", "duration_s": "x",'
          ' "intervals": []}', "expected"),
+        ('{"record": "video", "video_id": "v", "duration_s": NaN,'
+         ' "intervals": []}', "expected a finite number"),
+        ('{"record": "video", "video_id": "v", "duration_s": true,'
+         ' "intervals": []}', "expected a finite number"),
+        ('{"record": "video", "video_id": "v", "duration_s": 4.0, "intervals":'
+         ' [{"label": "a", "start_s": -Infinity, "end_s": 1.0}]}',
+         "expected a finite number"),
     ])
     def test_parse_errors_carry_location(self, tmp_path, line, err):
         path = tmp_path / "gt.jsonl"
@@ -269,6 +278,36 @@ class TestPredictions:
             "delta_t_s": 0.5, "labels": ["walk"] * 20}) + "\n")
         with pytest.raises(VocabularyError):
             load_predictions(path, manifest, 0.5)
+
+    @pytest.mark.parametrize("record", [
+        {"record": "decisions", "delta_t_s": True,
+         "labels": ["background"] * 10},
+        {"record": "decisions", "delta_t_s": float("nan"),
+         "labels": ["background"] * 10},
+        {"record": "detections",
+         "events": [{"label": "jump", "start_s": float("nan"), "end_s": 4.0}]},
+        {"record": "detections",
+         "events": [{"label": "jump", "start_s": 2.0, "end_s": float("inf")}]},
+        {"record": "detections",
+         "events": [{"label": "jump", "start_s": False, "end_s": 4.0}]},
+    ])
+    def test_bool_and_non_finite_stream_fields_rejected(self, manifest,
+                                                        tmp_path, record):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({"video_id": "worked-example", **record})
+                        + "\n")
+        with pytest.raises(ValidationError,
+                           match="line 1: .*(numeric delta_t_s|each event)"):
+            load_predictions(path, manifest, 1.0)
+
+    @pytest.mark.parametrize("fps", [True, float("nan"), float("inf")])
+    def test_bool_and_non_finite_fps_rejected(self, manifest, tmp_path, fps):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({
+            "record": "scores", "video_id": "worked-example", "fps": fps,
+            "scores": [[0.0, 0.0]] * 10}) + "\n")
+        with pytest.raises(ValidationError, match="fps"):
+            load_scores(path, manifest)
 
     def test_unknown_video_rejected(self, manifest, tmp_path):
         path = tmp_path / "p.jsonl"

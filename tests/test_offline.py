@@ -19,6 +19,7 @@ from oadeval.timeline import (
     LabelVocabulary,
     TimeInterval,
     discretize,
+    seconds_to_us,
 )
 
 
@@ -41,6 +42,47 @@ def brute_force_ap(entries, n_pos_total=None, w=None):
     return sum(precisions) / len(precisions)
 
 
+def brute_force_frame_labels(track, fps, background="background"):
+    """Oracle: every float frame midpoint ``(i - 1/2)/fps`` against every
+    interval, the minimum covering interval by (start, label) winning."""
+    labels = []
+    for i in range(1, frame_count(track.duration_s, fps) + 1):
+        mid = (i - 0.5) / fps
+        hits = [iv for iv in track.intervals
+                if iv.start_us / 1e6 <= mid < iv.end_us / 1e6]
+        labels.append(min(hits, key=lambda iv: (iv.start_us, iv.label)).label
+                      if hits else background)
+    return labels
+
+
+@st.composite
+def multi_label_frame_cases(draw):
+    """Overlapping intervals with ends on or next to frame midpoints, at the
+    duration, or between the last midpoint and the duration."""
+    fps = draw(st.sampled_from([29.97, 25.0, 4.0, 2.0, 1 / 0.333333])
+               | st.floats(0.5, 30.0))
+    duration_us = draw(st.integers(seconds_to_us(1 / fps) + 1, 20_000_000))
+    n = frame_count(duration_us / 1e6, fps)
+    special = [duration_us, seconds_to_us((n - 0.5) / fps) + 1]
+    for i in draw(st.lists(st.integers(1, max(n, 1)), min_size=1, max_size=6)):
+        mid_us = seconds_to_us((i - 0.5) / fps)
+        special += [mid_us - 1, mid_us, mid_us, mid_us + 1, seconds_to_us(i / fps)]
+    special = st.sampled_from([p for p in special if 0 <= p <= duration_us])
+    point = special | special | st.integers(0, duration_us)
+    starts = draw(st.lists(point, min_size=1, max_size=3))
+    intervals = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.sampled_from(starts) | point)
+        end = draw(point)
+        if start != end:
+            intervals.append(TimeInterval(draw(st.sampled_from(["jump", "run"])),
+                                          min(start, end) / 1e6,
+                                          max(start, end) / 1e6))
+    track = AnnotationTrack("v", duration_us / 1e6, tuple(intervals),
+                            multi_label=True)
+    return track, fps
+
+
 def single_video_inputs(scores_by_frame, gt_frame_labels, vocab, fps=1.0,
                         video_id="v"):
     duration = len(gt_frame_labels) / fps
@@ -59,6 +101,14 @@ class TestRasterize:
         grid = discretize(worked_track.intervals, worked_track.duration_s,
                           0.5, vocab)
         assert frames == list(grid.labels)
+
+    @given(multi_label_frame_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_matches_brute_force_on_overlaps(self, case):
+        track, fps = case
+        vocab = LabelVocabulary(classes=("jump", "run"))
+        assert rasterize_frames(track, fps, vocab) == brute_force_frame_labels(
+            track, fps)
 
     def test_frame_count(self):
         assert frame_count(10.0, 4.0) == 40

@@ -43,6 +43,53 @@ def midpoint_labels(intervals, duration_s, delta_t_s, background="background"):
     return labels
 
 
+def brute_force_slot_labels(intervals, duration_s, delta_t_s,
+                            background="background"):
+    """Oracle for overlapping input: every midpoint against every interval.
+
+    Works in doubled microseconds, so odd-microsecond slot sizes keep
+    their half-microsecond midpoints exact, and takes the minimum of the
+    covering intervals by (start, label).
+    """
+    delta_us = seconds_to_us(delta_t_s)
+    k = seconds_to_us(duration_s) // delta_us
+    labels = []
+    for j in range(1, k + 1):
+        mid2 = (2 * j - 1) * delta_us
+        hits = [iv for iv in intervals
+                if 2 * iv.start_us <= mid2 < 2 * iv.end_us]
+        labels.append(min(hits, key=lambda iv: (iv.start_us, iv.label)).label
+                      if hits else background)
+    return labels
+
+
+@st.composite
+def multi_label_slot_cases(draw):
+    """Overlapping intervals whose ends sit on or near slot midpoints and
+    boundaries, at odd-microsecond and tiny slot sizes."""
+    delta_us = seconds_to_us(draw(st.sampled_from([0.5, 0.333333, 0.000013])
+                                  | st.floats(0.00001, 2.0)))
+    k = draw(st.integers(1, 40))
+    # a partial trailing slot puts the duration past the last midpoint
+    duration_us = k * delta_us + draw(st.integers(0, delta_us - 1))
+    special = [duration_us, (2 * k - 1) * delta_us // 2 + 1]
+    for j in draw(st.lists(st.integers(0, k), max_size=6)):
+        special += [j * delta_us, (2 * j - 1) * delta_us // 2,
+                    ((2 * j - 1) * delta_us + 1) // 2]
+    point = (st.sampled_from([p for p in special if 0 <= p <= duration_us])
+             | st.integers(0, duration_us))
+    starts = draw(st.lists(point, min_size=1, max_size=3))
+    intervals = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.sampled_from(starts) | point)
+        end = draw(point)
+        if start != end:
+            intervals.append(TimeInterval(draw(st.sampled_from(["jump", "run"])),
+                                          min(start, end) / 1e6,
+                                          max(start, end) / 1e6))
+    return intervals, duration_us / 1e6, delta_us / 1e6
+
+
 class TestLabelVocabulary:
     def test_membership_and_action_split(self, vocab):
         assert "jump" in vocab and "background" in vocab
@@ -78,6 +125,13 @@ class TestTimeInterval:
     def test_microsecond_conversion_absorbs_float_noise(self):
         iv = TimeInterval("jump", 0.1 + 0.2, 1.0)
         assert iv.start_us == 300_000
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, 1e305])
+    def test_non_finite_time_rejected(self, seconds):
+        with pytest.raises(ValidationError, match="not a finite number"):
+            seconds_to_us(seconds)
+        with pytest.raises(ValidationError):
+            TimeInterval("jump", seconds, 2.0)
 
 
 class TestAnnotationTrack:
@@ -171,6 +225,15 @@ class TestDiscretize:
         ]
         grid = discretize(intervals, len(labels) * delta, delta, vocab)
         assert list(grid.labels) == labels
+
+    @given(multi_label_slot_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_brute_force_on_overlaps(self, case):
+        intervals, duration, delta = case
+        vocab = LabelVocabulary(classes=("jump", "run"))
+        grid = discretize(intervals, duration, delta, vocab)
+        assert list(grid.labels) == brute_force_slot_labels(
+            intervals, duration, delta)
 
     def test_determinism(self, vocab):
         intervals = [TimeInterval("jump", 1.0, 4.0), TimeInterval("run", 5.0, 7.0)]
