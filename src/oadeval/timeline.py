@@ -33,7 +33,8 @@ def seconds_to_us(seconds: float) -> int:
     try:
         return round(seconds * US_PER_S)
     except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"time {seconds} s is not a finite number") from exc
+        raise ValidationError(
+            f"time {seconds} s is not a finite number of microseconds") from exc
 
 
 @dataclass(frozen=True)
