@@ -17,11 +17,11 @@ from .baselines import all_bg, perfect_model
 from .errors import EvaluationError
 from .formats import (
     build_stream,
-    iter_prediction_records,
     load_activitynet_gt,
     load_canonical_gt,
     load_scores,
     load_thumos_gt,
+    read_predictions,
     write_canonical_gt,
     write_predictions,
 )
@@ -55,41 +55,23 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tracks = manifest.by_id()
-    stream_records: dict[str, tuple[str, dict]] = {}
-    failures: dict[str, str] = {}
-    for lineno, kind, obj in iter_prediction_records(args.pred):
-        video_id = obj["video_id"]
-        if video_id not in tracks:
-            failures[video_id] = f"line {lineno}: predictions for unknown video"
-        elif kind == "scores":
-            continue
-        elif video_id in stream_records:
-            failures[video_id] = f"line {lineno}: duplicate prediction stream"
-            stream_records.pop(video_id, None)
-        else:
-            stream_records[video_id] = (kind, obj)
-
-    def evaluate_one(video_id):
-        track = tracks[video_id]
-        if video_id not in stream_records:
-            raise EvaluationError("missing predictions")
-        kind, obj = stream_records[video_id]
-        stream = build_stream(kind, obj, track, manifest.vocabulary,
-                              args.delta_t)
-        gt_grid = discretize(track.intervals, track.duration_s, args.delta_t,
-                             manifest.vocabulary)
-        trace = evaluate_grids(stream.as_grid(), gt_grid, mode)
-        _write_trace(out_dir / f"{_safe_filename(video_id)}.trace.csv", trace)
-        return track, trace
-
+    records, failures = read_predictions(args.pred, manifest,
+                                         ("decisions", "detections"))
     results = {}
-    for vid in sorted(tracks):
-        if vid in failures:
-            continue
+    for vid in sorted(records):
+        lineno, kind, obj = records[vid]
+        track = tracks[vid]
         try:
-            results[vid] = evaluate_one(vid)
+            stream = build_stream(kind, obj, track, manifest.vocabulary,
+                                  args.delta_t)
+            gt_grid = discretize(track.intervals, track.duration_s,
+                                 args.delta_t, manifest.vocabulary)
+            trace = evaluate_grids(stream.as_grid(), gt_grid, mode)
         except EvaluationError as exc:
-            failures[vid] = str(exc)
+            failures[vid] = f"line {lineno}: {exc}"
+            continue
+        _write_trace(out_dir / f"{_safe_filename(vid)}.trace.csv", trace)
+        results[vid] = track, trace
 
     per_video = {}
     ia_traces, wia_traces = [], []

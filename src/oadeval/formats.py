@@ -22,8 +22,10 @@ Predictions (any mix of record kinds, at most one stream per video)::
 
 Structural problems (bad JSON, wrong types, unknown record kinds) raise
 :class:`ParseError` with the file location; semantic problems (unknown
-labels, bounds, duplicates, missing videos) raise validation errors
-naming the video. Adapters for ActivityNet-style JSON and Thumos-style
+labels, bounds) raise validation errors naming the video.
+:func:`read_predictions` alone decides which prediction record belongs
+to which video, and reports unknown, duplicate and missing records per
+video with their line. Adapters for ActivityNet-style JSON and Thumos-style
 per-class text files convert external ground truth into the canonical
 model; durations for Thumos come from a sidecar table because its
 annotation files carry none.
@@ -94,14 +96,6 @@ class LoadReport:
         return self
 
 
-@dataclass
-class PredictionSet:
-    """Per-video streams (and optional frame scores) for one corpus."""
-
-    streams: dict[str, PredictionStream]
-    scores: dict[str, FrameScoreMatrix]
-
-
 def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
@@ -110,10 +104,7 @@ def file_digest(path: str | Path) -> str:
 # low-level record handling
 
 def _iter_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -126,6 +117,9 @@ def _iter_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
             raise ParseError("record must be a JSON object",
                              path=str(path), line=lineno)
         yield lineno, obj
+
+
+_SCORE_TYPES = {int, float}
 
 
 def _is_number(value) -> bool:
@@ -192,19 +186,17 @@ def load_canonical_gt(path: str | Path) -> CorpusManifest:
                 raise ParseError("expected a boolean", path=str(path),
                                  line=lineno, field="multi_label")
             intervals = tuple(_parse_interval(e, path, lineno) for e in raw)
-            for iv in intervals:
-                vocab.require(iv.label)
-                if not vocab.is_action(iv.label):
-                    raise ValidationError(
-                        f"video {video_id!r}: background intervals are "
-                        "implicit, never stored")
             try:
+                for iv in intervals:
+                    if not vocab.is_action(iv.label):
+                        raise ValidationError(
+                            f"video {video_id!r}: background intervals are "
+                            "implicit, never stored")
                 tracks.append(AnnotationTrack(
                     video_id=video_id, duration_s=float(duration),
                     intervals=intervals, multi_label=multi))
             except ValidationError as exc:
-                raise ValidationError(
-                    f"{path}, line {lineno}: {exc}") from exc
+                raise type(exc)(f"{path}, line {lineno}: {exc}") from exc
         else:
             raise ParseError(f"unknown record kind {kind!r}",
                              path=str(path), line=lineno, field="record")
@@ -272,13 +264,16 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
             continue
         intervals = []
         for ann in entry.get("annotations", []):
+            if not isinstance(ann, dict):
+                ann = {}  # fails the check below, with the video named
             segment = ann.get("segment")
             label = ann.get("label")
             if (not isinstance(segment, (list, tuple)) or len(segment) != 2
+                    or not all(map(_is_number, segment))
                     or not isinstance(label, str)):
                 raise ParseError(
-                    f"video {video_id!r}: annotation needs a 2-element "
-                    "'segment' and a string 'label'", path=str(path))
+                    f"video {video_id!r}: annotation needs a 'segment' of two "
+                    "finite numbers and a string 'label'", path=str(path))
             start, end = float(segment[0]), float(segment[1])
             if start < 0:
                 report.warn(f"video {video_id!r}: segment start {start} "
@@ -463,8 +458,9 @@ def build_scores(obj: dict, track: AnnotationTrack,
         raise ValidationError(f"video {video_id!r}: scores must be a list of rows")
     n_classes = len(vocab.classes)
     for row in rows:
-        if not isinstance(row, list) or len(row) != n_classes or not all(
-                isinstance(x, (int, float)) for x in row):
+        # exact types: bool is an int subclass but never a score
+        if (not isinstance(row, list) or len(row) != n_classes
+                or not set(map(type, row)) <= _SCORE_TYPES):
             raise ValidationError(
                 f"video {video_id!r}: each score row needs {n_classes} numbers")
     expected = frame_count(track.duration_s, float(fps))
@@ -472,69 +468,69 @@ def build_scores(obj: dict, track: AnnotationTrack,
         raise ValidationError(
             f"video {video_id!r}: {len(rows)} score rows but a "
             f"{track.duration_s} s video at {fps} fps has {expected} frames")
-    return FrameScoreMatrix(
-        video_id, float(fps),
-        np.array(rows, dtype=float).reshape(len(rows), n_classes))
+    try:
+        matrix = np.array(rows, dtype=float).reshape(len(rows), n_classes)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValidationError(
+            f"video {video_id!r}: score beyond the float range") from exc
+    return FrameScoreMatrix(video_id, float(fps), matrix)
 
 
-def load_predictions(path: str | Path, manifest: CorpusManifest,
-                     delta_t_s: float) -> PredictionSet:
-    """Load and validate a prediction file for streaming evaluation.
+def read_predictions(path: str | Path, manifest: CorpusManifest,
+                     kinds: tuple[str, ...],
+                     ) -> tuple[dict[str, tuple[int, str, dict]],
+                                dict[str, str]]:
+    """Match a prediction file's records of ``kinds`` to the manifest videos.
 
-    Every manifest video must contribute exactly one decisions or
-    detections record covering its full timeline; scores records are
-    collected when present.
+    Returns ``(records, failures)``. ``records`` maps each manifest video
+    with exactly one record of ``kinds`` to that record as
+    ``(line, kind, record)``; records of other kinds are skipped.
+    ``failures`` maps every other video id to why it has no usable
+    record: a record of any kind names a video absent from the manifest,
+    a second record of ``kinds`` names it (the message gives the line of
+    that second record), or no record names it at all.
     """
     tracks = manifest.by_id()
-    vocab = manifest.vocabulary
-    streams: dict[str, PredictionStream] = {}
-    scores: dict[str, FrameScoreMatrix] = {}
+    noun = "frame scores" if kinds == ("scores",) else "predictions"
+    records: dict[str, tuple[int, str, dict]] = {}
+    failures: dict[str, str] = {}
     for lineno, kind, obj in iter_prediction_records(path):
         video_id = obj["video_id"]
         if video_id not in tracks:
-            raise ValidationError(
-                f"{path}, line {lineno}: predictions for unknown video "
-                f"{video_id!r}")
-        try:
-            if kind == "scores":
-                if video_id in scores:
-                    raise ValidationError(
-                        f"duplicate scores for video {video_id!r}")
-                scores[video_id] = build_scores(obj, tracks[video_id], vocab)
-            else:
-                if video_id in streams:
-                    raise ValidationError(
-                        f"duplicate prediction stream for video {video_id!r}")
-                streams[video_id] = build_stream(kind, obj, tracks[video_id],
-                                                 vocab, delta_t_s)
-        except ValidationError as exc:
-            raise type(exc)(f"{path}, line {lineno}: {exc}") from exc
-    missing = sorted(set(tracks) - set(streams))
-    if missing:
-        raise ValidationError(f"missing predictions for videos: {missing}")
-    return PredictionSet(streams=streams, scores=scores)
+            failures.setdefault(
+                video_id, f"line {lineno}: predictions for unknown video")
+        elif kind not in kinds:
+            continue
+        elif video_id in records:
+            first = records.pop(video_id)[0]
+            failures[video_id] = (f"line {lineno}: duplicate {noun} "
+                                  f"(first at line {first})")
+        elif video_id not in failures:
+            records[video_id] = (lineno, kind, obj)
+    for video_id in sorted(tracks):
+        if video_id not in records and video_id not in failures:
+            failures[video_id] = f"missing {noun}"
+    return records, failures
 
 
 def load_scores(path: str | Path, manifest: CorpusManifest,
                 ) -> dict[str, FrameScoreMatrix]:
-    """Load the frame-score side of a prediction file (for mAP / cAP)."""
+    """Load the frame-score side of a prediction file (for mAP / cAP).
+
+    Any video that :func:`read_predictions` cannot match, or whose scores
+    are invalid, fails the whole load.
+    """
+    records, failures = read_predictions(path, manifest, ("scores",))
+    for video_id, message in failures.items():
+        raise ValidationError(f"{path}: video {video_id!r}: {message}")
     tracks = manifest.by_id()
     scores: dict[str, FrameScoreMatrix] = {}
-    for lineno, kind, obj in iter_prediction_records(path):
-        if kind != "scores":
-            continue
-        video_id = obj["video_id"]
-        if video_id not in tracks:
-            raise ValidationError(
-                f"{path}, line {lineno}: scores for unknown video {video_id!r}")
-        if video_id in scores:
-            raise ValidationError(
-                f"{path}, line {lineno}: duplicate scores for video {video_id!r}")
-        scores[video_id] = build_scores(obj, tracks[video_id],
-                                        manifest.vocabulary)
-    missing = sorted(set(tracks) - set(scores))
-    if missing:
-        raise ValidationError(f"missing frame scores for videos: {missing}")
+    for video_id, (lineno, _, obj) in records.items():
+        try:
+            scores[video_id] = build_scores(obj, tracks[video_id],
+                                            manifest.vocabulary)
+        except ValidationError as exc:
+            raise type(exc)(f"{path}, line {lineno}: {exc}") from exc
     return scores
 
 

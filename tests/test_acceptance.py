@@ -14,10 +14,11 @@ import pytest
 from oadeval.baselines import all_bg, perfect_model
 from oadeval.errors import CausalityError, EvaluationError, ParseError
 from oadeval.formats import (
+    build_stream,
     load_activitynet_gt,
     load_canonical_gt,
-    load_predictions,
     load_thumos_gt,
+    read_predictions,
     write_canonical_gt,
 )
 from oadeval.ia import (
@@ -157,11 +158,15 @@ def test_all_bg_weighting_drop(corpus):
 def test_worked_example_regression():
     """The 20-slot fixture reproduces its frozen golden trace."""
     manifest = load_canonical_gt(DATA / "worked_example.gt.jsonl")
-    preds = load_predictions(DATA / "worked_example.pred.jsonl", manifest, DELTA)
+    records, failures = read_predictions(DATA / "worked_example.pred.jsonl",
+                                         manifest, ("decisions", "detections"))
+    assert failures == {}
     track = manifest.tracks[0]
+    _, kind, obj = records[track.video_id]
+    stream = build_stream(kind, obj, track, manifest.vocabulary, DELTA)
     gt = discretize(track.intervals, track.duration_s, DELTA,
                     manifest.vocabulary)
-    trace = evaluate_grids(preds.streams[track.video_id].as_grid(), gt)
+    trace = evaluate_grids(stream.as_grid(), gt)
 
     final = trace[-1]
     assert final.t_s == pytest.approx(10.0)

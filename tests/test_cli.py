@@ -157,6 +157,42 @@ class TestEvaluate:
         for name in ("good.trace.csv", "other.trace.csv"):
             assert (out / name).read_bytes() == (clean_out / name).read_bytes()
 
+    def test_bad_label_failure_names_its_line(self, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        vocab = LabelVocabulary(classes=("jump",))
+        write_canonical_gt(CorpusManifest(vocabulary=vocab, tracks=(
+            AnnotationTrack("a", 2.0, (TimeInterval("jump", 0.0, 1.0),)),
+            AnnotationTrack("b", 2.0, ()),
+            AnnotationTrack("c", 3.0, (TimeInterval("jump", 1.0, 2.0),)),
+        )), gt)
+        good = [
+            json.dumps({"record": "decisions", "video_id": "a",
+                        "delta_t_s": 0.5, "labels": ["jump"] * 4}),
+            json.dumps({"record": "detections", "video_id": "c",
+                        "events": [{"label": "jump", "start_s": 0.5,
+                                    "end_s": 2.0}]}),
+        ]
+        corrupt = json.dumps({"record": "decisions", "video_id": "b",
+                              "delta_t_s": 0.5,
+                              "labels": ["background"] * 3 + ["walk"]})
+        clean_pred, pred = tmp_path / "clean.jsonl", tmp_path / "p.jsonl"
+        clean_pred.write_text("\n".join(good) + "\n")
+        pred.write_text("\n".join([good[0], corrupt, good[1]]) + "\n")
+        clean_out, out = tmp_path / "clean", tmp_path / "out"
+        assert run("evaluate", "--gt", gt, "--pred", clean_pred,
+                   "--out-dir", clean_out) == 1  # b has no record there
+        assert run("evaluate", "--gt", gt, "--pred", pred,
+                   "--out-dir", out) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [
+            {"video_id": "b", "error": "line 2: unknown label 'walk'"}]
+        assert summary["videos_evaluated"] == 2
+        for name in ("a.trace.csv", "c.trace.csv"):
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes()
+        err = capsys.readouterr().err
+        assert "FAILED b: line 2: unknown label 'walk'" in err
+        assert "Traceback" not in err
+
     def test_nan_duration_is_a_located_error(self, tmp_path, worked_pred,
                                              capsys):
         gt = tmp_path / "gt.jsonl"
@@ -243,6 +279,34 @@ class TestOffline:
                    "--fps", "4.0", "--out-dir", tmp_path / "o") == 1
 
 
+    def test_duplicate_scores_is_a_located_error(self, tmp_path, worked_gt,
+                                                 capsys):
+        record = json.dumps({"record": "scores", "video_id": "worked-example",
+                             "fps": 1.0, "scores": [[0.0, 0.0]] * 10})
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(record + "\n" + record + "\n")
+        assert run("offline", "--gt", worked_gt, "--pred", pred,
+                   "--out-dir", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert (f"{pred}: video 'worked-example': line 2: duplicate frame "
+                "scores (first at line 1)") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_stream_record_for_unknown_video_rejected(self, tmp_path,
+                                                      worked_gt, capsys):
+        pred = tmp_path / "pm.jsonl"
+        run("baseline", "--gt", worked_gt, "--kind", "pm", "--fps", "2.0",
+            "--out", pred)
+        with pred.open("a") as fh:
+            fh.write(json.dumps({"record": "detections", "video_id": "nope",
+                                 "events": []}) + "\n")
+        assert run("offline", "--gt", worked_gt, "--pred", pred,
+                   "--out-dir", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "video 'nope': line 3: predictions for unknown video" in err
+
+
 class TestBaseline:
     def test_deterministic_outputs(self, tmp_path, worked_gt):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -279,6 +343,26 @@ class TestConvert:
         manifest = load_canonical_gt(out)
         assert {t.video_id for t in manifest.tracks} == {"video_001",
                                                          "video_002"}
+
+    @pytest.mark.parametrize("annotation", [
+        '{"label": "jump", "segment": ["x", 2.0]}',
+        '{"label": "jump", "segment": [true, 2.0]}',
+        '{"label": "jump", "segment": [NaN, 2.0]}',
+        '{"label": "jump", "segment": [1.0, Infinity]}',
+        '[1.0, 2.0]',
+    ])
+    def test_activitynet_bad_annotation_is_a_located_error(
+            self, tmp_path, capsys, annotation):
+        anet = tmp_path / "anet.json"
+        anet.write_text(
+            '{"database": {"vid1": {"subset": "validation", "duration": 5.0,'
+            ' "annotations": [' + annotation + ']}}}')
+        assert run("convert", "--format", "activitynet", "--in", anet,
+                   "--out", tmp_path / "c.jsonl") == 1
+        err = capsys.readouterr().err
+        assert f"{anet}: video 'vid1': annotation needs a 'segment'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_thumos_requires_durations(self, tmp_path):
         assert run("convert", "--format", "thumos",

@@ -1,6 +1,7 @@
 """Canonical file formats, dataset adapters, prediction loading."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from oadeval.errors import ParseError, ValidationError, VocabularyError
 from oadeval.formats import (
     CorpusManifest,
+    build_stream,
     load_activitynet_gt,
     load_canonical_gt,
-    load_predictions,
     load_scores,
     load_thumos_gt,
+    read_predictions,
     write_canonical_gt,
     write_predictions,
 )
@@ -22,6 +24,7 @@ from oadeval.baselines import all_bg, perfect_model
 from oadeval.timeline import AnnotationTrack, LabelVocabulary, TimeInterval
 
 DATA = Path(__file__).parent / "data"
+STREAM_KINDS = ("decisions", "detections")
 
 
 def manifests():
@@ -55,6 +58,10 @@ def manifests():
 
 
 class TestCanonicalGt:
+    # interval label errors are validation errors, located like parse errors
+    LABEL_ERRORS = {"unknown label 'walk'": VocabularyError,
+                    "background intervals are implicit": ValidationError}
+
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         path.write_text(
@@ -114,13 +121,21 @@ class TestCanonicalGt:
         ('{"record": "video", "video_id": "v", "duration_s": 4.0, "intervals":'
          ' [{"label": "a", "start_s": -Infinity, "end_s": 1.0}]}',
          "expected a finite number"),
+        ('{"record": "video", "video_id": "v", "duration_s": 4.0, "intervals":'
+         ' [{"label": "walk", "start_s": 0.0, "end_s": 1.0}]}',
+         "unknown label 'walk'"),
+        ('{"record": "video", "video_id": "v", "duration_s": 4.0, "intervals":'
+         ' [{"label": "bg", "start_s": 0.0, "end_s": 1.0}]}',
+         "background intervals are implicit"),
     ])
     def test_parse_errors_carry_location(self, tmp_path, line, err):
         path = tmp_path / "gt.jsonl"
         path.write_text(
             '{"record": "vocabulary", "classes": ["a"], "background": "bg"}\n'
             + line + "\n")
-        with pytest.raises(ParseError, match="line 2") as excinfo:
+        location = re.escape(f"{path}, line 2")
+        with pytest.raises(self.LABEL_ERRORS.get(err, ParseError),
+                           match=location) as excinfo:
             load_canonical_gt(path)
         assert err.split()[0].lower() in str(excinfo.value).lower()
 
@@ -225,10 +240,19 @@ class TestPredictions:
     def manifest(self):
         return load_canonical_gt(DATA / "worked_example.gt.jsonl")
 
+    @staticmethod
+    def stream(path, manifest, delta_t_s):
+        """Build the worked example's one stream record, on line 1."""
+        records, failures = read_predictions(path, manifest, STREAM_KINDS)
+        assert failures == {}
+        lineno, kind, obj = records["worked-example"]
+        assert lineno == 1
+        return build_stream(kind, obj, manifest.tracks[0],
+                            manifest.vocabulary, delta_t_s)
+
     def test_event_form_streams_by_midpoint_rule(self, manifest):
-        preds = load_predictions(DATA / "worked_example.pred.jsonl",
-                                 manifest, 0.5)
-        decisions = preds.streams["worked-example"].decisions
+        stream = self.stream(DATA / "worked_example.pred.jsonl", manifest, 0.5)
+        decisions = stream.decisions
         assert decisions[4:8] == ("jump",) * 4
         assert decisions.count("jump") == 4
 
@@ -238,14 +262,14 @@ class TestPredictions:
         path.write_text(json.dumps({
             "record": "decisions", "video_id": "worked-example",
             "delta_t_s": 0.5, "labels": labels}) + "\n")
-        preds = load_predictions(path, manifest, 0.5)
-        assert len(preds.streams["worked-example"]) == 20
+        assert len(self.stream(path, manifest, 0.5)) == 20
 
     def test_missing_video_rejected(self, manifest, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text("")
-        with pytest.raises(ValidationError, match="missing predictions"):
-            load_predictions(path, manifest, 0.5)
+        records, failures = read_predictions(path, manifest, STREAM_KINDS)
+        assert records == {}
+        assert failures == {"worked-example": "missing predictions"}
 
     def test_empty_decisions_rejected(self, manifest, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -253,7 +277,7 @@ class TestPredictions:
             "record": "decisions", "video_id": "worked-example",
             "delta_t_s": 0.5, "labels": []}) + "\n")
         with pytest.raises(ValidationError, match="missing predictions"):
-            load_predictions(path, manifest, 0.5)
+            self.stream(path, manifest, 0.5)
 
     def test_too_many_decisions_rejected(self, manifest, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -261,7 +285,7 @@ class TestPredictions:
             "record": "decisions", "video_id": "worked-example",
             "delta_t_s": 0.5, "labels": ["background"] * 21}) + "\n")
         with pytest.raises(ValidationError, match="exceed"):
-            load_predictions(path, manifest, 0.5)
+            self.stream(path, manifest, 0.5)
 
     def test_delta_mismatch_rejected(self, manifest, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -269,7 +293,7 @@ class TestPredictions:
             "record": "decisions", "video_id": "worked-example",
             "delta_t_s": 0.25, "labels": ["background"] * 40}) + "\n")
         with pytest.raises(ValidationError, match="delta_t"):
-            load_predictions(path, manifest, 0.5)
+            self.stream(path, manifest, 0.5)
 
     def test_unknown_label_rejected(self, manifest, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -277,7 +301,7 @@ class TestPredictions:
             "record": "decisions", "video_id": "worked-example",
             "delta_t_s": 0.5, "labels": ["walk"] * 20}) + "\n")
         with pytest.raises(VocabularyError):
-            load_predictions(path, manifest, 0.5)
+            self.stream(path, manifest, 0.5)
 
     @pytest.mark.parametrize("record", [
         {"record": "decisions", "delta_t_s": True,
@@ -297,8 +321,8 @@ class TestPredictions:
         path.write_text(json.dumps({"video_id": "worked-example", **record})
                         + "\n")
         with pytest.raises(ValidationError,
-                           match="line 1: .*(numeric delta_t_s|each event)"):
-            load_predictions(path, manifest, 1.0)
+                           match="numeric delta_t_s|each event"):
+            self.stream(path, manifest, 1.0)
 
     @pytest.mark.parametrize("fps", [True, float("nan"), float("inf")])
     def test_bool_and_non_finite_fps_rejected(self, manifest, tmp_path, fps):
@@ -306,15 +330,26 @@ class TestPredictions:
         path.write_text(json.dumps({
             "record": "scores", "video_id": "worked-example", "fps": fps,
             "scores": [[0.0, 0.0]] * 10}) + "\n")
-        with pytest.raises(ValidationError, match="fps"):
+        with pytest.raises(ValidationError, match="line 1: .*fps"):
+            load_scores(path, manifest)
+
+    @pytest.mark.parametrize("cell", [True, False, None, "0.5", 10 ** 400])
+    def test_non_number_score_cells_rejected(self, manifest, tmp_path, cell):
+        rows = [[0.0, 0.0]] * 20
+        rows[3] = [0.5, cell]
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({
+            "record": "scores", "video_id": "worked-example", "fps": 2.0,
+            "scores": rows}) + "\n")
+        with pytest.raises(ValidationError, match="line 1: .*(numbers|float)"):
             load_scores(path, manifest)
 
     def test_unknown_video_rejected(self, manifest, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps({
             "record": "detections", "video_id": "nope", "events": []}) + "\n")
-        with pytest.raises(ValidationError, match="unknown video"):
-            load_predictions(path, manifest, 0.5)
+        _, failures = read_predictions(path, manifest, STREAM_KINDS)
+        assert failures["nope"] == "line 1: predictions for unknown video"
 
     def test_baseline_writes_loadable_files(self, manifest, tmp_path):
         track = manifest.tracks[0]
@@ -323,8 +358,7 @@ class TestPredictions:
         _, matrix = perfect_model(track, 0.5, vocab, seed=0, fps=2.0)
         path = tmp_path / "p.jsonl"
         write_predictions(path, streams=[stream], score_matrices=[matrix])
-        preds = load_predictions(path, manifest, 0.5)
-        assert preds.streams["worked-example"].decisions == stream.decisions
+        assert self.stream(path, manifest, 0.5).decisions == stream.decisions
         scores = load_scores(path, manifest)
         assert scores["worked-example"].fps == 2.0
 
@@ -333,3 +367,64 @@ class TestPredictions:
         path.write_text("")
         with pytest.raises(ValidationError, match="missing frame scores"):
             load_scores(path, manifest)
+
+
+class TestReadPredictions:
+    """Which record belongs to which video, decided once for every reader."""
+
+    @pytest.fixture
+    def manifest(self):
+        vocab = LabelVocabulary(classes=("jump",))
+        return CorpusManifest(vocabulary=vocab, tracks=tuple(
+            AnnotationTrack(vid, 2.0, ()) for vid in ("a", "b", "c", "d")))
+
+    @staticmethod
+    def write(tmp_path, *records):
+        path = tmp_path / "p.jsonl"
+        path.write_text("".join(json.dumps({"record": kind, "video_id": vid})
+                                + "\n" for kind, vid in records))
+        return path
+
+    def test_one_record_per_video(self, manifest, tmp_path):
+        path = self.write(tmp_path, ("decisions", "a"), ("detections", "b"),
+                          ("decisions", "c"), ("detections", "d"))
+        records, failures = read_predictions(path, manifest, STREAM_KINDS)
+        assert failures == {}
+        assert {vid: rec[:2] for vid, rec in records.items()} == {
+            "a": (1, "decisions"), "b": (2, "detections"),
+            "c": (3, "decisions"), "d": (4, "detections")}
+        assert records["b"][2] == {"record": "detections", "video_id": "b"}
+
+    def test_unknown_video_of_any_kind_fails(self, manifest, tmp_path):
+        path = self.write(tmp_path, ("decisions", "a"), ("scores", "x"),
+                          ("decisions", "y"), ("decisions", "x"))
+        for kinds in (STREAM_KINDS, ("scores",)):
+            _, failures = read_predictions(path, manifest, kinds)
+            assert failures["x"] == "line 2: predictions for unknown video"
+            assert failures["y"] == "line 3: predictions for unknown video"
+
+    def test_duplicate_and_third_copy(self, manifest, tmp_path):
+        path = self.write(tmp_path, ("decisions", "a"), ("decisions", "b"),
+                          ("detections", "a"), ("decisions", "a"),
+                          ("decisions", "c"), ("decisions", "d"))
+        records, failures = read_predictions(path, manifest, STREAM_KINDS)
+        assert sorted(records) == ["b", "c", "d"]
+        assert failures == {
+            "a": "line 3: duplicate predictions (first at line 1)"}
+
+    def test_missing_video(self, manifest, tmp_path):
+        path = self.write(tmp_path, ("decisions", "a"), ("scores", "b"),
+                          ("decisions", "d"))
+        records, failures = read_predictions(path, manifest, STREAM_KINDS)
+        assert sorted(records) == ["a", "d"]
+        assert failures == {"b": "missing predictions",
+                            "c": "missing predictions"}
+
+    def test_other_kinds_skipped(self, manifest, tmp_path):
+        path = self.write(tmp_path, *[(kind, vid) for vid in "abcd"
+                                      for kind in ("scores", "detections")])
+        for kinds, lines in ((STREAM_KINDS, [2, 4, 6, 8]),
+                             (("scores",), [1, 3, 5, 7])):
+            records, failures = read_predictions(path, manifest, kinds)
+            assert failures == {}
+            assert [records[vid][0] for vid in "abcd"] == lines
