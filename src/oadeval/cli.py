@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .baselines import all_bg, perfect_model
@@ -37,10 +38,11 @@ def _safe_filename(video_id: str) -> str:
 
 
 def _write_trace(path: Path, trace) -> None:
-    rows = [TRACE_HEADER]
-    rows += [f"{p.t_s:.6f},{p.ia:.6f},{p.wia:.6f},{p.weight_w:.6f}"
-             for p in trace]
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # one %-format over the whole trace; "%.6f" writes the same digits
+    # as f"{x:.6f}"
+    row = "%.6f,%.6f,%.6f,%.6f\n"
+    body = (row * len(trace)) % tuple(chain.from_iterable(trace))
+    path.write_text(f"{TRACE_HEADER}\n{body}", encoding="utf-8")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -69,6 +71,10 @@ def cmd_evaluate(args) -> int:
             trace = evaluate_grids(stream.as_grid(), gt_grid, mode)
         except EvaluationError as exc:
             failures[vid] = f"line {lineno}: {exc}"
+            continue
+        except Exception as exc:  # any other fault fails only this video
+            named = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+            failures[vid] = f"line {lineno}: {named}"
             continue
         _write_trace(out_dir / f"{_safe_filename(vid)}.trace.csv", trace)
         results[vid] = track, trace

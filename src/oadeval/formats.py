@@ -45,6 +45,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .offline import FrameScoreMatrix, frame_count
 from .timeline import (
+    DEFAULT_BACKGROUND,
     AnnotationTrack,
     LabelVocabulary,
     PredictionStream,
@@ -287,6 +288,10 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
                 report.warn(f"video {video_id!r}: segment [{segment[0]}, "
                             f"{segment[1]}] empty after clamping; dropped")
                 continue
+            if label == DEFAULT_BACKGROUND:
+                raise ParseError(
+                    f"video {video_id!r}: label {label!r} is the background "
+                    "label, not an action class", path=str(path))
             intervals.append(TimeInterval(label=label, start_s=start, end_s=end))
             labels_seen.add(label)
         tracks.append(AnnotationTrack(
@@ -302,6 +307,13 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
     return manifest, report.finalize()
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _read_duration_table(path: str | Path) -> dict[str, float]:
     durations = {}
     for lineno, line in enumerate(
@@ -313,7 +325,7 @@ def _read_duration_table(path: str | Path) -> dict[str, float]:
             raise ParseError("expected 'video_id duration_s'",
                              path=str(path), line=lineno)
         try:
-            durations[parts[0]] = float(parts[1])
+            durations[parts[0]] = _finite_float(parts[1])
         except ValueError as exc:
             raise ParseError(f"bad duration {parts[1]!r}",
                              path=str(path), line=lineno) from exc
@@ -346,6 +358,9 @@ def load_thumos_gt(dir_path: str | Path,
         for suffix in ("_val", "_test"):
             if cls.endswith(suffix):
                 cls = cls[: -len(suffix)]
+        if cls == DEFAULT_BACKGROUND:
+            raise ParseError(f"class {cls!r} is the background label, "
+                             "not an action class", path=str(class_file))
         classes.append(cls)
         for lineno, line in enumerate(
                 class_file.read_text(encoding="utf-8").splitlines(), start=1):
@@ -356,7 +371,7 @@ def load_thumos_gt(dir_path: str | Path,
                 raise ParseError("expected 'video_id start_s end_s'",
                                  path=str(class_file), line=lineno)
             try:
-                start, end = float(parts[1]), float(parts[2])
+                start, end = _finite_float(parts[1]), _finite_float(parts[2])
             except ValueError as exc:
                 raise ParseError(f"bad timestamp in {parts[1:]!r}",
                                  path=str(class_file), line=lineno) from exc

@@ -42,12 +42,15 @@ class LabelVocabulary:
     """Closed set of action classes plus one distinguished background label.
 
     Immutable after construction; class names must be unique, non-empty
-    and must not collide with the background label.
+    and must not collide with the background label. ``codes`` maps each
+    label to a small int: background to 0, the classes to 1..C in
+    declared order.
     """
 
     classes: tuple[str, ...]
     background: str = DEFAULT_BACKGROUND
     _class_set: frozenset = field(init=False, repr=False, compare=False)
+    codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         classes = tuple(self.classes)
@@ -62,6 +65,9 @@ class LabelVocabulary:
             raise ValidationError(
                 f"background label {self.background!r} must not be an action class")
         object.__setattr__(self, "_class_set", frozenset(classes))
+        codes = {self.background: 0}
+        codes.update((c, i) for i, c in enumerate(classes, start=1))
+        object.__setattr__(self, "codes", codes)
 
     def __contains__(self, label: str) -> bool:
         return label == self.background or label in self._class_set
@@ -167,9 +173,10 @@ class SlotGrid:
             raise ValidationError(f"delta_t {self.delta_t_s} must be > 0")
         if not self.labels:
             raise DegenerateInputError("slot grid must hold at least one slot")
-        for lab in self.labels:
-            if lab not in self.vocab:
-                raise VocabularyError(f"unknown slot label {lab!r}")
+        if not self.vocab.codes.keys() >= set(self.labels):
+            for lab in self.labels:
+                if lab not in self.vocab:
+                    raise VocabularyError(f"unknown slot label {lab!r}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -300,6 +307,19 @@ class PredictionStream:
         return self.append(label)
 
     def extend(self, labels: Iterable[str]) -> None:
+        """Append each label in turn, as repeated :meth:`append` would.
+
+        When every label is known and all of them fit, they are checked
+        in one set operation and appended at once; otherwise they are
+        appended one by one, so the same error is raised at the same
+        slot and the valid prefix before it is kept.
+        """
+        labels = list(labels)
+        fits = (self.num_slots is None
+                or len(self._decisions) + len(labels) <= self.num_slots)
+        if fits and self.vocab.codes.keys() >= set(labels):
+            self._decisions.extend(labels)
+            return
         for lab in labels:
             self.append(lab)
 

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from oadeval.cli import main
+from oadeval import cli
+from oadeval.cli import _write_trace, main
 from oadeval.formats import (
     CorpusManifest,
     load_canonical_gt,
     write_canonical_gt,
 )
+from oadeval.ia import IATracePoint
 from oadeval.timeline import AnnotationTrack, LabelVocabulary, TimeInterval
 
 DATA = Path(__file__).parent / "data"
@@ -193,6 +195,67 @@ class TestEvaluate:
         assert "FAILED b: line 2: unknown label 'walk'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("error,entry", [
+        (MemoryError(), "line 2: MemoryError"),
+        (ZeroDivisionError("boom"), "line 2: ZeroDivisionError: boom"),
+    ], ids=["MemoryError", "ZeroDivisionError"])
+    def test_unexpected_error_fails_only_its_video(self, tmp_path, monkeypatch,
+                                                   capsys, error, entry):
+        gt = tmp_path / "gt.jsonl"
+        vocab = LabelVocabulary(classes=("jump",))
+        write_canonical_gt(CorpusManifest(vocabulary=vocab, tracks=(
+            AnnotationTrack("a", 2.0, (TimeInterval("jump", 0.0, 1.0),)),
+            AnnotationTrack("b", 2.5, ()),
+            AnnotationTrack("c", 3.0, (TimeInterval("jump", 1.0, 2.0),)),
+        )), gt)
+        pred = tmp_path / "p.jsonl"
+        pred.write_text("\n".join([
+            json.dumps({"record": "decisions", "video_id": "a",
+                        "delta_t_s": 0.5, "labels": ["jump"] * 4}),
+            json.dumps({"record": "decisions", "video_id": "b",
+                        "delta_t_s": 0.5, "labels": ["background"] * 5}),
+            json.dumps({"record": "detections", "video_id": "c",
+                        "events": [{"label": "jump", "start_s": 0.5,
+                                    "end_s": 2.0}]}),
+        ]) + "\n")
+        clean_out, out = tmp_path / "clean", tmp_path / "out"
+        assert run("evaluate", "--gt", gt, "--pred", pred,
+                   "--out-dir", clean_out) == 0
+        evaluate_grids = cli.evaluate_grids
+
+        def fail_on_b(grid_pred, grid_gt, mode):
+            if len(grid_gt) == 5:  # only video b has 5 slots
+                raise error
+            return evaluate_grids(grid_pred, grid_gt, mode)
+
+        monkeypatch.setattr(cli, "evaluate_grids", fail_on_b)
+        assert run("evaluate", "--gt", gt, "--pred", pred,
+                   "--out-dir", out) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [{"video_id": "b", "error": entry}]
+        assert summary["videos_evaluated"] == 2
+        assert not (out / "b.trace.csv").exists()
+        for name in ("a.trace.csv", "c.trace.csv"):
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes()
+        err = capsys.readouterr().err
+        assert f"FAILED b: {entry}" in err
+        assert "Traceback" not in err
+
+    def test_trace_rows_match_per_value_formatting(self, tmp_path):
+        awkward = [0.0, 1.0, 0.0000005, 0.0000015, 2.5e-7, 1e-300, 5e-324,
+                   0.1234565, 0.9999995, 1 / 3, 2 / 3, 123.4567895,
+                   14 / 6, 1e6 + 0.5e-6, 3.000_000_5, 17.0]
+        trace = [IATracePoint(*(awkward[(i + j) % len(awkward)]
+                                for j in range(4)))
+                 for i in range(len(awkward))]
+        trace.append(IATracePoint(9999.5, 0.25, 0.75, 41.0))  # w > 1
+        _write_trace(tmp_path / "t.csv", trace)
+        rows = [cli.TRACE_HEADER] + [
+            f"{p.t_s:.6f},{p.ia:.6f},{p.wia:.6f},{p.weight_w:.6f}"
+            for p in trace]
+        assert (tmp_path / "t.csv").read_bytes() == (
+            "\n".join(rows) + "\n").encode()
+
     def test_nan_duration_is_a_located_error(self, tmp_path, worked_pred,
                                              capsys):
         gt = tmp_path / "gt.jsonl"
@@ -361,6 +424,59 @@ class TestConvert:
                    "--out", tmp_path / "c.jsonl") == 1
         err = capsys.readouterr().err
         assert f"{anet}: video 'vid1': annotation needs a 'segment'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("sidecar_row,class_row,where", [
+        ("video_001 nan", "video_001 1.0 2.0", "durations.txt, line 1"),
+        ("video_001 inf", "video_001 1.0 2.0", "durations.txt, line 1"),
+        ("video_001 9.0", "video_001 nan 2.0", "Jump_test.txt, line 1"),
+        ("video_001 9.0", "video_001 1.0 -inf", "Jump_test.txt, line 1"),
+    ], ids=["sidecar-nan", "sidecar-inf", "class-nan", "class-minus-inf"])
+    def test_thumos_non_finite_number_is_a_located_error(
+            self, tmp_path, capsys, sidecar_row, class_row, where):
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "Jump_test.txt").write_text(class_row + "\n")
+        durations = tmp_path / "durations.txt"
+        durations.write_text(sidecar_row + "\n")
+        assert run("convert", "--format", "thumos", "--in", ann,
+                   "--durations", durations,
+                   "--out", tmp_path / "c.jsonl") == 1
+        err = capsys.readouterr().err
+        assert where in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_activitynet_background_label_is_a_located_error(self, tmp_path,
+                                                              capsys):
+        anet = tmp_path / "anet.json"
+        anet.write_text(
+            '{"database": {"vid1": {"subset": "validation", "duration": 5.0,'
+            ' "annotations": [{"label": "background", "segment": [1.0, 2.0]}'
+            ']}}}')
+        assert run("convert", "--format", "activitynet", "--in", anet,
+                   "--out", tmp_path / "c.jsonl") == 1
+        err = capsys.readouterr().err
+        assert (f"{anet}: video 'vid1': label 'background' is the background "
+                "label") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_thumos_background_class_file_is_a_located_error(self, tmp_path,
+                                                             capsys):
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "Jump_test.txt").write_text("video_001 1.0 2.0\n")
+        (ann / "background.txt").write_text("video_001 3.0 4.0\n")
+        durations = tmp_path / "durations.txt"
+        durations.write_text("video_001 9.0\n")
+        assert run("convert", "--format", "thumos", "--in", ann,
+                   "--durations", durations,
+                   "--out", tmp_path / "c.jsonl") == 1
+        err = capsys.readouterr().err
+        assert (f"{ann / 'background.txt'}: class 'background' is the "
+                "background label") in err
         assert "Traceback" not in err
         assert not (tmp_path / "c.jsonl").exists()
 

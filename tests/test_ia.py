@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oadeval import ia
 from oadeval.errors import DegenerateInputError, ValidationError, VocabularyError
 from oadeval.ia import (
+    EXACT_PREFIX_SLOTS,
     IATracePoint,
     MatchingMode,
     MetricState,
@@ -251,3 +253,54 @@ class TestProperties:
         for pt_bin, pt_ca in zip(evaluate_grids(pred, gt, MatchingMode.BINARY),
                                  evaluate_grids(pred, gt, MatchingMode.CLASS_AWARE)):
             assert pt_bin.ia >= pt_ca.ia
+
+
+def replay(pred, gt, mode=MatchingMode.CLASS_AWARE):
+    evaluator = StreamingEvaluator(gt, mode)
+    for label in pred.labels:
+        evaluator.consume(label)
+    return evaluator.trace
+
+
+class TestExactPrefixBound:
+    """The prefix-sum engine runs exactly up to its bound, replays beyond."""
+
+    def test_bound_is_the_largest_exact_grid(self):
+        k = EXACT_PREFIX_SLOTS
+        assert k * (k * k // 4) <= 2**53 < (k + 1) * ((k + 1) ** 2 // 4)
+
+    @pytest.mark.parametrize("wrong_every", [None, 3])
+    def test_balanced_worst_case_at_the_bound(self, vocab, monkeypatch,
+                                              wrong_every):
+        # N' = P' = K/2 at the end, so N'*P'*K' reaches K**3/4; a perfect
+        # prediction makes the last numerator K**3/4 too, and predicting
+        # "run" on every third action slot makes it differ from the
+        # denominator
+        k = EXACT_PREFIX_SLOTS
+        gt_labels = ("jump", "background") * (k // 2)
+        pred_labels = list(gt_labels)
+        if wrong_every:
+            pred_labels[::2 * wrong_every] = ["run"] * len(
+                pred_labels[::2 * wrong_every])
+        gt = make_grid(gt_labels, vocab)
+        pred = make_grid(pred_labels, vocab)
+        expected = replay(pred, gt)
+        used = []
+        prefix_sum_trace = ia._prefix_sum_trace
+        monkeypatch.setattr(ia, "_prefix_sum_trace",
+                            lambda *a: used.append(1) or prefix_sum_trace(*a))
+        assert evaluate_grids(pred, gt) == expected
+        assert used == [1]
+        assert (expected[-1].wia == 1.0) == (wrong_every is None)
+
+    def test_one_slot_past_the_bound_replays(self, vocab, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("prefix sums used past the exact bound")
+
+        monkeypatch.setattr(ia, "_prefix_sum_trace", refuse)
+        k = EXACT_PREFIX_SLOTS + 1
+        gt = make_grid(("jump", "background") * (k // 2) + ("jump",), vocab)
+        trace = evaluate_grids(gt, gt, MatchingMode.BINARY)
+        assert len(trace) == k
+        assert trace[-1] == IATracePoint(k * 0.5, 1.0, 1.0,
+                                         (k // 2) / (k // 2 + 1))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oadeval.errors import (
     CausalityError,
     DegenerateInputError,
+    EvaluationError,
     ValidationError,
     VocabularyError,
 )
@@ -111,6 +112,12 @@ class TestLabelVocabulary:
     def test_invalid_vocabularies_rejected(self, classes, background):
         with pytest.raises(ValidationError):
             LabelVocabulary(classes=classes, background=background)
+
+    def test_codes_background_zero_then_declared_order(self):
+        vocab = LabelVocabulary(classes=("run", "jump"), background="bg")
+        assert vocab.codes == {"bg": 0, "run": 1, "jump": 2}
+        twin = LabelVocabulary(classes=("run", "jump"), background="bg")
+        assert vocab == twin and hash(vocab) == hash(twin)
 
 
 class TestTimeInterval:
@@ -242,12 +249,43 @@ class TestDiscretize:
         assert a == b
 
 
+@st.composite
+def labels_maybe_unknown(draw):
+    """Known labels of the conftest vocabulary; half the time one unknown."""
+    labels = draw(st.lists(st.sampled_from(["jump", "run", "background"]),
+                           max_size=12))
+    if draw(st.booleans()):
+        labels.insert(draw(st.integers(0, len(labels))),
+                      draw(st.sampled_from(["walk", "Jump", ""])))
+    return labels
+
+
+def outcome(call):
+    """``None`` if ``call`` returns, else the class and text of its error."""
+    try:
+        call()
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestSlotGrid:
     def test_length_and_vocab_enforced(self, vocab):
         with pytest.raises(VocabularyError):
             SlotGrid(0.5, ("walk",), vocab)
         with pytest.raises(DegenerateInputError):
             SlotGrid(0.5, (), vocab)
+
+    @given(labels_maybe_unknown())
+    @settings(deadline=None)
+    def test_label_check_names_the_first_unknown_label(self, labels):
+        vocab = LabelVocabulary(classes=("jump", "run"))
+        if not labels:
+            return
+        unknown = [lab for lab in labels if lab not in vocab]
+        expected = (VocabularyError, f"unknown slot label {unknown[0]!r}"
+                    ) if unknown else None
+        assert outcome(lambda: SlotGrid(0.5, labels, vocab)) == expected
 
 
 class TestPredictionStream:
@@ -278,6 +316,26 @@ class TestPredictionStream:
         s = PredictionStream("v", 0.5, vocab)
         with pytest.raises(VocabularyError):
             s.append("walk")
+
+    @given(before=st.lists(st.sampled_from(["jump", "background"]), max_size=4),
+           labels=labels_maybe_unknown(),
+           capacity=st.none() | st.integers(1, 10))
+    @settings(deadline=None)
+    def test_extend_equals_repeated_append(self, before, labels, capacity):
+        vocab = LabelVocabulary(classes=("jump", "run"))
+        streams = [PredictionStream("v", 0.5, vocab, num_slots=capacity)
+                   for _ in range(2)]
+        for s in streams:
+            for lab in before[:capacity]:
+                s.append(lab)
+        bulk, one_by_one = streams
+
+        def append_each():
+            for lab in labels:
+                one_by_one.append(lab)
+
+        assert outcome(lambda: bulk.extend(iter(labels))) == outcome(append_each)
+        assert bulk.decisions == one_by_one.decisions
 
 
 class TestEventsToStream:
