@@ -271,10 +271,11 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
             label = ann.get("label")
             if (not isinstance(segment, (list, tuple)) or len(segment) != 2
                     or not all(map(_is_number, segment))
-                    or not isinstance(label, str)):
+                    or not isinstance(label, str) or not label):
                 raise ParseError(
                     f"video {video_id!r}: annotation needs a 'segment' of two "
-                    "finite numbers and a string 'label'", path=str(path))
+                    "finite numbers and a non-empty string 'label'",
+                    path=str(path))
             start, end = float(segment[0]), float(segment[1])
             if start < 0:
                 report.warn(f"video {video_id!r}: segment start {start} "
@@ -325,10 +326,14 @@ def _read_duration_table(path: str | Path) -> dict[str, float]:
             raise ParseError("expected 'video_id duration_s'",
                              path=str(path), line=lineno)
         try:
-            durations[parts[0]] = _finite_float(parts[1])
+            duration = _finite_float(parts[1])
         except ValueError as exc:
             raise ParseError(f"bad duration {parts[1]!r}",
                              path=str(path), line=lineno) from exc
+        if duration <= 0:
+            raise ParseError(f"video {parts[0]!r}: duration {duration} "
+                             "must be > 0", path=str(path), line=lineno)
+        durations[parts[0]] = duration
     return durations
 
 
@@ -375,8 +380,19 @@ def load_thumos_gt(dir_path: str | Path,
             except ValueError as exc:
                 raise ParseError(f"bad timestamp in {parts[1:]!r}",
                                  path=str(class_file), line=lineno) from exc
-            intervals_by_video.setdefault(parts[0], []).append(
-                TimeInterval(label=cls, start_s=start, end_s=end))
+            vid = parts[0]
+            try:
+                interval = TimeInterval(label=cls, start_s=start, end_s=end)
+            except ValidationError as exc:
+                raise ParseError(str(exc), path=str(class_file),
+                                 line=lineno) from exc
+            if (vid in durations
+                    and interval.end_us > seconds_to_us(durations[vid])):
+                raise ParseError(
+                    f"video {vid!r}: interval [{start}, {end}) exceeds "
+                    f"duration {durations[vid]}",
+                    path=str(class_file), line=lineno)
+            intervals_by_video.setdefault(vid, []).append(interval)
 
     unknown = sorted(set(intervals_by_video) - set(durations))
     if unknown:

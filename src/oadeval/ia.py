@@ -13,13 +13,17 @@ count is still zero the ratio is undefined and ``w`` falls back to 1,
 which keeps wIA bounded in [0, 1] and lets a perfect predictor score 1
 at every instant.
 
-Two engines compute the same trace. :class:`StreamingEvaluator` feeds
-one decision at a time through :func:`update`, O(1) per slot.
-:func:`evaluate_grids` scores two completed grids at once: over the
-vocabulary's class codes the counters are prefix sums, taken with NumPy.
+Both engines score the vocabulary's small-int class codes (background 0,
+classes 1..C). :class:`StreamingEvaluator` maps its ground-truth grid to
+codes once; each decision then costs one dict lookup and a few integer
+adds, O(1) per slot. :func:`update` is the same step on label strings
+and explicit :class:`MetricState` values, and shares the trace-point
+arithmetic with the evaluator. :func:`evaluate_grids` scores two
+completed grids at once: the counters are prefix sums, taken with NumPy.
 Every value is one float division of two exact integers, so the prefix
-sums match :func:`update` bit for bit up to :data:`EXACT_PREFIX_SLOTS`
-slots; longer grids are replayed through :class:`StreamingEvaluator`.
+sums match the streaming engine bit for bit up to
+:data:`EXACT_PREFIX_SLOTS` slots; longer grids are replayed through
+:class:`StreamingEvaluator`.
 
 Only the seen prefix ever enters a value: the metric is causal by
 construction, and :func:`oracle_ia` re-derives every instant from scratch
@@ -33,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, ValidationError, VocabularyError
 from .timeline import LabelVocabulary, SlotGrid, seconds_to_us
 
 
@@ -94,51 +98,84 @@ def update(state: MetricState, predicted: str, truth: str,
         if not pred_is_action:
             tn += 1
 
-    new_state = MetricState(k, tp, tn, p, n)
-    return new_state, _trace_point(new_state, delta_t_s)
+    return MetricState(k, tp, tn, p, n), _trace_point(k, tp, tn, p, n, delta_t_s)
 
 
-def _trace_point(state: MetricState, delta_t_s: float) -> IATracePoint:
+# tuple.__new__ skips the namedtuple's Python-level __new__ on the hot path
+_new_point = tuple.__new__
+
+
+def _trace_point(k: int, tp: int, tn: int, p: int, n: int,
+                 delta_t_s: float) -> IATracePoint:
     # wIA is evaluated over a common integer denominator,
     #   (N'^2*tp + P'^2*tn) / (N'*P'*K')  ==  (w*tp + tn/w) / K',
     # so only one float rounding happens: a perfect prefix scores 1.0
     # exactly and the numerator can never exceed the denominator.
-    k = state.k_prime
-    tp, tn = state.tp_count, state.tn_count
-    p, n = state.gt_action_count, state.gt_background_count
     ia = (tp + tn) / k
     if p > 0 and n > 0:
-        w = n / p
-        wia = (n * n * tp + p * p * tn) / (n * p * k)
-    else:
-        w = 1.0
-        wia = ia
-    return IATracePoint(t_s=k * delta_t_s, ia=ia, wia=wia, weight_w=w)
+        return _new_point(IATracePoint, (k * delta_t_s, ia,
+                          (n * n * tp + p * p * tn) / (n * p * k), n / p))
+    return _new_point(IATracePoint, (k * delta_t_s, ia, ia, 1.0))
 
 
 class StreamingEvaluator:
     """Single-writer per-video evaluator fed one decision at a time.
 
-    Ground truth for the video is fixed up front; predictions arrive
-    causally and each :meth:`consume` yields the trace point for the
-    slot just decided.
+    Ground truth for the video is fixed up front and mapped to class
+    codes once; predictions arrive causally and each :meth:`consume`
+    yields the trace point for the slot just decided. :attr:`state` reads
+    and assigns the counters as a :class:`MetricState`.
     """
 
     def __init__(self, grid_gt: SlotGrid,
                  mode: MatchingMode = MatchingMode.CLASS_AWARE):
-        self.grid_gt = grid_gt
+        self._grid_gt = grid_gt
         self.mode = mode
-        self.state = MetricState()
+        self._codes = grid_gt.vocab.codes
+        self._truth = tuple(map(self._codes.__getitem__, grid_gt.labels))
+        self._delta_t_s = grid_gt.delta_t_s
+        # slots seen, true positives, true negatives, ground-truth actions;
+        # ground-truth background is k - p
+        self._k = self._tp = self._tn = self._p = 0
         self.trace: list[IATracePoint] = []
 
-    def consume(self, predicted: str) -> IATracePoint:
-        j = self.state.k_prime
-        if j >= len(self.grid_gt):
+    @property
+    def grid_gt(self) -> SlotGrid:
+        """The ground truth, read-only: its codes are taken once."""
+        return self._grid_gt
+
+    @property
+    def state(self) -> MetricState:
+        k, p = self._k, self._p
+        return MetricState(k, self._tp, self._tn, p, k - p)
+
+    @state.setter
+    def state(self, state: MetricState) -> None:
+        k, tp, tn, p, n = state
+        if k != p + n:
             raise ValidationError(
-                f"all {len(self.grid_gt)} slots already evaluated")
-        self.state, point = update(self.state, predicted, self.grid_gt.labels[j],
-                                   self.grid_gt.vocab, self.grid_gt.delta_t_s,
-                                   self.mode)
+                f"state counts {p} action + {n} background slots "
+                f"but k_prime is {k}")
+        self._k, self._tp, self._tn, self._p = k, tp, tn, p
+
+    def consume(self, predicted: str) -> IATracePoint:
+        k = self._k
+        truth = self._truth
+        if k >= len(truth):
+            raise ValidationError(f"all {len(truth)} slots already evaluated")
+        pred = self._codes.get(predicted)
+        if pred is None:
+            raise VocabularyError(f"unknown label {predicted!r}")
+        t = truth[k]
+        self._k = k = k + 1
+        if t:
+            self._p += 1
+            if pred == t or (pred and self.mode is MatchingMode.BINARY):
+                self._tp += 1
+        elif not pred:
+            self._tn += 1
+        p = self._p
+        point = _trace_point(k, self._tp, self._tn, p, k - p, self._delta_t_s)
         self.trace.append(point)
         return point
 

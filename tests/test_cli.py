@@ -413,6 +413,7 @@ class TestConvert:
         '{"label": "jump", "segment": [NaN, 2.0]}',
         '{"label": "jump", "segment": [1.0, Infinity]}',
         '[1.0, 2.0]',
+        '{"label": "", "segment": [1.0, 2.0]}',
     ])
     def test_activitynet_bad_annotation_is_a_located_error(
             self, tmp_path, capsys, annotation):
@@ -445,6 +446,32 @@ class TestConvert:
                    "--out", tmp_path / "c.jsonl") == 1
         err = capsys.readouterr().err
         assert where in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("sidecar_row,class_row,where,message", [
+        ("video_001 10", "video_001 5.0 2.0", "Jump_test.txt, line 1",
+         "interval [5.0, 2.0) for 'Jump' has zero or negative length"),
+        ("video_001 10", "video_001 -1.0 2.0", "Jump_test.txt, line 1",
+         "interval start -1.0 < 0"),
+        ("video_001 10", "video_001 1.0 20.0", "Jump_test.txt, line 1",
+         "video 'video_001': interval [1.0, 20.0) exceeds duration 10.0"),
+        ("video_001 -3", "video_001 1.0 2.0", "durations.txt, line 1",
+         "video 'video_001': duration -3.0 must be > 0"),
+    ], ids=["reversed", "negative-start", "past-duration",
+            "negative-duration"])
+    def test_thumos_bad_interval_or_duration_is_a_located_error(
+            self, tmp_path, capsys, sidecar_row, class_row, where, message):
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "Jump_test.txt").write_text(class_row + "\n")
+        durations = tmp_path / "durations.txt"
+        durations.write_text(sidecar_row + "\n")
+        assert run("convert", "--format", "thumos", "--in", ann,
+                   "--durations", durations,
+                   "--out", tmp_path / "c.jsonl") == 1
+        err = capsys.readouterr().err
+        assert f"{where}: {message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "c.jsonl").exists()
 

@@ -255,6 +255,65 @@ class TestProperties:
             assert pt_bin.ia >= pt_ca.ia
 
 
+class TestStreamingEvaluator:
+    def test_unknown_prediction_leaves_state_and_trace(self, vocab):
+        gt = make_grid(["jump", "background", "run"], vocab)
+        evaluator = StreamingEvaluator(gt)
+        evaluator.consume("jump")
+        state, trace = evaluator.state, list(evaluator.trace)
+        with pytest.raises(VocabularyError) as exc:
+            evaluator.consume("swim")
+        assert str(exc.value) == "unknown label 'swim'"
+        assert evaluator.state == state
+        assert evaluator.trace == trace
+        assert evaluator.consume("background") == replay(
+            make_grid(["jump", "background"], vocab),
+            make_grid(["jump", "background"], vocab))[-1]
+
+    def test_consume_past_the_end_is_checked_before_the_label(self, vocab):
+        gt = make_grid(["jump", "background"], vocab)
+        evaluator = StreamingEvaluator(gt)
+        evaluator.consume("jump")
+        evaluator.consume("run")
+        state, trace = evaluator.state, list(evaluator.trace)
+        for label in ("jump", "swim"):
+            with pytest.raises(ValidationError) as exc:
+                evaluator.consume(label)
+            assert type(exc.value) is ValidationError
+            assert str(exc.value) == "all 2 slots already evaluated"
+            assert evaluator.state == state
+            assert evaluator.trace == trace
+
+    def test_state_rejects_counts_that_do_not_add_up(self, vocab):
+        evaluator = StreamingEvaluator(make_grid(["jump"], vocab))
+        with pytest.raises(ValidationError):
+            evaluator.state = MetricState(2, 0, 0, 1, 0)
+        assert evaluator.state == MetricState()
+
+    def test_ground_truth_is_read_only(self, vocab):
+        gt = make_grid(["jump"], vocab)
+        evaluator = StreamingEvaluator(gt)
+        with pytest.raises(AttributeError):
+            evaluator.grid_gt = make_grid(["run"], vocab)
+        assert evaluator.grid_gt is gt
+
+    @given(grid_pairs(), st.sampled_from(list(MatchingMode)))
+    @settings(max_examples=300, deadline=None)
+    def test_consume_equals_chained_update(self, pair, mode):
+        pred, gt = pair
+        evaluator = StreamingEvaluator(gt, mode)
+        state = MetricState()
+        expected = []
+        for predicted, truth in zip(pred.labels, gt.labels):
+            state, point = update(state, predicted, truth, gt.vocab,
+                                  gt.delta_t_s, mode)
+            expected.append(point)
+            assert evaluator.consume(predicted) == point
+            assert evaluator.state == state
+        assert ([tuple(map(float.hex, p)) for p in evaluator.trace]
+                == [tuple(map(float.hex, p)) for p in expected])
+
+
 def replay(pred, gt, mode=MatchingMode.CLASS_AWARE):
     evaluator = StreamingEvaluator(gt, mode)
     for label in pred.labels:

@@ -1,10 +1,12 @@
-"""Every function the benchmark's span recorder wraps still exists.
+"""The toolkit still offers what the benchmark reaches into.
 
 ``perfbench/tracer.py`` wraps the toolkit's functions where their callers
-look them up, by name. A refactor that moves or renames one of them
-would otherwise fail only the traced benchmark run, which this suite
-does not start. The tracer is read and executed here, never imported
-from its package or written to.
+look them up, by name, and the benchmark's gate test corrupts a
+``StreamingEvaluator`` through its ``state`` attribute. A refactor that
+moves or renames one of those functions, or stops honouring an assigned
+state, would otherwise fail only the benchmark's own runs and tests,
+which this suite does not start. The tracer is read and executed here,
+never imported from its package or written to.
 """
 
 import importlib
@@ -12,6 +14,9 @@ import types
 from pathlib import Path
 
 import pytest
+
+from oadeval.ia import MetricState, StreamingEvaluator, update
+from oadeval.timeline import LabelVocabulary, SlotGrid
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,3 +45,23 @@ def test_patch_target_resolves(module_name, class_name, attr):
     if class_name is not None:
         owner = getattr(owner, class_name)
     assert callable(getattr(owner, attr, None))
+
+
+def test_assigned_streaming_state_is_honoured():
+    # what the gate test's patch does: zero tp and tn after three slots
+    vocab = LabelVocabulary(classes=("jump",))
+    labels = ("jump", "background", "jump", "background", "jump")
+    grid = SlotGrid(delta_t_s=0.5, labels=labels, vocab=vocab)
+    evaluator = StreamingEvaluator(grid)
+    for label in labels[:3]:
+        evaluator.consume(label)
+    state = evaluator.state
+    assert state == MetricState(3, 2, 1, 2, 1)
+    forgotten = MetricState(*state[:1], 0, 0, *state[3:])
+    evaluator.state = forgotten
+    assert evaluator.state == forgotten
+    expected_state, expected = update(forgotten, labels[3], labels[3], vocab,
+                                      0.5)
+    assert evaluator.consume(labels[3]) == expected
+    assert evaluator.state == expected_state == MetricState(4, 0, 1, 2, 2)
+    assert expected.ia == 0.25
