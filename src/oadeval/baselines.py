@@ -50,8 +50,6 @@ def all_bg(track: AnnotationTrack, delta_t_s: float, vocab: LabelVocabulary,
     stream.extend(grid.labels)
     scores = None
     if fps is not None:
-        if fps <= 0:
-            raise ValidationError(f"fps {fps} must be > 0")
         n_frames = frame_count(track.duration_s, fps)
         scores = FrameScoreMatrix(track.video_id, fps,
                                   np.zeros((n_frames, len(vocab.classes))))
@@ -66,7 +64,8 @@ def perfect_model(track: AnnotationTrack, delta_t_s: float,
 
     ``fps`` defaults to one frame per slot. Scores are one-hot on the
     true class for action frames and on a uniformly random action class
-    for background frames, drawn from the per-video seeded generator.
+    for background frames: one draw from the per-video seeded generator
+    per background frame, in frame order.
     """
     if not vocab.classes:
         raise ValidationError("vocabulary needs at least one action class")
@@ -79,11 +78,11 @@ def perfect_model(track: AnnotationTrack, delta_t_s: float,
         fps = 1.0 / delta_t_s
     rng = video_rng(seed, track.video_id)
     frame_labels = rasterize_frames(track, fps, vocab)
-    scores = np.zeros((len(frame_labels), len(vocab.classes)))
-    class_index = {c: i for i, c in enumerate(vocab.classes)}
-    for i, lab in enumerate(frame_labels):
-        if lab == vocab.background:
-            scores[i, rng.integers(len(vocab.classes))] = 1.0
-        else:
-            scores[i, class_index[lab]] = 1.0
+    cols = np.fromiter(map(vocab.codes.__getitem__, frame_labels),
+                       dtype=np.intp, count=len(frame_labels)) - 1
+    background = cols < 0
+    cols[background] = rng.integers(len(vocab.classes),
+                                    size=np.count_nonzero(background))
+    scores = np.zeros((len(cols), len(vocab.classes)))
+    scores[np.arange(len(cols)), cols] = 1.0
     return stream, FrameScoreMatrix(track.video_id, fps, scores)

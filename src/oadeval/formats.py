@@ -580,6 +580,6 @@ def write_predictions(path: str | Path, streams=(), score_matrices=()) -> None:
             "record": "scores",
             "video_id": matrix.video_id,
             "fps": matrix.fps,
-            "scores": [[float(x) for x in row] for row in matrix.scores],
+            "scores": matrix.scores.tolist(),
         }, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

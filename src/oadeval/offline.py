@@ -42,8 +42,8 @@ class FrameScoreMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValidationError(f"fps {self.fps} must be > 0")
+        if not 0 < self.fps < math.inf:
+            raise ValidationError(f"fps {self.fps} must be finite and > 0")
         scores = np.asarray(self.scores, dtype=float)
         if scores.ndim != 2:
             raise ValidationError("scores must be a 2-D frame x class array")
@@ -67,7 +67,14 @@ class APResult:
 
 
 def frame_count(duration_s: float, fps: float) -> int:
-    return math.floor(duration_s * fps)
+    """``floor(duration_s * fps)``; a non-finite or non-positive fps fails."""
+    if not 0 < fps < math.inf:
+        raise ValidationError(f"fps {fps} must be finite and > 0")
+    frames = duration_s * fps
+    if not math.isfinite(frames):
+        raise ValidationError(
+            f"{duration_s} s at fps {fps} is not a finite frame count")
+    return math.floor(frames)
 
 
 def rasterize_frames(track: AnnotationTrack, fps: float,
@@ -81,8 +88,6 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
     bisection sweep as the slot discretizer costs O(N + n log N) for
     ``N`` frames and ``n`` intervals.
     """
-    if fps <= 0:
-        raise ValidationError(f"fps {fps} must be > 0")
     intervals = sorted(track.intervals, key=lambda iv: (iv.start_us, iv.label))
     for iv in intervals:
         vocab.require(iv.label)
@@ -95,8 +100,10 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
 def _collect(score_matrices, tracks, vocab):
     """Align matrices with tracks and flatten the dataset frame-major.
 
-    Returns stacked scores, ground-truth labels, and the (video order,
-    frame index) arrays used to break ranking ties deterministically.
+    Returns the stacked scores and the ground-truth class code of every
+    row (``vocab.codes``: 0 for background, column + 1 for a class).
+    Rows are stacked in video-id order, then frame order, so a stable
+    sort of a score column breaks ties by video id, then frame index.
     """
     by_id = {}
     for m in score_matrices:
@@ -111,8 +118,8 @@ def _collect(score_matrices, tracks, vocab):
         missing = sorted(track_ids - set(by_id))
         raise ValidationError(f"missing scores for videos: {missing}")
 
-    all_scores, all_labels, video_ord, frame_idx = [], [], [], []
-    for ord_, track in enumerate(sorted(tracks, key=lambda t: t.video_id)):
+    all_scores, all_codes = [np.zeros((0, len(vocab.classes)))], []
+    for track in sorted(tracks, key=lambda t: t.video_id):
         m = by_id[track.video_id]
         expected = frame_count(track.duration_s, m.fps)
         if m.n_frames != expected:
@@ -124,43 +131,37 @@ def _collect(score_matrices, tracks, vocab):
                 f"video {track.video_id!r}: {m.scores.shape[1]} score columns "
                 f"for {len(vocab.classes)} classes")
         all_scores.append(m.scores)
-        all_labels.extend(rasterize_frames(track, m.fps, vocab))
-        video_ord.extend([ord_] * m.n_frames)
-        frame_idx.extend(range(m.n_frames))
-
-    return (np.concatenate(all_scores, axis=0) if all_scores else
-            np.zeros((0, len(vocab.classes))),
-            np.array(all_labels, dtype=object),
-            np.array(video_ord), np.array(frame_idx))
+        all_codes.extend(map(vocab.codes.__getitem__,
+                             rasterize_frames(track, m.fps, vocab)))
+    return np.concatenate(all_scores), np.array(all_codes, dtype=np.intp)
 
 
-def _ranked_average_precision(scores, gt_labels, video_ord, frame_idx,
-                              vocab, calibrated):
+def _ranked_average_precision(scores, codes, vocab, calibrated):
     per_class: dict[str, float] = {}
     skipped = []
     for col, cls in enumerate(vocab.classes):
-        positives = gt_labels == cls
-        n_pos = int(positives.sum())
+        positives = codes == col + 1
+        n_pos = np.count_nonzero(positives)
         if n_pos == 0:
             skipped.append(cls)
             logger.warning("class %r has no ground-truth frames; "
                            "excluded from the mean", cls)
             continue
-        col_scores = scores[:, col]
-        order = np.lexsort((frame_idx, video_ord, -col_scores))
-        pos_sorted = positives[order]
-        ranks = np.arange(1, len(pos_sorted) + 1)
-        tp = np.cumsum(pos_sorted)
+        order = np.argsort(-scores[:, col], kind="stable")
+        # precision is read at the positives only: the k-th positive in
+        # ranking order has TP = k at its rank
+        ranks = np.flatnonzero(positives[order]) + 1
+        tp = np.arange(1, n_pos + 1)
         fp = ranks - tp
         if calibrated:
-            n_neg = len(pos_sorted) - n_pos
+            n_neg = len(codes) - n_pos
             # no negatives anywhere: FP is identically zero, so any
             # positive weight yields 1; avoid the 0/0 by using w = 1
             w = n_neg / n_pos if n_neg > 0 else 1.0
             prec = (w * tp) / (w * tp + fp)
         else:
             prec = tp / ranks
-        per_class[cls] = float(np.mean(prec[pos_sorted]))
+        per_class[cls] = float(np.mean(prec))
 
     if not per_class:
         raise ValidationError("no class has ground-truth frames")
@@ -172,9 +173,10 @@ def _ranked_average_precision(scores, gt_labels, video_ord, frame_idx,
 def frame_map(score_matrices, tracks, vocab: LabelVocabulary) -> APResult:
     """Per-frame mean average precision over the dataset ranking.
 
-    Frames are ranked per class by descending score, ties broken by
-    video id then frame index. Classes without ground-truth frames are
-    excluded from the mean (and logged).
+    Frames are ranked per class by descending score with a stable sort
+    of the stacked rows, so ties keep row order: video id, then frame
+    index. Classes without ground-truth frames are excluded from the
+    mean (and logged).
     """
     return _ranked_average_precision(*_collect(score_matrices, tracks, vocab),
                                      vocab=vocab, calibrated=False)

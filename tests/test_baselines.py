@@ -1,12 +1,14 @@
 """All-Background and Perfect-Model baseline generators."""
 
+import math
+
 import numpy as np
 import pytest
 
 from oadeval.baselines import all_bg, perfect_model, video_rng
 from oadeval.errors import ValidationError
 from oadeval.ia import evaluate_grids, maia, oracle_ia
-from oadeval.offline import frame_map
+from oadeval.offline import frame_map, rasterize_frames
 from oadeval.synthetic import synthetic_corpus
 from oadeval.timeline import (
     AnnotationTrack,
@@ -14,6 +16,22 @@ from oadeval.timeline import (
     TimeInterval,
     discretize,
 )
+
+BAD_FPS = [0.0, -2.0, math.nan, math.inf, -math.inf]
+
+
+def scalar_draw_scores(track, fps, vocab, seed):
+    """Oracle: one-hot rows filled frame by frame, with one scalar draw
+    per background frame."""
+    rng = video_rng(seed, track.video_id)
+    frame_labels = rasterize_frames(track, fps, vocab)
+    scores = np.zeros((len(frame_labels), len(vocab.classes)))
+    for i, lab in enumerate(frame_labels):
+        if lab == vocab.background:
+            scores[i, rng.integers(len(vocab.classes))] = 1.0
+        else:
+            scores[i, vocab.classes.index(lab)] = 1.0
+    return scores
 
 
 class TestAllBg:
@@ -27,7 +45,7 @@ class TestAllBg:
         assert scores.scores.shape == (20, 2)
         assert not scores.scores.any()
 
-    @pytest.mark.parametrize("fps", [0.0, -2.0])
+    @pytest.mark.parametrize("fps", BAD_FPS)
     def test_non_positive_fps_rejected(self, vocab, worked_track, fps):
         with pytest.raises(ValidationError, match="fps"):
             all_bg(worked_track, 0.5, vocab, fps=fps)
@@ -110,6 +128,28 @@ class TestPerfectModel:
         _, scores = perfect_model(worked_track, 0.5, vocab, seed=0, fps=2.0)
         result = frame_map([scores], [worked_track], vocab)
         assert result.mean < 1.0
+
+    @pytest.mark.parametrize("fps", BAD_FPS)
+    def test_bad_fps_rejected(self, vocab, worked_track, fps):
+        with pytest.raises(ValidationError, match=f"fps {fps}"):
+            perfect_model(worked_track, 0.5, vocab, seed=0, fps=fps)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**31])
+    @pytest.mark.parametrize("n_classes", [1, 2, 20, 200])
+    def test_matches_scalar_draw_oracle(self, seed, n_classes):
+        classes = tuple(f"c{i:03d}" for i in range(n_classes))
+        vocab = LabelVocabulary(classes=classes)
+        tracks = synthetic_corpus(seed=n_classes, n_videos=3, classes=classes,
+                                  duration_range=(8.0, 60.0)).tracks
+        tracks += (
+            AnnotationTrack("no-bg", 7.5, (TimeInterval(classes[-1], 0.0, 7.5),)),
+            AnnotationTrack("all-bg", 6.0, ()),
+        )
+        for track in tracks:
+            for fps in (4.0, 29.97):
+                _, matrix = perfect_model(track, 0.5, vocab, seed, fps=fps)
+                assert matrix.scores.tobytes() == scalar_draw_scores(
+                    track, fps, vocab, seed).tobytes()
 
     def test_empty_vocabulary_rejected(self, worked_track):
         vocab = LabelVocabulary(classes=())

@@ -378,6 +378,19 @@ class TestBaseline:
                        "--seed", "9", "--fps", "2.0", "--out", path) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["pm", "all-bg"])
+    @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_fps_is_an_error(self, tmp_path, worked_gt, capsys,
+                                        kind, fps):
+        # 1e308 overflows the 10 s frame count, so nothing is allocated
+        out = tmp_path / "p.jsonl"
+        assert run("baseline", "--gt", worked_gt, "--kind", kind,
+                   f"--fps={fps}", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"fps {float(fps)}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_seed_changes_pm_scores(self, tmp_path, worked_gt):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run("baseline", "--gt", worked_gt, "--kind", "pm", "--seed", "1",

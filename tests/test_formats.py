@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from oadeval.formats import (
     write_predictions,
 )
 from oadeval.baselines import all_bg, perfect_model
+from oadeval.offline import FrameScoreMatrix
 from oadeval.timeline import AnnotationTrack, LabelVocabulary, TimeInterval
 
 DATA = Path(__file__).parent / "data"
@@ -324,7 +326,7 @@ class TestPredictions:
                            match="numeric delta_t_s|each event"):
             self.stream(path, manifest, 1.0)
 
-    @pytest.mark.parametrize("fps", [True, float("nan"), float("inf")])
+    @pytest.mark.parametrize("fps", [True, float("nan"), float("inf"), 1e308])
     def test_bool_and_non_finite_fps_rejected(self, manifest, tmp_path, fps):
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps({
@@ -361,6 +363,18 @@ class TestPredictions:
         assert self.stream(path, manifest, 0.5).decisions == stream.decisions
         scores = load_scores(path, manifest)
         assert scores["worked-example"].fps == 2.0
+
+    def test_written_scores_match_per_cell_floats(self, tmp_path):
+        values = np.array([[0.1, 1 / 3, 1e-7], [5e-324, -0.0, 1e16],
+                           [123456789.0, 0.0, 1.0]])
+        path = tmp_path / "p.jsonl"
+        write_predictions(path, score_matrices=[
+            FrameScoreMatrix("v", 2.0, values)])
+        expected = json.dumps({
+            "record": "scores", "video_id": "v", "fps": 2.0,
+            "scores": [[float(x) for x in row] for row in values],
+        }, sort_keys=True)
+        assert path.read_text(encoding="utf-8") == expected + "\n"
 
     def test_load_scores_requires_complete_coverage(self, manifest, tmp_path):
         path = tmp_path / "p.jsonl"

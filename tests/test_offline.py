@@ -1,5 +1,7 @@
 """Frame-level mAP / cAP against a brute-force ranking oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,16 @@ class TestRasterize:
     def test_frame_count(self):
         assert frame_count(10.0, 4.0) == 40
         assert frame_count(1.3, 2.0) == 2
+        # the product overflows to inf before anything is allocated
+        with pytest.raises(ValidationError, match="fps 1e"):
+            frame_count(10.0, 1e308)
+
+    @pytest.mark.parametrize("fps", [0.0, -2.0, math.nan, math.inf, -math.inf])
+    def test_bad_fps_rejected(self, vocab, worked_track, fps):
+        with pytest.raises(ValidationError, match=f"fps {fps}"):
+            rasterize_frames(worked_track, fps, vocab)
+        with pytest.raises(ValidationError, match=f"fps {fps}"):
+            FrameScoreMatrix("v", fps, np.zeros((1, 2)))
 
 
 class TestFrameMap:
@@ -270,3 +282,39 @@ class TestFrameCap:
         for cls in seen:
             assert result.per_class[cls] == pytest.approx(
                 brute_force_ap(entries[cls]), abs=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ties_break_by_video_id_then_frame(self, data):
+        """Scores from {0, 0.5, 1} tie on most rows, and the videos arrive
+        in an unsorted id order: both metrics must keep the oracle's
+        (video id, frame) order among tied frames."""
+        vocab = LabelVocabulary(classes=("jump", "run"))
+        matrices, tracks, entries = [], [], {c: [] for c in vocab.classes}
+        ids = data.draw(st.permutations(["v2", "v0", "v1"]))
+        for vid in ids[:data.draw(st.integers(1, 3))]:
+            labels = data.draw(st.lists(
+                st.sampled_from(["jump", "run", "background"]),
+                min_size=1, max_size=40))
+            scores = [[data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+                       for _ in vocab.classes] for _ in labels]
+            m, t = single_video_inputs(scores, labels, vocab, video_id=vid)
+            matrices += m
+            tracks += t
+            for i, lab in enumerate(labels):
+                for col, cls in enumerate(vocab.classes):
+                    entries[cls].append((scores[i][col], vid, i, lab == cls))
+        seen = {iv.label for t in tracks for iv in t.intervals}
+        if not seen:
+            return
+        matrices = data.draw(st.permutations(matrices))
+        ap = frame_map(matrices, tracks, vocab)
+        cap = frame_cap(matrices, tracks, vocab)
+        for cls in seen:
+            n_pos = sum(e[3] for e in entries[cls])
+            n_neg = len(entries[cls]) - n_pos
+            w = n_neg / n_pos if n_neg else 1.0  # no negatives: w = 1
+            assert ap.per_class[cls] == pytest.approx(
+                brute_force_ap(entries[cls]), abs=1e-12)
+            assert cap.per_class[cls] == pytest.approx(
+                brute_force_ap(entries[cls], w=w), abs=1e-12)
