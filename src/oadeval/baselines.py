@@ -77,9 +77,7 @@ def perfect_model(track: AnnotationTrack, delta_t_s: float,
     if fps is None:
         fps = 1.0 / delta_t_s
     rng = video_rng(seed, track.video_id)
-    frame_labels = rasterize_frames(track, fps, vocab)
-    cols = np.fromiter(map(vocab.codes.__getitem__, frame_labels),
-                       dtype=np.intp, count=len(frame_labels)) - 1
+    cols = np.array(rasterize_frames(track, fps, vocab), dtype=np.intp) - 1
     background = cols < 0
     cols[background] = rng.integers(len(vocab.classes),
                                     size=np.count_nonzero(background))

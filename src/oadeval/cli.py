@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from itertools import chain
@@ -28,7 +29,7 @@ from .formats import (
 )
 from .ia import MatchingMode, evaluate_grids, maia
 from .offline import frame_cap, frame_map
-from .timeline import discretize
+from .timeline import US_PER_S, discretize, seconds_to_us
 
 TRACE_HEADER = "t_s,ia,wia,weight_w"
 
@@ -50,7 +51,16 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
+def _check_delta_t(delta_t_s: float) -> None:
+    """Fail on a ``--delta-t`` that is not finite or rounds to under 1 us."""
+    if not (math.isfinite(delta_t_s * US_PER_S)
+            and seconds_to_us(delta_t_s) >= 1):
+        raise EvaluationError(f"--delta-t {delta_t_s} must be a finite slot "
+                              "size of at least 1 microsecond")
+
+
 def cmd_evaluate(args) -> int:
+    _check_delta_t(args.delta_t)
     manifest = load_canonical_gt(args.gt)
     mode = MatchingMode(args.mode)
     out_dir = Path(args.out_dir)
@@ -149,6 +159,7 @@ def cmd_offline(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    _check_delta_t(args.delta_t)
     manifest = load_canonical_gt(args.gt)
     streams, matrices = [], []
     for track in sorted(manifest.tracks, key=lambda t: t.video_id):

@@ -14,9 +14,10 @@ which keeps wIA bounded in [0, 1] and lets a perfect predictor score 1
 at every instant.
 
 Both engines score the vocabulary's small-int class codes (background 0,
-classes 1..C). :class:`StreamingEvaluator` maps its ground-truth grid to
-codes once; each decision then costs one dict lookup and a few integer
-adds, O(1) per slot. :func:`update` is the same step on label strings
+classes 1..C), which every :class:`~oadeval.timeline.SlotGrid` takes once
+at construction as ``grid.codes``. :class:`StreamingEvaluator` reads the
+ground truth's codes; each decision then costs one dict lookup and a few
+integer adds, O(1) per slot. :func:`update` is the same step on label strings
 and explicit :class:`MetricState` values, and shares the trace-point
 arithmetic with the evaluator. :func:`evaluate_grids` scores two
 completed grids at once: the counters are prefix sums, taken with NumPy.
@@ -121,8 +122,8 @@ def _trace_point(k: int, tp: int, tn: int, p: int, n: int,
 class StreamingEvaluator:
     """Single-writer per-video evaluator fed one decision at a time.
 
-    Ground truth for the video is fixed up front and mapped to class
-    codes once; predictions arrive causally and each :meth:`consume`
+    Ground truth for the video is fixed up front as its grid's class
+    codes; predictions arrive causally and each :meth:`consume`
     yields the trace point for the slot just decided. :attr:`state` reads
     and assigns the counters as a :class:`MetricState`.
     """
@@ -132,7 +133,7 @@ class StreamingEvaluator:
         self._grid_gt = grid_gt
         self.mode = mode
         self._codes = grid_gt.vocab.codes
-        self._truth = tuple(map(self._codes.__getitem__, grid_gt.labels))
+        self._truth = grid_gt.codes
         self._delta_t_s = grid_gt.delta_t_s
         # slots seen, true positives, true negatives, ground-truth actions;
         # ground-truth background is k - p
@@ -207,10 +208,9 @@ EXACT_PREFIX_SLOTS = 330_280
 
 def _prefix_sum_trace(grid_pred: SlotGrid, grid_gt: SlotGrid,
                       mode: MatchingMode) -> list[IATracePoint]:
-    codes = grid_gt.vocab.codes
     k = len(grid_gt)
-    pred = np.fromiter(map(codes.__getitem__, grid_pred.labels), np.int64, k)
-    truth = np.fromiter(map(codes.__getitem__, grid_gt.labels), np.int64, k)
+    pred = np.fromiter(grid_pred.codes, np.int64, k)
+    truth = np.fromiter(grid_gt.codes, np.int64, k)
     truth_action = truth > 0
     if mode is MatchingMode.BINARY:
         tp_flags = truth_action & (pred > 0)
@@ -287,19 +287,10 @@ def weight_trace(grid_gt: SlotGrid) -> list[tuple[float, float]]:
 
     ``w`` is the background/action ratio of the seen prefix, with the
     fallback to 1 while either count is zero. Depends on ground truth
-    only, never on predictions.
+    only, never on predictions: it is the ``weight_w`` column of the
+    ground truth scored against itself.
     """
-    vocab = grid_gt.vocab
-    p = n = 0
-    out = []
-    for j, truth in enumerate(grid_gt.labels, start=1):
-        if vocab.is_action(truth):
-            p += 1
-        else:
-            n += 1
-        w = n / p if p > 0 and n > 0 else 1.0
-        out.append((j * grid_gt.delta_t_s, w))
-    return out
+    return [(p.t_s, p.weight_w) for p in evaluate_grids(grid_gt, grid_gt)]
 
 
 def maia(per_video_traces: Iterable[tuple[float, Sequence[float]]],

@@ -78,23 +78,23 @@ def frame_count(duration_s: float, fps: float) -> int:
 
 
 def rasterize_frames(track: AnnotationTrack, fps: float,
-                     vocab: LabelVocabulary) -> list[str]:
-    """Ground-truth label per frame, by the frame-midpoint rule.
+                     vocab: LabelVocabulary) -> list[int]:
+    """Ground-truth class code per frame, by the frame-midpoint rule.
 
-    Frame ``i`` (1-indexed) covers ``[(i-1)/fps, i/fps)``; its label is
-    the interval covering the midpoint ``(i - 1/2)/fps``, ties resolved
-    as in the slot discretizer (earliest start, then label). Midpoints
+    Frame ``i`` (1-indexed) covers ``[(i-1)/fps, i/fps)``; it takes the
+    ``vocab.codes`` code of the interval covering the midpoint
+    ``(i - 1/2)/fps``, 0 (background) if none does, ties resolved as in
+    the slot discretizer (earliest start, then label). Midpoints
     and interval bounds are compared as floats in seconds. The same
     bisection sweep as the slot discretizer costs O(N + n log N) for
     ``N`` frames and ``n`` intervals.
     """
     intervals = sorted(track.intervals, key=lambda iv: (iv.start_us, iv.label))
-    for iv in intervals:
-        vocab.require(iv.label)
-    bounds = [(iv.start_us / 1e6, iv.end_us / 1e6, iv.label) for iv in intervals]
+    bounds = [(iv.start_us / 1e6, iv.end_us / 1e6,
+               vocab.codes[vocab.require(iv.label)]) for iv in intervals]
     mids = [(i - 0.5) / fps
             for i in range(1, frame_count(track.duration_s, fps) + 1)]
-    return paint_midpoints(bounds, mids, vocab.background)
+    return paint_midpoints(bounds, mids, 0)
 
 
 def _collect(score_matrices, tracks, vocab):
@@ -131,8 +131,7 @@ def _collect(score_matrices, tracks, vocab):
                 f"video {track.video_id!r}: {m.scores.shape[1]} score columns "
                 f"for {len(vocab.classes)} classes")
         all_scores.append(m.scores)
-        all_codes.extend(map(vocab.codes.__getitem__,
-                             rasterize_frames(track, m.fps, vocab)))
+        all_codes.extend(rasterize_frames(track, m.fps, vocab))
     return np.concatenate(all_scores), np.array(all_codes, dtype=np.intp)
 
 

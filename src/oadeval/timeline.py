@@ -8,7 +8,10 @@ always holds exactly ``floor(duration / delta_t)`` slots.
 
 Timestamps are converted to integer microseconds before any slot
 arithmetic so boundary comparisons are exact and float noise from
-upstream parsers cannot move a midpoint across an interval edge.
+upstream parsers cannot move a midpoint across an interval edge. Each
+interval, track and grid converts its own times once, when it is
+built, into ``*_us`` fields that take no part in ``==``, ``hash`` or
+``repr``.
 """
 
 from __future__ import annotations
@@ -97,24 +100,20 @@ class TimeInterval:
     label: str
     start_s: float
     end_s: float
+    start_us: int = field(init=False, repr=False, compare=False)
+    end_us: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
             raise ValidationError("interval label must be non-empty")
         if self.start_s < 0:
             raise ValidationError(f"interval start {self.start_s} < 0")
+        object.__setattr__(self, "start_us", seconds_to_us(self.start_s))
+        object.__setattr__(self, "end_us", seconds_to_us(self.end_s))
         if self.end_us <= self.start_us:
             raise ValidationError(
                 f"interval [{self.start_s}, {self.end_s}) for {self.label!r} "
                 "has zero or negative length")
-
-    @property
-    def start_us(self) -> int:
-        return seconds_to_us(self.start_s)
-
-    @property
-    def end_us(self) -> int:
-        return seconds_to_us(self.end_s)
 
 
 @dataclass(frozen=True)
@@ -130,6 +129,7 @@ class AnnotationTrack:
     duration_s: float
     intervals: tuple[TimeInterval, ...] = ()
     multi_label: bool = False
+    duration_us: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "intervals", tuple(self.intervals))
@@ -138,9 +138,9 @@ class AnnotationTrack:
         if self.duration_s <= 0:
             raise ValidationError(
                 f"video {self.video_id!r}: duration {self.duration_s} must be > 0")
-        duration_us = seconds_to_us(self.duration_s)
+        object.__setattr__(self, "duration_us", seconds_to_us(self.duration_s))
         for iv in self.intervals:
-            if iv.end_us > duration_us:
+            if iv.end_us > self.duration_us:
                 raise ValidationError(
                     f"video {self.video_id!r}: interval [{iv.start_s}, {iv.end_s}) "
                     f"exceeds duration {self.duration_s}")
@@ -154,18 +154,22 @@ class AnnotationTrack:
                         "overlaps an earlier one but track is not multi_label")
                 covered_until = max(covered_until, iv.end_us)
 
-    @property
-    def duration_us(self) -> int:
-        return seconds_to_us(self.duration_s)
-
 
 @dataclass(frozen=True)
 class SlotGrid:
-    """Dense per-slot label sequence at resolution ``delta_t_s``."""
+    """Dense per-slot label sequence at resolution ``delta_t_s``.
+
+    ``codes`` holds each slot's class code (``vocab.codes``: background
+    0, the classes 1..C), taken once here; it is what both IA engines
+    score. Like ``delta_t_us`` it takes no part in ``==``, ``hash`` or
+    ``repr``, which the labels already decide.
+    """
 
     delta_t_s: float
     labels: tuple[str, ...]
     vocab: LabelVocabulary
+    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    delta_t_us: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -173,17 +177,15 @@ class SlotGrid:
             raise ValidationError(f"delta_t {self.delta_t_s} must be > 0")
         if not self.labels:
             raise DegenerateInputError("slot grid must hold at least one slot")
-        if not self.vocab.codes.keys() >= set(self.labels):
-            for lab in self.labels:
-                if lab not in self.vocab:
-                    raise VocabularyError(f"unknown slot label {lab!r}")
+        try:
+            codes = tuple(map(self.vocab.codes.__getitem__, self.labels))
+        except KeyError as exc:
+            raise VocabularyError(f"unknown slot label {exc.args[0]!r}") from None
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "delta_t_us", seconds_to_us(self.delta_t_s))
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @property
-    def delta_t_us(self) -> int:
-        return seconds_to_us(self.delta_t_s)
 
 
 def num_slots(duration_s: float, delta_t_s: float) -> int:
@@ -195,22 +197,23 @@ def num_slots(duration_s: float, delta_t_s: float) -> int:
     return seconds_to_us(duration_s) // seconds_to_us(delta_t_s)
 
 
-def paint_midpoints(bounds: Sequence[tuple], mids: Sequence,
-                    background: str) -> list[str]:
-    """Label each midpoint by the interval covering it, background if none.
+def paint_midpoints(bounds: Sequence[tuple], mids: Sequence, fill) -> list:
+    """Paint each midpoint with the value of the interval covering it.
 
-    ``bounds`` holds ``(start, end, label)`` triples sorted by start then
-    label, in the same units as the ascending ``mids``. The midpoints an
+    ``bounds`` holds ``(start, end, value)`` triples sorted by start then
+    label, in the same units as the ascending ``mids``; midpoints no
+    interval covers get ``fill``. The values are whatever the caller
+    paints: labels for slots, class codes for frames. The midpoints an
     interval covers, ``start <= mid < end``, form one index range found by
     bisection. Painting the intervals in reverse sort order leaves the
     earliest start, then the smallest label, on top wherever they overlap.
     """
-    labels = [background] * len(mids)
-    for start, end, label in reversed(bounds):
+    painted = [fill] * len(mids)
+    for start, end, value in reversed(bounds):
         lo = bisect_left(mids, start)
         hi = bisect_left(mids, end)
-        labels[lo:hi] = [label] * (hi - lo)
-    return labels
+        painted[lo:hi] = [value] * (hi - lo)
+    return painted
 
 
 def discretize(intervals: Iterable[TimeInterval], duration_s: float,

@@ -16,6 +16,7 @@ from oadeval.timeline import (
     TimeInterval,
     discretize,
 )
+from test_offline import brute_force_frame_labels
 
 BAD_FPS = [0.0, -2.0, math.nan, math.inf, -math.inf]
 
@@ -24,7 +25,9 @@ def scalar_draw_scores(track, fps, vocab, seed):
     """Oracle: one-hot rows filled frame by frame, with one scalar draw
     per background frame."""
     rng = video_rng(seed, track.video_id)
-    frame_labels = rasterize_frames(track, fps, vocab)
+    frame_labels = brute_force_frame_labels(track, fps, vocab.background)
+    assert rasterize_frames(track, fps, vocab) == [
+        vocab.codes[lab] for lab in frame_labels]
     scores = np.zeros((len(frame_labels), len(vocab.classes)))
     for i, lab in enumerate(frame_labels):
         if lab == vocab.background:

@@ -400,6 +400,24 @@ class TestBaseline:
         assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("delta_t", ["nan", "inf", "-inf", "-1", "0", "1e-300"])
+@pytest.mark.parametrize("command", ["evaluate", "baseline"])
+def test_bad_delta_t_is_one_error_naming_the_flag(tmp_path, worked_gt,
+                                                  worked_pred, capsys,
+                                                  command, delta_t):
+    out = tmp_path / "out"
+    outputs = (["--pred", worked_pred, "--out-dir", out]
+               if command == "evaluate" else ["--kind", "pm", "--out", out])
+    assert run(command, "--gt", worked_gt, f"--delta-t={delta_t}",
+               *outputs) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: --delta-t {float(delta_t)} must be a finite slot size "
+        "of at least 1 microsecond"]
+    assert "Traceback" not in captured.err and "FAILED" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 class TestConvert:
     def test_activitynet(self, tmp_path, capsys):
         out = tmp_path / "canon.jsonl"

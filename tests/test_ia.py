@@ -191,6 +191,8 @@ class TestOracle:
     def test_incremental_engine_is_bit_equal(self, pair, mode):
         pred, gt = pair
         assert evaluate_grids(pred, gt, mode) == oracle_ia(pred, gt, mode)
+        assert weight_trace(gt) == [(p.t_s, p.weight_w)
+                                    for p in oracle_ia(gt, gt)]
 
 
 class TestProperties:

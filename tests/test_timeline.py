@@ -1,5 +1,6 @@
 """Timeline types and the interval -> slot discretizer."""
 
+import dataclasses
 import math
 
 import pytest
@@ -133,6 +134,16 @@ class TestTimeInterval:
         iv = TimeInterval("jump", 0.1 + 0.2, 1.0)
         assert iv.start_us == 300_000
 
+    def test_microsecond_fields_change_nothing_visible(self):
+        iv = TimeInterval("jump", 1.0, 2.0)
+        assert repr(iv) == "TimeInterval(label='jump', start_s=1.0, end_s=2.0)"
+        assert iv == TimeInterval("jump", 1.0, 2.0)
+        moved = dataclasses.replace(iv, start_s=1.5)
+        assert (moved.start_us, moved.end_us) == (1_500_000, 2_000_000)
+        track = AnnotationTrack("v", 0.1 + 0.2, ())
+        assert track.duration_us == 300_000
+        assert "duration_us" not in repr(track)
+
     @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, 1e305])
     def test_non_finite_time_rejected(self, seconds):
         with pytest.raises(ValidationError, match="not a finite number"):
@@ -241,6 +252,7 @@ class TestDiscretize:
         grid = discretize(intervals, duration, delta, vocab)
         assert list(grid.labels) == brute_force_slot_labels(
             intervals, duration, delta)
+        assert grid.codes == tuple(vocab.codes[lab] for lab in grid.labels)
 
     def test_determinism(self, vocab):
         intervals = [TimeInterval("jump", 1.0, 4.0), TimeInterval("run", 5.0, 7.0)]
@@ -276,6 +288,14 @@ class TestSlotGrid:
         with pytest.raises(DegenerateInputError):
             SlotGrid(0.5, (), vocab)
 
+    def test_codes_and_delta_t_us_change_nothing_visible(self, vocab):
+        a = SlotGrid(0.1 + 0.2, ("jump", "background"), vocab)
+        b = SlotGrid(0.1 + 0.2, ["jump", "background"], vocab)
+        assert a == b and hash(a) == hash(b)
+        assert a.delta_t_us == 300_000
+        assert repr(a) == (f"SlotGrid(delta_t_s={0.1 + 0.2!r}, "
+                           f"labels=('jump', 'background'), vocab={vocab!r})")
+
     @given(labels_maybe_unknown())
     @settings(deadline=None)
     def test_label_check_names_the_first_unknown_label(self, labels):
@@ -286,6 +306,9 @@ class TestSlotGrid:
         expected = (VocabularyError, f"unknown slot label {unknown[0]!r}"
                     ) if unknown else None
         assert outcome(lambda: SlotGrid(0.5, labels, vocab)) == expected
+        if not unknown:
+            grid = SlotGrid(0.5, labels, vocab)
+            assert grid.codes == tuple(vocab.codes[lab] for lab in labels)
 
 
 class TestPredictionStream:
@@ -336,6 +359,9 @@ class TestPredictionStream:
 
         assert outcome(lambda: bulk.extend(iter(labels))) == outcome(append_each)
         assert bulk.decisions == one_by_one.decisions
+        if bulk.decisions:
+            assert bulk.as_grid().codes == tuple(
+                vocab.codes[lab] for lab in bulk.decisions)
 
 
 class TestEventsToStream:
