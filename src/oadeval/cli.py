@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from itertools import chain
 from pathlib import Path
 
 from .baselines import all_bg, perfect_model
-from .errors import EvaluationError
+from .errors import EvaluationError, ValidationError
 from .formats import (
     build_stream,
     load_activitynet_gt,
@@ -29,7 +28,7 @@ from .formats import (
 )
 from .ia import MatchingMode, evaluate_grids, maia
 from .offline import frame_cap, frame_map
-from .timeline import US_PER_S, discretize, seconds_to_us
+from .timeline import discretize, slot_us
 
 TRACE_HEADER = "t_s,ia,wia,weight_w"
 
@@ -52,11 +51,12 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _check_delta_t(delta_t_s: float) -> None:
-    """Fail on a ``--delta-t`` that is not finite or rounds to under 1 us."""
-    if not (math.isfinite(delta_t_s * US_PER_S)
-            and seconds_to_us(delta_t_s) >= 1):
+    """Fail on a ``--delta-t`` that :func:`slot_us` rejects, naming the flag."""
+    try:
+        slot_us(delta_t_s)
+    except ValidationError:
         raise EvaluationError(f"--delta-t {delta_t_s} must be a finite slot "
-                              "size of at least 1 microsecond")
+                              "size of at least 1 microsecond") from None
 
 
 def cmd_evaluate(args) -> int:

@@ -58,7 +58,14 @@ from .timeline import (
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """A vocabulary plus the validated tracks loaded from one source."""
+    """A vocabulary plus the tracks loaded from one source.
+
+    Construction checks only that video ids are unique. Interval labels
+    are checked against the vocabulary where they are read: with their
+    line by :func:`load_canonical_gt`, and by the rasterizers
+    (:func:`~oadeval.timeline.discretize`,
+    :func:`~oadeval.offline.rasterize_frames`) when a track is used.
+    """
 
     vocabulary: LabelVocabulary
     tracks: tuple[AnnotationTrack, ...]
@@ -71,11 +78,6 @@ class CorpusManifest:
             if track.video_id in seen:
                 raise ValidationError(f"duplicate video id {track.video_id!r}")
             seen.add(track.video_id)
-            for iv in track.intervals:
-                if not self.vocabulary.is_action(iv.label):
-                    raise ValidationError(
-                        f"video {track.video_id!r}: background intervals "
-                        "are implicit, never stored")
 
     def by_id(self) -> dict[str, AnnotationTrack]:
         return {t.video_id: t for t in self.tracks}
@@ -470,7 +472,7 @@ def build_stream(kind: str, obj: dict, track: AnnotationTrack,
                     f"video {video_id!r}: each event needs a label, "
                     "start_s and end_s")
             intervals.append(TimeInterval(
-                label=vocab.require(entry["label"]),
+                label=entry["label"],
                 start_s=float(entry["start_s"]), end_s=float(entry["end_s"])))
         return events_to_stream(intervals, video_id, track.duration_s,
                                 delta_t_s, vocab)

@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError, VocabularyError
-from .timeline import LabelVocabulary, SlotGrid, seconds_to_us
+from .timeline import LabelVocabulary, SlotGrid, seconds_to_us, slot_us
 
 
 class MatchingMode(enum.Enum):
@@ -269,17 +269,15 @@ def _k_prime_at(grid: SlotGrid, t_prime_s: float) -> int:
 def ia_at(grid_pred: SlotGrid, grid_gt: SlotGrid, t_prime_s: float,
           mode: MatchingMode = MatchingMode.CLASS_AWARE) -> float:
     """IA over slots ``1..floor(t'/dt)``; equals replaying the prefix."""
-    _check_grids(grid_pred, grid_gt)
-    k = _k_prime_at(grid_gt, t_prime_s)
-    return evaluate_grids(grid_pred, grid_gt, mode)[k - 1].ia
+    trace = evaluate_grids(grid_pred, grid_gt, mode)
+    return trace[_k_prime_at(grid_gt, t_prime_s) - 1].ia
 
 
 def wia_at(grid_pred: SlotGrid, grid_gt: SlotGrid, t_prime_s: float,
            mode: MatchingMode = MatchingMode.CLASS_AWARE) -> float:
     """Weighted IA over slots ``1..floor(t'/dt)``."""
-    _check_grids(grid_pred, grid_gt)
-    k = _k_prime_at(grid_gt, t_prime_s)
-    return evaluate_grids(grid_pred, grid_gt, mode)[k - 1].wia
+    trace = evaluate_grids(grid_pred, grid_gt, mode)
+    return trace[_k_prime_at(grid_gt, t_prime_s) - 1].wia
 
 
 def weight_trace(grid_gt: SlotGrid) -> list[tuple[float, float]]:
@@ -305,9 +303,7 @@ def maia(per_video_traces: Iterable[tuple[float, Sequence[float]]],
     IA trace for the unweighted aggregate, a wIA trace for the weighted
     one.
     """
-    delta_us = seconds_to_us(delta_t_s)
-    if delta_us <= 0:
-        raise ValidationError(f"delta_t {delta_t_s} must be > 0")
+    delta_us = slot_us(delta_t_s)
     totals = []
     for duration_s, values in per_video_traces:
         expected = seconds_to_us(duration_s) // delta_us

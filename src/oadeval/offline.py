@@ -24,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .timeline import AnnotationTrack, LabelVocabulary, paint_midpoints
+from .timeline import (
+    AnnotationTrack,
+    LabelVocabulary,
+    paint_midpoints,
+    sort_action_intervals,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -88,10 +93,15 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
     and interval bounds are compared as floats in seconds. The same
     bisection sweep as the slot discretizer costs O(N + n log N) for
     ``N`` frames and ``n`` intervals.
+
+    Interval labels pass the slot discretizer's check
+    (:func:`~oadeval.timeline.sort_action_intervals`): an unknown label
+    raises :class:`~oadeval.errors.VocabularyError` and a background
+    interval raises :class:`ValidationError`, so a background interval
+    can never mask the action frames it overlaps.
     """
-    intervals = sorted(track.intervals, key=lambda iv: (iv.start_us, iv.label))
-    bounds = [(iv.start_us / 1e6, iv.end_us / 1e6,
-               vocab.codes[vocab.require(iv.label)]) for iv in intervals]
+    bounds = [(iv.start_us / 1e6, iv.end_us / 1e6, vocab.codes[iv.label])
+              for iv in sort_action_intervals(track.intervals, vocab)]
     mids = [(i - 0.5) / fps
             for i in range(1, frame_count(track.duration_s, fps) + 1)]
     return paint_midpoints(bounds, mids, 0)

@@ -11,11 +11,13 @@ arithmetic so boundary comparisons are exact and float noise from
 upstream parsers cannot move a midpoint across an interval edge. Each
 interval, track and grid converts its own times once, when it is
 built, into ``*_us`` fields that take no part in ``==``, ``hash`` or
-``repr``.
+``repr``. A slot size must round to at least 1 microsecond;
+:func:`slot_us` is the one place that rule is checked.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -40,6 +42,21 @@ def seconds_to_us(seconds: float) -> int:
             f"time {seconds} s is not a finite number of microseconds") from exc
 
 
+def slot_us(delta_t_s: float) -> int:
+    """Slot size ``delta_t_s`` in integer microseconds (round half to even).
+
+    The one slot-size rule that every grid, stream, slot count and
+    aggregate shares: ``delta_t_s`` must be finite and round to at least
+    1 microsecond, so NaN, infinities, zero, negative sizes and sizes
+    under half a microsecond raise :class:`ValidationError`.
+    """
+    delta_us = delta_t_s * US_PER_S
+    if not (math.isfinite(delta_us) and round(delta_us) >= 1):
+        raise ValidationError(f"delta_t {delta_t_s} must be a finite slot "
+                              "size of at least 1 microsecond")
+    return round(delta_us)
+
+
 @dataclass(frozen=True)
 class LabelVocabulary:
     """Closed set of action classes plus one distinguished background label.
@@ -47,12 +64,12 @@ class LabelVocabulary:
     Immutable after construction; class names must be unique, non-empty
     and must not collide with the background label. ``codes`` maps each
     label to a small int: background to 0, the classes to 1..C in
-    declared order.
+    declared order. It is the only membership structure: ``in``,
+    :meth:`is_action` and :meth:`require` all read it.
     """
 
     classes: tuple[str, ...]
     background: str = DEFAULT_BACKGROUND
-    _class_set: frozenset = field(init=False, repr=False, compare=False)
     codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,24 +84,22 @@ class LabelVocabulary:
         if self.background in classes:
             raise ValidationError(
                 f"background label {self.background!r} must not be an action class")
-        object.__setattr__(self, "_class_set", frozenset(classes))
         codes = {self.background: 0}
         codes.update((c, i) for i, c in enumerate(classes, start=1))
         object.__setattr__(self, "codes", codes)
 
     def __contains__(self, label: str) -> bool:
-        return label == self.background or label in self._class_set
+        return label in self.codes
 
     def is_action(self, label: str) -> bool:
         """True for an action class, False for background, error otherwise."""
-        if label in self._class_set:
-            return True
-        if label == self.background:
-            return False
-        raise VocabularyError(f"unknown label {label!r}")
+        code = self.codes.get(label)
+        if code is None:
+            raise VocabularyError(f"unknown label {label!r}")
+        return code > 0
 
     def require(self, label: str) -> str:
-        if label not in self:
+        if label not in self.codes:
             raise VocabularyError(f"unknown label {label!r}")
         return label
 
@@ -173,8 +188,7 @@ class SlotGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if self.delta_t_s <= 0:
-            raise ValidationError(f"delta_t {self.delta_t_s} must be > 0")
+        object.__setattr__(self, "delta_t_us", slot_us(self.delta_t_s))
         if not self.labels:
             raise DegenerateInputError("slot grid must hold at least one slot")
         try:
@@ -182,7 +196,6 @@ class SlotGrid:
         except KeyError as exc:
             raise VocabularyError(f"unknown slot label {exc.args[0]!r}") from None
         object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "delta_t_us", seconds_to_us(self.delta_t_s))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -192,9 +205,7 @@ def num_slots(duration_s: float, delta_t_s: float) -> int:
     """Slot count ``K = floor(duration / delta_t)``, exact in microseconds."""
     if duration_s <= 0:
         raise ValidationError(f"duration {duration_s} must be > 0")
-    if delta_t_s <= 0:
-        raise ValidationError(f"delta_t {delta_t_s} must be > 0")
-    return seconds_to_us(duration_s) // seconds_to_us(delta_t_s)
+    return seconds_to_us(duration_s) // slot_us(delta_t_s)
 
 
 def paint_midpoints(bounds: Sequence[tuple], mids: Sequence, fill) -> list:
@@ -216,6 +227,23 @@ def paint_midpoints(bounds: Sequence[tuple], mids: Sequence, fill) -> list:
     return painted
 
 
+def sort_action_intervals(intervals: Iterable[TimeInterval],
+                          vocab: LabelVocabulary) -> list[TimeInterval]:
+    """Check every label is an action class, then sort by start and label.
+
+    Labels are checked in the given order: an unknown one raises
+    :class:`VocabularyError`, a background one :class:`ValidationError`,
+    since background is whatever the intervals leave uncovered. The
+    sorted list is what :func:`paint_midpoints` expects; both rasterizers
+    (slots here, frames in :mod:`oadeval.offline`) start from it.
+    """
+    intervals = tuple(intervals)
+    for iv in intervals:
+        if not vocab.is_action(iv.label):
+            raise ValidationError("background intervals are implicit, never stored")
+    return sorted(intervals, key=lambda iv: (iv.start_us, iv.label))
+
+
 def discretize(intervals: Iterable[TimeInterval], duration_s: float,
                delta_t_s: float, vocab: LabelVocabulary) -> SlotGrid:
     """Rasterize intervals onto a slot grid using the midpoint rule.
@@ -229,18 +257,16 @@ def discretize(intervals: Iterable[TimeInterval], duration_s: float,
 
     Each interval's slot range is found by bisecting the ascending
     midpoints, so ``K`` slots and ``n`` intervals cost O(K + n log K);
-    overlapping intervals also repaint the slots they share.
+    overlapping intervals also repaint the slots they share. Labels are
+    checked by :func:`sort_action_intervals`, the slot size by
+    :func:`slot_us`.
     """
-    intervals = sorted(intervals, key=lambda iv: (iv.start_us, iv.label))
     duration_us = seconds_to_us(duration_s)
-    delta_us = seconds_to_us(delta_t_s)
     if duration_us <= 0:
         raise ValidationError(f"duration {duration_s} must be > 0")
-    if delta_us <= 0:
-        raise ValidationError(f"delta_t {delta_t_s} must be > 0")
+    delta_us = slot_us(delta_t_s)
+    intervals = sort_action_intervals(intervals, vocab)
     for iv in intervals:
-        if not vocab.is_action(iv.label):
-            raise ValidationError("background intervals are implicit, never stored")
         if iv.end_us > duration_us:
             raise ValidationError(
                 f"interval [{iv.start_s}, {iv.end_s}) exceeds duration {duration_s}")
@@ -268,8 +294,7 @@ class PredictionStream:
                  num_slots: int | None = None):
         if not video_id:
             raise ValidationError("video_id must be non-empty")
-        if delta_t_s <= 0:
-            raise ValidationError(f"delta_t {delta_t_s} must be > 0")
+        slot_us(delta_t_s)
         if num_slots is not None and num_slots <= 0:
             raise ValidationError("num_slots must be positive when given")
         self.video_id = video_id

@@ -1,9 +1,16 @@
 """End-to-end CLI runs: exit codes, output files, determinism."""
 
+import copy
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oadeval import cli
 from oadeval.cli import _write_trace, main
@@ -400,7 +407,8 @@ class TestBaseline:
         assert a.read_bytes() != b.read_bytes()
 
 
-@pytest.mark.parametrize("delta_t", ["nan", "inf", "-inf", "-1", "0", "1e-300"])
+@pytest.mark.parametrize("delta_t",
+                         ["nan", "inf", "-inf", "-1", "0", "1e-300", "5e-7"])
 @pytest.mark.parametrize("command", ["evaluate", "baseline"])
 def test_bad_delta_t_is_one_error_naming_the_flag(tmp_path, worked_gt,
                                                   worked_pred, capsys,
@@ -416,6 +424,146 @@ def test_bad_delta_t_is_one_error_naming_the_flag(tmp_path, worked_gt,
         "of at least 1 microsecond"]
     assert "Traceback" not in captured.err and "FAILED" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("label,error", [
+    ("background", "line 1: background intervals are implicit, never stored"),
+    ("walk", "line 1: unknown label 'walk'"),
+    ("", "line 1: interval label must be non-empty"),
+])
+def test_detection_label_failure_names_its_line(tmp_path, label, error):
+    gt, pred, out = tmp_path / "gt.jsonl", tmp_path / "p.jsonl", tmp_path / "o"
+    write_canonical_gt(CorpusManifest(
+        vocabulary=LabelVocabulary(classes=("jump",)),
+        tracks=(AnnotationTrack("v", 2.0, ()),)), gt)
+    pred.write_text(json.dumps({
+        "record": "detections", "video_id": "v",
+        "events": [{"label": label, "start_s": 0.0, "end_s": 1.0}]}) + "\n")
+    assert run("evaluate", "--gt", gt, "--pred", pred, "--out-dir", out) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failures"] == [{"video_id": "v", "error": error}]
+
+
+# A valid prediction file, one record per line, for the mutation fuzz below.
+FUZZ_RECORDS = (
+    {"record": "decisions", "video_id": "a", "delta_t_s": 0.5,
+     "labels": ["jump", "jump", "background", "run"]},
+    {"record": "detections", "video_id": "b",
+     "events": [{"label": "run", "start_s": 0.5, "end_s": 1.5},
+                {"label": "jump", "start_s": 1.0, "end_s": 2.0}]},
+    {"record": "decisions", "video_id": "c", "delta_t_s": 0.5,
+     "labels": ["background"] * 2 + ["jump"] * 2 + ["background"] * 2},
+)
+
+
+def _json_paths(value, path=()):
+    """Every position in a JSON value, as a tuple of keys and indices."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _json_kind(value):
+    return (float if type(value) in (int, float) else type(value))
+
+
+@st.composite
+def mutated_prediction_files(draw):
+    """One record of FUZZ_RECORDS mutated once: ``(index, lines)``."""
+    index = draw(st.integers(0, len(FUZZ_RECORDS) - 1))
+    record = copy.deepcopy(FUZZ_RECORDS[index])
+    lines = [json.dumps(r) for r in FUZZ_RECORDS]
+    mutation = draw(st.sampled_from(
+        ["wrong type", "non-finite", "bool", "huge", "missing field",
+         "unknown kind", "truncated line"]))
+    if mutation == "truncated line":
+        lines[index] = lines[index][:draw(st.integers(0, len(lines[index]) - 1))]
+        return index, lines
+    if mutation == "unknown kind":
+        record["record"] = draw(st.sampled_from(["mystery", "scores ", ""]))
+    else:
+        # the whole record last: sampled_from favours early elements
+        paths = list(_json_paths(record))[1:] + [()]
+        if mutation == "missing field":
+            paths = [p for p in paths if p and isinstance(p[-1], str)]
+        path = draw(st.sampled_from(paths))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        if mutation == "missing field":
+            del parent[path[-1]]
+        else:
+            old = parent[path[-1]] if path else record
+            if mutation == "wrong type":
+                new = draw(st.sampled_from(["text", 7, [], {}, None]).filter(
+                    lambda v: _json_kind(v) is not _json_kind(old)))
+            else:
+                new = draw(st.sampled_from({
+                    "non-finite": [float("nan"), float("inf"), -float("inf")],
+                    "bool": [True, False],
+                    "huge": [1e308, -1e308, 10 ** 400]}[mutation]))
+            if path:
+                parent[path[-1]] = new
+            else:
+                record = new
+    lines[index] = json.dumps(record)
+    return index, lines
+
+
+def _evaluate_in_process(gt, pred, out):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = run("evaluate", "--gt", gt, "--pred", pred, "--out-dir", out)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_clean_run(tmp_path_factory):
+    """Ground truth for FUZZ_RECORDS and the traces of its clean run."""
+    root = tmp_path_factory.mktemp("fuzz")
+    gt, pred, out = root / "gt.jsonl", root / "clean.jsonl", root / "clean"
+    write_canonical_gt(CorpusManifest(
+        vocabulary=LabelVocabulary(classes=("jump", "run")), tracks=(
+            AnnotationTrack("a", 2.0, (TimeInterval("jump", 0.0, 1.0),)),
+            AnnotationTrack("b", 2.5, ()),
+            AnnotationTrack("c", 3.0, (TimeInterval("jump", 1.0, 2.0),)))),
+        gt)
+    pred.write_text("\n".join(map(json.dumps, FUZZ_RECORDS)) + "\n")
+    code, _, err = _evaluate_in_process(gt, pred, out)
+    assert code == 0, err
+    return gt, {p.name: p.read_bytes() for p in out.glob("*.trace.csv")}
+
+
+@given(mutated_prediction_files())
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_one_mutated_prediction_record_fails_alone(fuzz_clean_run, case):
+    """Exit 1 either way: the mutated video alone fails, or the whole file
+    is rejected with one located error line; never a traceback."""
+    gt, clean_traces = fuzz_clean_run
+    index, lines = case
+    video_id = FUZZ_RECORDS[index]["video_id"]
+    with tempfile.TemporaryDirectory() as tmp:
+        pred, out = Path(tmp) / "p.jsonl", Path(tmp) / "out"
+        pred.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = _evaluate_in_process(gt, pred, out)
+        assert code == 1
+        assert "Traceback" not in stdout + stderr
+        if (out / "summary.json").exists():
+            summary = json.loads((out / "summary.json").read_text())
+            [failure] = summary["failures"]
+            assert failure["video_id"] == video_id
+            # a toolkit error, not the catch-all naming an exception type
+            assert not re.match(r"line \d+: \w+(Error|Exception)\b",
+                                failure["error"]), failure["error"]
+            traces = {p.name: p.read_bytes() for p in out.glob("*.trace.csv")}
+            assert traces == {name: data for name, data in clean_traces.items()
+                              if name != f"{video_id}.trace.csv"}
+        else:
+            assert stderr.startswith(f"error: {pred}, line {index + 1}")
+            assert stderr.count("\n") == 1 and stdout == ""
+            assert list(out.iterdir()) == []
 
 
 class TestConvert:

@@ -23,7 +23,12 @@ from oadeval.formats import (
 )
 from oadeval.baselines import all_bg, perfect_model
 from oadeval.offline import FrameScoreMatrix
-from oadeval.timeline import AnnotationTrack, LabelVocabulary, TimeInterval
+from oadeval.timeline import (
+    AnnotationTrack,
+    LabelVocabulary,
+    TimeInterval,
+    discretize,
+)
 
 DATA = Path(__file__).parent / "data"
 STREAM_KINDS = ("decisions", "detections")
@@ -173,6 +178,18 @@ class TestCanonicalGt:
         loaded = load_canonical_gt(out)
         assert loaded.vocabulary == manifest.vocabulary
         assert loaded.tracks == manifest.tracks
+
+    def test_hand_built_labels_checked_where_the_track_is_used(self):
+        # construction checks only ids; the rasterizer checks labels
+        vocab = LabelVocabulary(classes=("jump",))
+        track = AnnotationTrack("v", 4.0, (TimeInterval("background", 0.0, 1.0),))
+        manifest = CorpusManifest(vocabulary=vocab, tracks=(track,))
+        with pytest.raises(ValidationError,
+                           match="^background intervals are implicit"):
+            discretize(track.intervals, track.duration_s, 0.5,
+                       manifest.vocabulary)
+        with pytest.raises(ValidationError, match="duplicate video id 'v'"):
+            CorpusManifest(vocabulary=vocab, tracks=(track, track))
 
 
 class TestActivityNetAdapter:

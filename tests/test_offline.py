@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oadeval.errors import ValidationError
+from oadeval.errors import ValidationError, VocabularyError
 from oadeval.ia import evaluate_grids
 from oadeval.offline import (
     FrameScoreMatrix,
@@ -111,6 +111,23 @@ class TestRasterize:
         vocab = LabelVocabulary(classes=("jump", "run"))
         assert rasterize_frames(track, fps, vocab) == [
             vocab.codes[lab] for lab in brute_force_frame_labels(track, fps)]
+
+    def test_interval_labels_checked_like_slots(self, vocab):
+        # background [0, 2) must not paint over jump frames 3 and 4 of
+        # [1, 3); both rasterizers reject it with the same error
+        track = AnnotationTrack("v", 4.0, (TimeInterval("background", 0.0, 2.0),
+                                           TimeInterval("jump", 1.0, 3.0)),
+                                multi_label=True)
+        for rasterize in (lambda: rasterize_frames(track, 2.0, vocab),
+                          lambda: discretize(track.intervals, 4.0, 0.5, vocab)):
+            with pytest.raises(ValidationError) as excinfo:
+                rasterize()
+            assert type(excinfo.value) is ValidationError
+            assert str(excinfo.value) == (
+                "background intervals are implicit, never stored")
+        walk = AnnotationTrack("w", 4.0, (TimeInterval("walk", 0.0, 2.0),))
+        with pytest.raises(VocabularyError, match="unknown label 'walk'"):
+            rasterize_frames(walk, 2.0, vocab)
 
     def test_frame_count(self):
         assert frame_count(10.0, 4.0) == 40

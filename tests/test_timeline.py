@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oadeval.errors import (
@@ -14,6 +14,7 @@ from oadeval.errors import (
     ValidationError,
     VocabularyError,
 )
+from oadeval.ia import ia_at, maia
 from oadeval.timeline import (
     AnnotationTrack,
     LabelVocabulary,
@@ -24,6 +25,7 @@ from oadeval.timeline import (
     events_to_stream,
     num_slots,
     seconds_to_us,
+    slot_us,
 )
 
 
@@ -113,6 +115,27 @@ class TestLabelVocabulary:
     def test_invalid_vocabularies_rejected(self, classes, background):
         with pytest.raises(ValidationError):
             LabelVocabulary(classes=classes, background=background)
+
+    @given(classes=st.lists(st.text(min_size=1, max_size=2), unique=True,
+                            max_size=4),
+           background=st.text(min_size=1, max_size=2),
+           other=st.text(max_size=2))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_lookups_match_classes_and_background(self, classes, background,
+                                                  other):
+        assume(background not in classes)
+        vocab = LabelVocabulary(classes=tuple(classes), background=background)
+        for label in [*classes, background, other, ""]:
+            known = label in classes or label == background
+            assert (label in vocab) == known
+            unknown = (VocabularyError, f"unknown label {label!r}")
+            assert outcome(lambda: vocab.is_action(label)) == (
+                None if known else unknown)
+            assert outcome(lambda: vocab.require(label)) == (
+                None if known else unknown)
+            if known:
+                assert vocab.is_action(label) == (label in classes)
+                assert vocab.require(label) == label
 
     def test_codes_background_zero_then_declared_order(self):
         vocab = LabelVocabulary(classes=("run", "jump"), background="bg")
@@ -211,8 +234,17 @@ class TestDiscretize:
             discretize([TimeInterval("jump", 0.0, 11.0)], 10.0, 0.5, vocab)
 
     def test_background_interval_rejected(self, vocab):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^background intervals are implicit"):
             discretize([TimeInterval("background", 0.0, 1.0)], 10.0, 0.5, vocab)
+
+    def test_labels_checked_in_given_order(self, vocab):
+        # the first bad label as given, not as sorted, names the error
+        late_walk = TimeInterval("walk", 5.0, 6.0)
+        early_background = TimeInterval("background", 0.0, 1.0)
+        assert outcome(lambda: discretize(
+            [late_walk, early_background], 10.0, 0.5, vocab)) == (
+            VocabularyError, "unknown label 'walk'")
 
     def test_zero_slots_is_degenerate(self, vocab):
         with pytest.raises(DegenerateInputError):
@@ -309,6 +341,49 @@ class TestSlotGrid:
         if not unknown:
             grid = SlotGrid(0.5, labels, vocab)
             assert grid.codes == tuple(vocab.codes[lab] for lab in labels)
+
+
+def _ia_at_on_own_grid(delta_t_s, vocab):
+    grid = SlotGrid(delta_t_s, ("jump",) * 10, vocab)
+    return ia_at(grid, grid, 1e-5)
+
+
+# every entry point that takes a slot size, on a 10 us timeline
+SLOT_SIZE_CALLS = {
+    "SlotGrid": lambda d, vocab: SlotGrid(d, ("jump",), vocab),
+    "PredictionStream": lambda d, vocab: PredictionStream("v", d, vocab),
+    "num_slots": lambda d, vocab: num_slots(1e-5, d),
+    "discretize": lambda d, vocab: discretize((), 1e-5, d, vocab),
+    "events_to_stream": lambda d, vocab: events_to_stream((), "v", 1e-5, d,
+                                                          vocab),
+    "maia": lambda d, vocab: maia([(1e-5, [1.0] * 10)], d),
+    "ia_at": _ia_at_on_own_grid,
+}
+
+
+class TestSlotSize:
+    # 5e-7 s is half a microsecond, which rounds half to even to 0
+    @pytest.mark.parametrize("delta_t", [math.nan, math.inf, -math.inf, -1,
+                                         0, 1e-7, 5e-7])
+    @pytest.mark.parametrize("call", SLOT_SIZE_CALLS.values(),
+                             ids=SLOT_SIZE_CALLS.keys())
+    def test_one_rule_one_error(self, vocab, call, delta_t):
+        expected = (ValidationError, f"delta_t {delta_t} must be a finite "
+                    "slot size of at least 1 microsecond")
+        assert outcome(lambda: slot_us(delta_t)) == expected
+        assert outcome(lambda: call(delta_t, vocab)) == expected
+
+    @pytest.mark.parametrize("call", SLOT_SIZE_CALLS.values(),
+                             ids=SLOT_SIZE_CALLS.keys())
+    def test_one_microsecond_is_accepted(self, vocab, call):
+        assert outcome(lambda: call(1e-6, vocab)) is None
+
+    def test_microseconds_and_overflow(self, vocab):
+        assert slot_us(1e-6) == 1 and slot_us(0.1 + 0.2) == 300_000
+        assert SlotGrid(1e-6, ("jump",), vocab).delta_t_us == 1
+        assert num_slots(1e-5, 1e-6) == 10
+        with pytest.raises(ValidationError, match="at least 1 microsecond"):
+            slot_us(1e308)
 
 
 class TestPredictionStream:
