@@ -20,9 +20,14 @@ Predictions (any mix of record kinds, at most one stream per video)::
     {"record": "scores", "video_id": "...", "fps": 2.0,
      "scores": [[0.1, 0.9], ...]}
 
-Structural problems (bad JSON, wrong types, unknown record kinds) raise
-:class:`ParseError` with the file location; semantic problems (unknown
-labels, bounds) raise validation errors naming the video.
+Every record passes the same field checks (:func:`_require`,
+:func:`_parse_interval`): structural problems (bad JSON, missing fields,
+wrong types, non-finite numbers, unknown record kinds) raise
+:class:`ParseError` naming the field, with the file and line;
+semantic problems (unknown labels, bounds, slot counts) raise
+validation errors naming the video. A prediction record's own checks
+(:func:`build_stream`, :func:`build_scores`) leave the line to the
+caller, which knows it.
 :func:`read_predictions` alone decides which prediction record belongs
 to which video, and reports unknown, duplicate and missing records per
 video with their line. Adapters for ActivityNet-style JSON and Thumos-style
@@ -42,7 +47,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import EvaluationError, ParseError, ValidationError
 from .offline import FrameScoreMatrix, frame_count
 from .timeline import (
     DEFAULT_BACKGROUND,
@@ -53,6 +58,8 @@ from .timeline import (
     events_to_stream,
     num_slots,
     seconds_to_us,
+    slot_us,
+    sort_action_intervals,
 )
 
 
@@ -135,23 +142,36 @@ def _is_number(value) -> bool:
         return False
 
 
-def _require(obj: dict, key: str, types, path, lineno):
+def _require(obj: dict, key: str, types, path=None, lineno=None):
+    """``obj[key]`` if it is one of ``types``, else a :class:`ParseError`.
+
+    ``(int, float)`` means a finite number: bools, NaN and infinities
+    fail. A missing ``path`` or ``lineno`` is left out of the message.
+    """
     if key not in obj:
-        raise ParseError("missing field", path=str(path), line=lineno, field=key)
+        raise ParseError("missing field", path=path, line=lineno, field=key)
     value = obj[key]
     if not isinstance(value, types):
         raise ParseError(f"expected {types} but got {type(value).__name__}",
-                         path=str(path), line=lineno, field=key)
+                         path=path, line=lineno, field=key)
     if types == (int, float) and not _is_number(value):
         raise ParseError(f"expected a finite number but got {value!r}",
-                         path=str(path), line=lineno, field=key)
+                         path=path, line=lineno, field=key)
     return value
 
 
-def _parse_interval(entry: Any, path, lineno) -> TimeInterval:
+def _parse_interval(entry: Any, path=None, lineno=None,
+                    key="intervals") -> TimeInterval:
+    """One ``{"label", "start_s", "end_s"}`` entry of the list ``key``.
+
+    The grammar's one interval rule, for ground-truth ``intervals`` and
+    detection ``events`` alike: a non-object entry is a
+    :class:`ParseError` on ``key``, a bad field one on that field; the
+    :class:`TimeInterval` checks (start >= 0, positive length) follow.
+    """
     if not isinstance(entry, dict):
         raise ParseError("interval must be an object",
-                         path=str(path), line=lineno, field="intervals")
+                         path=path, line=lineno, field=key)
     label = _require(entry, "label", str, path, lineno)
     start = _require(entry, "start_s", (int, float), path, lineno)
     end = _require(entry, "end_s", (int, float), path, lineno)
@@ -162,49 +182,60 @@ def _parse_interval(entry: Any, path, lineno) -> TimeInterval:
 # canonical ground truth
 
 def load_canonical_gt(path: str | Path) -> CorpusManifest:
-    """Parse a canonical ground-truth file into a validated manifest."""
+    """Parse a canonical ground-truth file into a validated manifest.
+
+    Every error names the file and line. A repeated ``video_id`` names
+    the line of the first record with that id as well.
+    """
+    path = str(path)
     vocab = None
     tracks = []
+    first_lines: dict[str, int] = {}
     for lineno, obj in _iter_json_lines(path):
         kind = _require(obj, "record", str, path, lineno)
-        if kind == "vocabulary":
-            if vocab is not None:
-                raise ParseError("duplicate vocabulary record",
-                                 path=str(path), line=lineno)
-            classes = _require(obj, "classes", list, path, lineno)
-            if not all(isinstance(c, str) for c in classes):
-                raise ParseError("classes must be strings",
-                                 path=str(path), line=lineno, field="classes")
-            background = _require(obj, "background", str, path, lineno)
-            vocab = LabelVocabulary(classes=tuple(classes), background=background)
-        elif kind == "video":
-            if vocab is None:
-                raise ParseError("vocabulary record must precede video records",
-                                 path=str(path), line=lineno)
-            video_id = _require(obj, "video_id", str, path, lineno)
-            duration = _require(obj, "duration_s", (int, float), path, lineno)
-            raw = _require(obj, "intervals", list, path, lineno)
-            multi = obj.get("multi_label", False)
-            if not isinstance(multi, bool):
-                raise ParseError("expected a boolean", path=str(path),
-                                 line=lineno, field="multi_label")
-            intervals = tuple(_parse_interval(e, path, lineno) for e in raw)
-            try:
-                for iv in intervals:
-                    if not vocab.is_action(iv.label):
-                        raise ValidationError(
-                            f"video {video_id!r}: background intervals are "
-                            "implicit, never stored")
+        try:
+            if kind == "vocabulary":
+                if vocab is not None:
+                    raise ParseError("duplicate vocabulary record",
+                                     path=path, line=lineno)
+                classes = _require(obj, "classes", list, path, lineno)
+                if not all(isinstance(c, str) for c in classes):
+                    raise ParseError("classes must be strings",
+                                     path=path, line=lineno, field="classes")
+                background = _require(obj, "background", str, path, lineno)
+                vocab = LabelVocabulary(classes=tuple(classes),
+                                        background=background)
+            elif kind == "video":
+                if vocab is None:
+                    raise ParseError(
+                        "vocabulary record must precede video records",
+                        path=path, line=lineno)
+                video_id = _require(obj, "video_id", str, path, lineno)
+                if video_id in first_lines:
+                    raise ValidationError(
+                        f"duplicate video id {video_id!r} "
+                        f"(first at line {first_lines[video_id]})")
+                duration = _require(obj, "duration_s", (int, float), path,
+                                    lineno)
+                raw = _require(obj, "intervals", list, path, lineno)
+                multi = obj.get("multi_label", False)
+                if not isinstance(multi, bool):
+                    raise ParseError("expected a boolean", path=path,
+                                     line=lineno, field="multi_label")
+                intervals = tuple(_parse_interval(e, path, lineno)
+                                  for e in raw)
+                sort_action_intervals(intervals, vocab)
                 tracks.append(AnnotationTrack(
                     video_id=video_id, duration_s=float(duration),
                     intervals=intervals, multi_label=multi))
-            except ValidationError as exc:
-                raise type(exc)(f"{path}, line {lineno}: {exc}") from exc
-        else:
-            raise ParseError(f"unknown record kind {kind!r}",
-                             path=str(path), line=lineno, field="record")
+                first_lines[video_id] = lineno
+            else:
+                raise ParseError(f"unknown record kind {kind!r}",
+                                 path=path, line=lineno, field="record")
+        except ValidationError as exc:
+            raise type(exc)(f"{path}, line {lineno}: {exc}") from exc
     if vocab is None:
-        raise ParseError("no vocabulary record found", path=str(path))
+        raise ParseError("no vocabulary record found", path=path)
     return CorpusManifest(vocabulary=vocab, tracks=tuple(tracks),
                           source=f"canonical:{file_digest(path)}")
 
@@ -417,33 +448,38 @@ def load_thumos_gt(dir_path: str | Path,
 def iter_prediction_records(path: str | Path,
                             ) -> Iterator[tuple[int, str, dict]]:
     """Yield structurally valid (line, kind, record) prediction entries."""
+    path = str(path)
     for lineno, obj in _iter_json_lines(path):
         kind = _require(obj, "record", str, path, lineno)
         if kind not in ("decisions", "detections", "scores"):
             raise ParseError(f"unknown record kind {kind!r}",
-                             path=str(path), line=lineno, field="record")
+                             path=path, line=lineno, field="record")
         _require(obj, "video_id", str, path, lineno)
         yield lineno, kind, obj
 
 
 def build_stream(kind: str, obj: dict, track: AnnotationTrack,
                  vocab: LabelVocabulary, delta_t_s: float) -> PredictionStream:
-    """Validate one decisions/detections record against its track."""
+    """Validate one decisions/detections record against its track.
+
+    Fields pass the ground-truth checks (:func:`_require`,
+    :func:`_parse_interval` on each of the ``events``), so a structural
+    fault is a :class:`ParseError` naming the field but no line: the
+    caller adds that. A decisions record's ``delta_t_s`` must pass
+    :func:`~oadeval.timeline.slot_us` and equal ``delta_t_s`` in
+    microseconds, and its ``labels`` must be strings filling exactly the
+    :func:`~oadeval.timeline.num_slots` slots of the track.
+    """
     video_id = obj["video_id"]
     if kind == "decisions":
-        record_delta = obj.get("delta_t_s")
-        if not _is_number(record_delta):
-            raise ValidationError(
-                f"video {video_id!r}: decisions record needs numeric delta_t_s")
-        if seconds_to_us(float(record_delta)) != seconds_to_us(delta_t_s):
+        record_delta = _require(obj, "delta_t_s", (int, float))
+        if slot_us(record_delta) != slot_us(delta_t_s):
             raise ValidationError(
                 f"video {video_id!r}: decisions at delta_t {record_delta} s "
                 f"cannot be evaluated at delta_t {delta_t_s} s")
-        labels = obj.get("labels")
-        if not isinstance(labels, list) or not all(
-                isinstance(lab, str) for lab in labels):
-            raise ValidationError(
-                f"video {video_id!r}: labels must be a list of strings")
+        labels = _require(obj, "labels", list)
+        if not all(isinstance(lab, str) for lab in labels):
+            raise ParseError("expected a list of strings", field="labels")
         expected = num_slots(track.duration_s, delta_t_s)
         if not labels:
             raise ValidationError(f"video {video_id!r}: missing predictions")
@@ -459,21 +495,8 @@ def build_stream(kind: str, obj: dict, track: AnnotationTrack,
         stream.extend(labels)
         return stream
     if kind == "detections":
-        events = obj.get("events")
-        if not isinstance(events, list):
-            raise ValidationError(f"video {video_id!r}: events must be a list")
-        intervals = []
-        for entry in events:
-            if (not isinstance(entry, dict)
-                    or not isinstance(entry.get("label"), str)
-                    or not _is_number(entry.get("start_s"))
-                    or not _is_number(entry.get("end_s"))):
-                raise ValidationError(
-                    f"video {video_id!r}: each event needs a label, "
-                    "start_s and end_s")
-            intervals.append(TimeInterval(
-                label=entry["label"],
-                start_s=float(entry["start_s"]), end_s=float(entry["end_s"])))
+        intervals = [_parse_interval(e, key="events")
+                     for e in _require(obj, "events", list)]
         return events_to_stream(intervals, video_id, track.duration_s,
                                 delta_t_s, vocab)
     raise ValidationError(f"record kind {kind!r} is not a stream")
@@ -481,14 +504,18 @@ def build_stream(kind: str, obj: dict, track: AnnotationTrack,
 
 def build_scores(obj: dict, track: AnnotationTrack,
                  vocab: LabelVocabulary) -> FrameScoreMatrix:
-    """Validate one scores record against its track."""
+    """Validate one scores record against its track.
+
+    ``fps`` and ``scores`` pass :func:`_require` (a :class:`ParseError`
+    naming the field, no line), and ``fps`` then
+    :func:`~oadeval.offline.frame_count`, the one fps and frame-count
+    rule. Each row must hold one int or float per class, and the rows
+    must number exactly the track's frames.
+    """
     video_id = obj["video_id"]
-    fps = obj.get("fps")
-    if not _is_number(fps) or fps <= 0:
-        raise ValidationError(f"video {video_id!r}: scores record needs fps > 0")
-    rows = obj.get("scores")
-    if not isinstance(rows, list):
-        raise ValidationError(f"video {video_id!r}: scores must be a list of rows")
+    fps = _require(obj, "fps", (int, float))
+    expected = frame_count(track.duration_s, float(fps))
+    rows = _require(obj, "scores", list)
     n_classes = len(vocab.classes)
     for row in rows:
         # exact types: bool is an int subclass but never a score
@@ -496,7 +523,6 @@ def build_scores(obj: dict, track: AnnotationTrack,
                 or not set(map(type, row)) <= _SCORE_TYPES):
             raise ValidationError(
                 f"video {video_id!r}: each score row needs {n_classes} numbers")
-    expected = frame_count(track.duration_s, float(fps))
     if len(rows) != expected:
         raise ValidationError(
             f"video {video_id!r}: {len(rows)} score rows but a "
@@ -562,7 +588,7 @@ def load_scores(path: str | Path, manifest: CorpusManifest,
         try:
             scores[video_id] = build_scores(obj, tracks[video_id],
                                             manifest.vocabulary)
-        except ValidationError as exc:
+        except EvaluationError as exc:
             raise type(exc)(f"{path}, line {lineno}: {exc}") from exc
     return scores
 

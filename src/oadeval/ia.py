@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError, VocabularyError
-from .timeline import LabelVocabulary, SlotGrid, seconds_to_us, slot_us
+from .timeline import LabelVocabulary, SlotGrid, num_slots, seconds_to_us
 
 
 class MatchingMode(enum.Enum):
@@ -301,12 +301,13 @@ def maia(per_video_traces: Iterable[tuple[float, Sequence[float]]],
     factor is applied as written, so a constant trace on a duration that
     is not a slot multiple averages slightly below the constant. Pass an
     IA trace for the unweighted aggregate, a wIA trace for the weighted
-    one.
+    one. Each video's slot count comes from
+    :func:`~oadeval.timeline.num_slots`, so a duration that is not > 0
+    raises its :class:`ValidationError`.
     """
-    delta_us = slot_us(delta_t_s)
     totals = []
     for duration_s, values in per_video_traces:
-        expected = seconds_to_us(duration_s) // delta_us
+        expected = num_slots(duration_s, delta_t_s)
         if len(values) != expected:
             raise ValidationError(
                 f"trace holds {len(values)} values but a {duration_s} s video "

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .timeline import (
+    MAX_SLOTS,
     AnnotationTrack,
     LabelVocabulary,
     paint_midpoints,
@@ -72,14 +73,23 @@ class APResult:
 
 
 def frame_count(duration_s: float, fps: float) -> int:
-    """``floor(duration_s * fps)``; a non-finite or non-positive fps fails."""
+    """``floor(duration_s * fps)``, the one frame-count rule.
+
+    A non-finite or non-positive fps, a product that overflows, and a
+    count above :data:`~oadeval.timeline.MAX_SLOTS` raise
+    :class:`ValidationError` before anything is allocated.
+    """
     if not 0 < fps < math.inf:
         raise ValidationError(f"fps {fps} must be finite and > 0")
     frames = duration_s * fps
     if not math.isfinite(frames):
         raise ValidationError(
             f"{duration_s} s at fps {fps} is not a finite frame count")
-    return math.floor(frames)
+    n = math.floor(frames)
+    if n > MAX_SLOTS:
+        raise ValidationError(
+            f"{n} frames exceed the limit of {MAX_SLOTS} per video")
+    return n
 
 
 def rasterize_frames(track: AnnotationTrack, fps: float,

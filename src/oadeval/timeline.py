@@ -26,6 +26,13 @@ from .errors import CausalityError, DegenerateInputError, ValidationError, Vocab
 
 US_PER_S = 1_000_000
 
+# The most slots (or frames) one video may have: 2**22 covers 24 days at
+# 0.5 s or 38.8 h at 1/30 s. Scoring costs a few hundred bytes per slot,
+# so this keeps one corrupt duration or rate from sizing a grid without
+# limit; :func:`num_slots` and :func:`oadeval.offline.frame_count` check
+# it before anything is allocated.
+MAX_SLOTS = 2 ** 22
+
 DEFAULT_BACKGROUND = "background"
 
 
@@ -202,10 +209,20 @@ class SlotGrid:
 
 
 def num_slots(duration_s: float, delta_t_s: float) -> int:
-    """Slot count ``K = floor(duration / delta_t)``, exact in microseconds."""
+    """Slot count ``K = floor(duration / delta_t)``, exact in microseconds.
+
+    The one slot-count rule: the duration must be > 0, the slot size
+    must pass :func:`slot_us`, and ``K`` must not exceed
+    :data:`MAX_SLOTS`. Each failure raises :class:`ValidationError`
+    before anything is allocated.
+    """
     if duration_s <= 0:
         raise ValidationError(f"duration {duration_s} must be > 0")
-    return seconds_to_us(duration_s) // slot_us(delta_t_s)
+    k = seconds_to_us(duration_s) // slot_us(delta_t_s)
+    if k > MAX_SLOTS:
+        raise ValidationError(
+            f"{k} slots exceed the limit of {MAX_SLOTS} per video")
+    return k
 
 
 def paint_midpoints(bounds: Sequence[tuple], mids: Sequence, fill) -> list:
@@ -258,19 +275,17 @@ def discretize(intervals: Iterable[TimeInterval], duration_s: float,
     Each interval's slot range is found by bisecting the ascending
     midpoints, so ``K`` slots and ``n`` intervals cost O(K + n log K);
     overlapping intervals also repaint the slots they share. Labels are
-    checked by :func:`sort_action_intervals`, the slot size by
-    :func:`slot_us`.
+    checked by :func:`sort_action_intervals`, the duration, slot size and
+    slot count by :func:`num_slots`.
     """
+    k = num_slots(duration_s, delta_t_s)
     duration_us = seconds_to_us(duration_s)
-    if duration_us <= 0:
-        raise ValidationError(f"duration {duration_s} must be > 0")
     delta_us = slot_us(delta_t_s)
     intervals = sort_action_intervals(intervals, vocab)
     for iv in intervals:
         if iv.end_us > duration_us:
             raise ValidationError(
                 f"interval [{iv.start_s}, {iv.end_s}) exceeds duration {duration_s}")
-    k = duration_us // delta_us
     if k == 0:
         raise DegenerateInputError(
             f"delta_t {delta_t_s} larger than duration {duration_s}: zero slots")

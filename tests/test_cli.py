@@ -20,7 +20,13 @@ from oadeval.formats import (
     write_canonical_gt,
 )
 from oadeval.ia import IATracePoint
-from oadeval.timeline import AnnotationTrack, LabelVocabulary, TimeInterval
+from oadeval.timeline import (
+    MAX_SLOTS,
+    AnnotationTrack,
+    LabelVocabulary,
+    TimeInterval,
+)
+from test_timeline import allocation_peak
 
 DATA = Path(__file__).parent / "data"
 
@@ -398,6 +404,20 @@ class TestBaseline:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["pm", "all-bg"])
+    def test_huge_fps_fails_before_allocating(self, tmp_path, worked_gt,
+                                              capsys, kind):
+        # 1e10 frames for the 10 s video: over the limit, never allocated
+        out, codes = tmp_path / "p.jsonl", []
+        peak = allocation_peak(lambda: codes.append(run(
+            "baseline", "--gt", worked_gt, "--kind", kind, "--fps=1e9",
+            "--out", out)))
+        assert codes == [1] and peak < 2 ** 20
+        assert capsys.readouterr().err == (
+            f"error: 10000000000 frames exceed the limit of {MAX_SLOTS} "
+            "per video\n")
+        assert not out.exists()
+
     def test_seed_changes_pm_scores(self, tmp_path, worked_gt):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run("baseline", "--gt", worked_gt, "--kind", "pm", "--seed", "1",
@@ -444,7 +464,18 @@ def test_detection_label_failure_names_its_line(tmp_path, label, error):
     assert summary["failures"] == [{"video_id": "v", "error": error}]
 
 
-# A valid prediction file, one record per line, for the mutation fuzz below.
+# A valid ground truth and prediction file, one record per line, for the
+# mutation fuzz below. The ground truth leaves out the optional
+# multi_label, so that no mutation can turn it into another valid value.
+FUZZ_GT_RECORDS = (
+    {"record": "vocabulary", "classes": ["jump", "run"],
+     "background": "background"},
+    {"record": "video", "video_id": "a", "duration_s": 2.0,
+     "intervals": [{"label": "jump", "start_s": 0.0, "end_s": 1.0}]},
+    {"record": "video", "video_id": "b", "duration_s": 2.5, "intervals": []},
+    {"record": "video", "video_id": "c", "duration_s": 3.0,
+     "intervals": [{"label": "jump", "start_s": 1.0, "end_s": 2.0}]},
+)
 FUZZ_RECORDS = (
     {"record": "decisions", "video_id": "a", "delta_t_s": 0.5,
      "labels": ["jump", "jump", "background", "run"]},
@@ -469,19 +500,31 @@ def _json_kind(value):
     return (float if type(value) in (int, float) else type(value))
 
 
+MUTATIONS = ["wrong type", "non-finite", "bool", "huge", "missing field",
+             "unknown kind", "truncated line"]
+
+
 @st.composite
-def mutated_prediction_files(draw):
-    """One record of FUZZ_RECORDS mutated once: ``(index, lines)``."""
-    index = draw(st.integers(0, len(FUZZ_RECORDS) - 1))
-    record = copy.deepcopy(FUZZ_RECORDS[index])
-    lines = [json.dumps(r) for r in FUZZ_RECORDS]
-    mutation = draw(st.sampled_from(
-        ["wrong type", "non-finite", "bool", "huge", "missing field",
-         "unknown kind", "truncated line"]))
+def mutated_files(draw, records, mutations=MUTATIONS, shortest=0):
+    """One of ``records`` mutated once: ``(index, lines)``.
+
+    A truncated line keeps at least ``shortest`` characters; a "long
+    video" mutation sets the ``duration_s`` of a video record to 1e12 s.
+    """
+    index = draw(st.integers(0, len(records) - 1))
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "long video":
+        index = draw(st.sampled_from(
+            [i for i, r in enumerate(records) if r["record"] == "video"]))
+    record = copy.deepcopy(records[index])
+    lines = [json.dumps(r) for r in records]
     if mutation == "truncated line":
-        lines[index] = lines[index][:draw(st.integers(0, len(lines[index]) - 1))]
+        lines[index] = lines[index][:draw(st.integers(shortest,
+                                                      len(lines[index]) - 1))]
         return index, lines
-    if mutation == "unknown kind":
+    if mutation == "long video":
+        record["duration_s"] = 1e12
+    elif mutation == "unknown kind":
         record["record"] = draw(st.sampled_from(["mystery", "scores ", ""]))
     else:
         # the whole record last: sampled_from favours early elements
@@ -512,6 +555,11 @@ def mutated_prediction_files(draw):
     return index, lines
 
 
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def _evaluate_in_process(gt, pred, out):
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
@@ -521,49 +569,82 @@ def _evaluate_in_process(gt, pred, out):
 
 @pytest.fixture(scope="module")
 def fuzz_clean_run(tmp_path_factory):
-    """Ground truth for FUZZ_RECORDS and the traces of its clean run."""
+    """FUZZ_GT_RECORDS' file and the traces of its clean run."""
     root = tmp_path_factory.mktemp("fuzz")
-    gt, pred, out = root / "gt.jsonl", root / "clean.jsonl", root / "clean"
-    write_canonical_gt(CorpusManifest(
-        vocabulary=LabelVocabulary(classes=("jump", "run")), tracks=(
-            AnnotationTrack("a", 2.0, (TimeInterval("jump", 0.0, 1.0),)),
-            AnnotationTrack("b", 2.5, ()),
-            AnnotationTrack("c", 3.0, (TimeInterval("jump", 1.0, 2.0),)))),
-        gt)
-    pred.write_text("\n".join(map(json.dumps, FUZZ_RECORDS)) + "\n")
-    code, _, err = _evaluate_in_process(gt, pred, out)
+    gt = _write_lines(root / "gt.jsonl", map(json.dumps, FUZZ_GT_RECORDS))
+    pred = _write_lines(root / "clean.jsonl", map(json.dumps, FUZZ_RECORDS))
+    code, _, err = _evaluate_in_process(gt, pred, root / "clean")
     assert code == 0, err
-    return gt, {p.name: p.read_bytes() for p in out.glob("*.trace.csv")}
+    return gt, {p.name: p.read_bytes()
+                for p in (root / "clean").glob("*.trace.csv")}
 
 
-@given(mutated_prediction_files())
+def check_fails_alone(run_result, out, clean_traces, video_id, path, line):
+    """Exit 1 either way: ``video_id`` alone fails and the other traces are
+    unchanged, or ``path`` is rejected with one error line located at
+    ``line`` and no output file; never a traceback."""
+    code, stdout, stderr = run_result
+    assert code == 1
+    assert "Traceback" not in stdout + stderr
+    if (out / "summary.json").exists():
+        summary = json.loads((out / "summary.json").read_text())
+        [failure] = summary["failures"]
+        assert failure["video_id"] == video_id
+        # a toolkit error, not the catch-all naming an exception type
+        assert not re.match(r"line \d+: \w+(Error|Exception)\b",
+                            failure["error"]), failure["error"]
+        traces = {p.name: p.read_bytes() for p in out.glob("*.trace.csv")}
+        assert traces == {name: data for name, data in clean_traces.items()
+                          if name != f"{video_id}.trace.csv"}
+        return failure["error"]
+    assert stderr.startswith(f"error: {path}, line {line}")
+    assert stderr.count("\n") == 1 and stdout == ""
+    assert list(out.glob("*")) == []
+    return None
+
+
+@given(mutated_files(FUZZ_RECORDS))
 @settings(derandomize=True, max_examples=80, deadline=None)
 def test_one_mutated_prediction_record_fails_alone(fuzz_clean_run, case):
-    """Exit 1 either way: the mutated video alone fails, or the whole file
-    is rejected with one located error line; never a traceback."""
     gt, clean_traces = fuzz_clean_run
     index, lines = case
-    video_id = FUZZ_RECORDS[index]["video_id"]
     with tempfile.TemporaryDirectory() as tmp:
-        pred, out = Path(tmp) / "p.jsonl", Path(tmp) / "out"
-        pred.write_text("\n".join(lines) + "\n")
-        code, stdout, stderr = _evaluate_in_process(gt, pred, out)
-        assert code == 1
-        assert "Traceback" not in stdout + stderr
-        if (out / "summary.json").exists():
-            summary = json.loads((out / "summary.json").read_text())
-            [failure] = summary["failures"]
-            assert failure["video_id"] == video_id
-            # a toolkit error, not the catch-all naming an exception type
-            assert not re.match(r"line \d+: \w+(Error|Exception)\b",
-                                failure["error"]), failure["error"]
-            traces = {p.name: p.read_bytes() for p in out.glob("*.trace.csv")}
-            assert traces == {name: data for name, data in clean_traces.items()
-                              if name != f"{video_id}.trace.csv"}
-        else:
-            assert stderr.startswith(f"error: {pred}, line {index + 1}")
-            assert stderr.count("\n") == 1 and stdout == ""
-            assert list(out.iterdir()) == []
+        pred = _write_lines(Path(tmp) / "p.jsonl", lines)
+        out = Path(tmp) / "out"
+        check_fails_alone(_evaluate_in_process(gt, pred, out), out,
+                          clean_traces, FUZZ_RECORDS[index]["video_id"],
+                          pred, index + 1)
+
+
+# an emptied ground-truth line would delete the vocabulary, and the error
+# would then be located at the next line
+@given(mutated_files(FUZZ_GT_RECORDS, MUTATIONS + ["long video"], shortest=1))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_one_mutated_ground_truth_record_fails_alone(fuzz_clean_run, case):
+    _, clean_traces = fuzz_clean_run
+    index, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        gt = _write_lines(Path(tmp) / "gt.jsonl", lines)
+        pred = _write_lines(Path(tmp) / "p.jsonl",
+                            map(json.dumps, FUZZ_RECORDS))
+        out = Path(tmp) / "out"
+        check_fails_alone(_evaluate_in_process(gt, pred, out), out,
+                          clean_traces, FUZZ_GT_RECORDS[index].get("video_id"),
+                          gt, index + 1)
+
+
+@pytest.mark.parametrize("delta_t", [1e308, -1e308, 0])
+def test_bad_record_delta_t_fails_its_video_alone(fuzz_clean_run, tmp_path,
+                                                  delta_t):
+    gt, clean_traces = fuzz_clean_run
+    records = copy.deepcopy(FUZZ_RECORDS)
+    records[0]["delta_t_s"] = delta_t
+    pred = _write_lines(tmp_path / "p.jsonl", map(json.dumps, records))
+    error = check_fails_alone(
+        _evaluate_in_process(gt, pred, tmp_path / "out"), tmp_path / "out",
+        clean_traces, "a", pred, 1)
+    assert error == (f"line 1: delta_t {delta_t} must be a finite slot size "
+                     "of at least 1 microsecond")
 
 
 class TestConvert:

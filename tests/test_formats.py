@@ -65,9 +65,16 @@ def manifests():
 
 
 class TestCanonicalGt:
-    # interval label errors are validation errors, located like parse errors
+    VOCAB = '{"record": "vocabulary", "classes": ["a"], "background": "bg"}'
+    VIDEO = ('{"record": "video", "video_id": "v", "duration_s": 4.0,'
+             ' "intervals": []}')
+    # validation errors (labels, vocabulary, ids) are located like parse
+    # errors
     LABEL_ERRORS = {"unknown label 'walk'": VocabularyError,
-                    "background intervals are implicit": ValidationError}
+                    "background intervals are implicit": ValidationError,
+                    "class names must be unique": ValidationError,
+                    "duplicate video id 'v' (first at line 2)":
+                        ValidationError}
 
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "gt.jsonl"
@@ -111,7 +118,8 @@ class TestCanonicalGt:
         path.write_text(
             '{"record": "vocabulary", "classes": ["a"], "background": "bg"}\n'
             + record + record)
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}, line 3: duplicate video id 'v' (first at line 2)")):
             load_canonical_gt(path)
 
     @pytest.mark.parametrize("line,err", [
@@ -134,13 +142,17 @@ class TestCanonicalGt:
         ('{"record": "video", "video_id": "v", "duration_s": 4.0, "intervals":'
          ' [{"label": "bg", "start_s": 0.0, "end_s": 1.0}]}',
          "background intervals are implicit"),
+        (VOCAB.replace('["a"]', '["a", "a"]'), "class names must be unique"),
+        (f"{VIDEO}\n{VIDEO}", "duplicate video id 'v' (first at line 2)"),
     ])
     def test_parse_errors_carry_location(self, tmp_path, line, err):
+        # the faulty line is the file's last; a vocabulary line of the case
+        # replaces the default one
+        text = (line if line.startswith('{"record": "vocabulary"')
+                else f"{self.VOCAB}\n{line}")
         path = tmp_path / "gt.jsonl"
-        path.write_text(
-            '{"record": "vocabulary", "classes": ["a"], "background": "bg"}\n'
-            + line + "\n")
-        location = re.escape(f"{path}, line 2")
+        path.write_text(text + "\n")
+        location = re.escape(f"{path}, line {text.count(chr(10)) + 1}")
         with pytest.raises(self.LABEL_ERRORS.get(err, ParseError),
                            match=location) as excinfo:
             load_canonical_gt(path)
@@ -322,34 +334,93 @@ class TestPredictions:
         with pytest.raises(VocabularyError):
             self.stream(path, manifest, 0.5)
 
-    @pytest.mark.parametrize("record", [
-        {"record": "decisions", "delta_t_s": True,
-         "labels": ["background"] * 10},
-        {"record": "decisions", "delta_t_s": float("nan"),
-         "labels": ["background"] * 10},
-        {"record": "detections",
-         "events": [{"label": "jump", "start_s": float("nan"), "end_s": 4.0}]},
-        {"record": "detections",
-         "events": [{"label": "jump", "start_s": 2.0, "end_s": float("inf")}]},
-        {"record": "detections",
-         "events": [{"label": "jump", "start_s": False, "end_s": 4.0}]},
+    @pytest.mark.parametrize("record,field", [
+        ({"record": "decisions", "delta_t_s": True,
+          "labels": ["background"] * 10}, "delta_t_s"),
+        ({"record": "decisions", "delta_t_s": float("nan"),
+          "labels": ["background"] * 10}, "delta_t_s"),
+        ({"record": "detections", "events": [
+            {"label": "jump", "start_s": float("nan"), "end_s": 4.0}]},
+         "start_s"),
+        ({"record": "detections", "events": [
+            {"label": "jump", "start_s": 2.0, "end_s": float("inf")}]},
+         "end_s"),
+        ({"record": "detections", "events": [
+            {"label": "jump", "start_s": False, "end_s": 4.0}]}, "start_s"),
     ])
     def test_bool_and_non_finite_stream_fields_rejected(self, manifest,
-                                                        tmp_path, record):
+                                                        tmp_path, record,
+                                                        field):
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps({"video_id": "worked-example", **record})
                         + "\n")
-        with pytest.raises(ValidationError,
-                           match="numeric delta_t_s|each event"):
+        with pytest.raises(ParseError, match=f"^field '{field}': expected "
+                           "a finite number but got") as excinfo:
             self.stream(path, manifest, 1.0)
+        assert excinfo.value.field == field
 
-    @pytest.mark.parametrize("fps", [True, float("nan"), float("inf"), 1e308])
-    def test_bool_and_non_finite_fps_rejected(self, manifest, tmp_path, fps):
+    @pytest.mark.parametrize("fps,error", [
+        (True, "field 'fps': expected a finite number but got True"),
+        (float("nan"), "field 'fps': expected a finite number but got nan"),
+        (float("inf"), "field 'fps': expected a finite number but got inf"),
+        (1e308, "10.0 s at fps 1e+308 is not a finite frame count"),
+    ])
+    def test_bool_and_non_finite_fps_rejected(self, manifest, tmp_path, fps,
+                                              error):
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps({
             "record": "scores", "video_id": "worked-example", "fps": fps,
             "scores": [[0.0, 0.0]] * 10}) + "\n")
-        with pytest.raises(ValidationError, match="line 1: .*fps"):
+        kind = ValidationError if fps == 1e308 else ParseError
+        with pytest.raises(kind, match=re.escape(f"{path}, line 1: {error}")):
+            load_scores(path, manifest)
+
+    @pytest.mark.parametrize("record,field", [
+        ({"record": "decisions", "labels": ["background"] * 20}, "delta_t_s"),
+        ({"record": "decisions", "delta_t_s": 0.5}, "labels"),
+        ({"record": "decisions", "delta_t_s": 0.5, "labels": "background"},
+         "labels"),
+        ({"record": "decisions", "delta_t_s": 0.5,
+          "labels": ["background"] * 19 + [None]}, "labels"),
+        ({"record": "detections"}, "events"),
+        ({"record": "detections", "events": {"label": "jump"}}, "events"),
+        ({"record": "detections", "events": [["jump", 2.0, 4.0]]}, "events"),
+        ({"record": "detections", "events": [{"start_s": 2.0, "end_s": 4.0}]},
+         "label"),
+        ({"record": "detections", "events": [
+            {"label": 7, "start_s": 2.0, "end_s": 4.0}]}, "label"),
+        ({"record": "detections", "events": [{"label": "jump", "end_s": 4.0}]},
+         "start_s"),
+        ({"record": "detections", "events": [
+            {"label": "jump", "start_s": 2.0, "end_s": "4.0"}]}, "end_s"),
+    ])
+    def test_structural_stream_faults_name_their_field(self, manifest,
+                                                       tmp_path, record,
+                                                       field):
+        # the field of the prediction record, never the ground truth's
+        # "intervals"
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({"video_id": "worked-example", **record})
+                        + "\n")
+        with pytest.raises(ParseError, match=f"^field '{field}': ") as excinfo:
+            self.stream(path, manifest, 0.5)
+        assert excinfo.value.field == field
+        assert excinfo.value.path is None and excinfo.value.line is None
+
+    @pytest.mark.parametrize("record,field", [
+        ({"fps": 2.0}, "scores"),
+        ({"fps": 2.0, "scores": {"0": [0.0, 0.0]}}, "scores"),
+        ({"scores": [[0.0, 0.0]] * 20}, "fps"),
+        ({"fps": "2", "scores": [[0.0, 0.0]] * 20}, "fps"),
+    ])
+    def test_structural_score_faults_name_their_field(self, manifest,
+                                                      tmp_path, record, field):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({"record": "scores",
+                                    "video_id": "worked-example", **record})
+                        + "\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}, line 1: field '{field}': ")):
             load_scores(path, manifest)
 
     @pytest.mark.parametrize("cell", [True, False, None, "0.5", 10 ** 400])

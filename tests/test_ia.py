@@ -23,7 +23,7 @@ from oadeval.ia import (
     weight_trace,
     wia_at,
 )
-from oadeval.timeline import LabelVocabulary, SlotGrid
+from oadeval.timeline import LabelVocabulary, SlotGrid, num_slots
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,6 +169,14 @@ class TestMaia:
     def test_wrong_trace_length_rejected(self):
         with pytest.raises(ValidationError):
             maia([(10.0, [1.0] * 19)], 0.5)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, -0.0])
+    def test_non_positive_duration_rejected(self, duration):
+        # the slot count comes from num_slots, never a division by zero or
+        # a negative count
+        with pytest.raises(ValidationError,
+                           match=f"^duration {duration} must be > 0$"):
+            maia([(5.0, [1.0] * 10), (duration, [])], 0.5)
 
 
 class TestOracle:
@@ -360,6 +368,7 @@ class TestExactPrefixBound:
 
         monkeypatch.setattr(ia, "_prefix_sum_trace", refuse)
         k = EXACT_PREFIX_SLOTS + 1
+        assert num_slots(k * 0.5, 0.5) == k  # within the slot-count limit
         gt = make_grid(("jump", "background") * (k // 2) + ("jump",), vocab)
         trace = evaluate_grids(gt, gt, MatchingMode.BINARY)
         assert len(trace) == k

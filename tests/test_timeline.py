@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,8 +15,12 @@ from oadeval.errors import (
     ValidationError,
     VocabularyError,
 )
+from oadeval.baselines import all_bg, perfect_model
+from oadeval.formats import build_scores, build_stream
 from oadeval.ia import ia_at, maia
+from oadeval.offline import frame_count
 from oadeval.timeline import (
+    MAX_SLOTS,
     AnnotationTrack,
     LabelVocabulary,
     PredictionStream,
@@ -384,6 +389,73 @@ class TestSlotSize:
         assert num_slots(1e-5, 1e-6) == 10
         with pytest.raises(ValidationError, match="at least 1 microsecond"):
             slot_us(1e308)
+
+
+def allocation_peak(call):
+    """Peak bytes traced while ``call()`` runs; its error is swallowed."""
+    tracemalloc.start()
+    try:
+        outcome(call)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+HUGE_S = 1e12  # 2e12 slots at 0.5 s
+# every entry point that sizes a grid from a duration, on a huge one
+SLOT_COUNT_CALLS = {
+    "num_slots": lambda vocab: num_slots(HUGE_S, 0.5),
+    "discretize": lambda vocab: discretize((), HUGE_S, 0.5, vocab),
+    "events_to_stream": lambda vocab: events_to_stream((), "v", HUGE_S, 0.5,
+                                                       vocab),
+    "maia": lambda vocab: maia([(HUGE_S, [])], 0.5),
+    "build_stream decisions": lambda vocab: build_stream(
+        "decisions", {"video_id": "v", "delta_t_s": 0.5, "labels": ["jump"]},
+        AnnotationTrack("v", HUGE_S), vocab, 0.5),
+    "build_stream detections": lambda vocab: build_stream(
+        "detections", {"video_id": "v", "events": []},
+        AnnotationTrack("v", HUGE_S), vocab, 0.5),
+    "all_bg": lambda vocab: all_bg(AnnotationTrack("v", HUGE_S), 0.5, vocab),
+}
+# every entry point that sizes a score matrix from a rate, at 1e9 fps
+FRAME_COUNT_CALLS = {
+    "frame_count": lambda vocab: frame_count(10.0, 1e9),
+    "build_scores": lambda vocab: build_scores(
+        {"video_id": "v", "fps": 1e9, "scores": []},
+        AnnotationTrack("v", 10.0), vocab),
+    "all_bg": lambda vocab: all_bg(AnnotationTrack("v", 10.0), 0.5, vocab,
+                                   fps=1e9),
+    "perfect_model": lambda vocab: perfect_model(
+        AnnotationTrack("v", 10.0), 0.5, vocab, 0, fps=1e9),
+}
+
+
+class TestSlotCount:
+    @pytest.mark.parametrize("call", SLOT_COUNT_CALLS.values(),
+                             ids=SLOT_COUNT_CALLS.keys())
+    def test_slot_limit_fails_before_allocating(self, vocab, call):
+        assert outcome(lambda: call(vocab)) == (
+            ValidationError, f"2000000000000 slots exceed the limit of "
+            f"{MAX_SLOTS} per video")
+        assert allocation_peak(lambda: call(vocab)) < 2 ** 20
+
+    @pytest.mark.parametrize("call", FRAME_COUNT_CALLS.values(),
+                             ids=FRAME_COUNT_CALLS.keys())
+    def test_frame_limit_fails_before_allocating(self, vocab, call):
+        assert outcome(lambda: call(vocab)) == (
+            ValidationError, f"10000000000 frames exceed the limit of "
+            f"{MAX_SLOTS} per video")
+        assert allocation_peak(lambda: call(vocab)) < 2 ** 20
+
+    def test_the_limit_itself_is_allowed(self):
+        # 1 us slots and 1 fps frames: counts equal to the durations in
+        # us and s, so nothing is allocated to probe the edge
+        assert num_slots(MAX_SLOTS / 1e6, 1e-6) == MAX_SLOTS
+        assert frame_count(MAX_SLOTS + 0.5, 1.0) == MAX_SLOTS
+        with pytest.raises(ValidationError, match=f"^{MAX_SLOTS + 1} slots"):
+            num_slots((MAX_SLOTS + 1) / 1e6, 1e-6)
+        with pytest.raises(ValidationError, match=f"^{MAX_SLOTS + 1} frames"):
+            frame_count(MAX_SLOTS + 1, 1.0)
 
 
 class TestPredictionStream:
