@@ -29,9 +29,9 @@ def corpus_metrics(manifest, baseline, delta_t, **kwargs):
         gt = discretize(track.intervals, track.duration_s, delta_t,
                         manifest.vocabulary)
         stream, matrix = baseline(track, delta_t, manifest.vocabulary, **kwargs)
-        trace = evaluate_grids(stream.as_grid(), gt)
-        ia_traces.append((track.duration_s, [p.ia for p in trace]))
-        wia_traces.append((track.duration_s, [p.wia for p in trace]))
+        rows = evaluate_grids(stream.as_grid(), gt).rows
+        ia_traces.append((track.duration_s, rows[:, 1].tolist()))
+        wia_traces.append((track.duration_s, rows[:, 2].tolist()))
         matrices.append(matrix)
     tracks = list(manifest.tracks)
     return {

@@ -16,6 +16,7 @@ from .errors import (
     VocabularyError,
 )
 from .ia import (
+    IATrace,
     IATracePoint,
     MatchingMode,
     MetricState,

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .baselines import all_bg, perfect_model
 from .errors import EvaluationError, ValidationError
@@ -27,7 +29,7 @@ from .formats import (
     write_predictions,
 )
 from .ia import MatchingMode, evaluate_grids, maia
-from .offline import frame_cap, frame_map
+from .offline import frame_cap, frame_count, frame_map
 from .timeline import discretize, slot_us
 
 TRACE_HEADER = "t_s,ia,wia,weight_w"
@@ -38,10 +40,11 @@ def _safe_filename(video_id: str) -> str:
 
 
 def _write_trace(path: Path, trace) -> None:
-    # one %-format over the whole trace; "%.6f" writes the same digits
-    # as f"{x:.6f}"
+    # one %-format over the whole trace, an IATrace, its rows or a list
+    # of points alike; "%.6f" writes the same digits as f"{x:.6f}"
     row = "%.6f,%.6f,%.6f,%.6f\n"
-    body = (row * len(trace)) % tuple(chain.from_iterable(trace))
+    values = np.asarray(trace, np.float64).ravel().tolist()
+    body = (row * len(trace)) % tuple(values)
     path.write_text(f"{TRACE_HEADER}\n{body}", encoding="utf-8")
 
 
@@ -57,6 +60,12 @@ def _check_delta_t(delta_t_s: float) -> None:
     except ValidationError:
         raise EvaluationError(f"--delta-t {delta_t_s} must be a finite slot "
                               "size of at least 1 microsecond") from None
+
+
+def _check_fps(fps: float | None) -> None:
+    """Fail on an ``--fps`` that :func:`frame_count` rejects, naming the flag."""
+    if fps is not None and not 0 < fps < math.inf:
+        raise EvaluationError(f"--fps {fps} must be finite and > 0")
 
 
 def cmd_evaluate(args) -> int:
@@ -78,7 +87,8 @@ def cmd_evaluate(args) -> int:
                                   args.delta_t)
             gt_grid = discretize(track.intervals, track.duration_s,
                                  args.delta_t, manifest.vocabulary)
-            trace = evaluate_grids(stream.as_grid(), gt_grid, mode)
+            rows = np.asarray(evaluate_grids(stream.as_grid(), gt_grid, mode),
+                              np.float64)
         except EvaluationError as exc:
             failures[vid] = f"line {lineno}: {exc}"
             continue
@@ -86,20 +96,22 @@ def cmd_evaluate(args) -> int:
             named = ": ".join(filter(None, (type(exc).__name__, str(exc))))
             failures[vid] = f"line {lineno}: {named}"
             continue
-        _write_trace(out_dir / f"{_safe_filename(vid)}.trace.csv", trace)
-        results[vid] = track, trace
+        _write_trace(out_dir / f"{_safe_filename(vid)}.trace.csv", rows)
+        results[vid] = track, rows
 
     per_video = {}
     ia_traces, wia_traces = [], []
     for vid in sorted(results):
-        track, trace = results[vid]
-        ia_traces.append((track.duration_s, [p.ia for p in trace]))
-        wia_traces.append((track.duration_s, [p.wia for p in trace]))
+        track, rows = results[vid]
+        # Python floats: round() of an np.float64 rounds another way
+        ia_values, wia_values = rows[:, 1].tolist(), rows[:, 2].tolist()
+        ia_traces.append((track.duration_s, ia_values))
+        wia_traces.append((track.duration_s, wia_values))
         per_video[vid] = {
             "duration_s": track.duration_s,
-            "slots": len(trace),
-            "final_ia": round(trace[-1].ia, 6),
-            "final_wia": round(trace[-1].wia, 6),
+            "slots": len(rows),
+            "final_ia": round(ia_values[-1], 6),
+            "final_wia": round(wia_values[-1], 6),
         }
 
     summary = {
@@ -160,9 +172,16 @@ def cmd_offline(args) -> int:
 
 def cmd_baseline(args) -> int:
     _check_delta_t(args.delta_t)
+    _check_fps(args.fps)
     manifest = load_canonical_gt(args.gt)
     streams, matrices = [], []
     for track in sorted(manifest.tracks, key=lambda t: t.video_id):
+        if args.fps is not None:
+            try:
+                frame_count(track.duration_s, args.fps)
+            except ValidationError as exc:
+                raise EvaluationError(f"video {track.video_id!r}: {exc} "
+                                      f"at --fps {args.fps}") from None
         if args.kind == "all-bg":
             stream, matrix = all_bg(track, args.delta_t, manifest.vocabulary,
                                     fps=args.fps)

@@ -142,20 +142,31 @@ def _is_number(value) -> bool:
         return False
 
 
+# what _require's type error calls each accepted ``types``
+_KINDS = {str: "a string", list: "a list", (int, float): "a number"}
+
+
 def _require(obj: dict, key: str, types, path=None, lineno=None):
     """``obj[key]`` if it is one of ``types``, else a :class:`ParseError`.
 
-    ``(int, float)`` means a finite number: bools, NaN and infinities
-    fail. A missing ``path`` or ``lineno`` is left out of the message.
+    ``types`` is one of ``str``, ``list`` or ``(int, float)``, and the
+    type error names it in words. ``(int, float)`` means a finite
+    number: bools, NaN and infinities fail, and the error shows at most
+    40 characters of the value. A missing ``path`` or ``lineno`` is left
+    out of the message.
     """
     if key not in obj:
         raise ParseError("missing field", path=path, line=lineno, field=key)
     value = obj[key]
     if not isinstance(value, types):
-        raise ParseError(f"expected {types} but got {type(value).__name__}",
-                         path=path, line=lineno, field=key)
+        raise ParseError(
+            f"expected {_KINDS[types]} but got {type(value).__name__}",
+            path=path, line=lineno, field=key)
     if types == (int, float) and not _is_number(value):
-        raise ParseError(f"expected a finite number but got {value!r}",
+        shown = repr(value)
+        if len(shown) > 40:
+            shown = f"{shown[:37]}..."
+        raise ParseError(f"expected a finite number but got {shown}",
                          path=path, line=lineno, field=key)
     return value
 

@@ -24,7 +24,10 @@ completed grids at once: the counters are prefix sums, taken with NumPy.
 Every value is one float division of two exact integers, so the prefix
 sums match the streaming engine bit for bit up to
 :data:`EXACT_PREFIX_SLOTS` slots; longer grids are replayed through
-:class:`StreamingEvaluator`.
+:class:`StreamingEvaluator`. Its result is an :class:`IATrace`: one
+read-only ``(K, 4)`` float64 array whose columns are the four
+:class:`IATracePoint` fields, so writers and aggregates read whole
+columns while indexing and iteration still yield points.
 
 Only the seen prefix ever enters a value: the metric is causal by
 construction, and :func:`oracle_ia` re-derives every instant from scratch
@@ -34,7 +37,10 @@ construction, and :func:`oracle_ia` re-derives every instant from scratch
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Sequence
+import operator
+from collections.abc import Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -117,6 +123,60 @@ def _trace_point(k: int, tp: int, tn: int, p: int, n: int,
         return _new_point(IATracePoint, (k * delta_t_s, ia,
                           (n * n * tp + p * p * tn) / (n * p * k), n / p))
     return _new_point(IATracePoint, (k * delta_t_s, ia, ia, 1.0))
+
+
+class IATrace(Sequence):
+    """A read-only sequence of :class:`IATracePoint` over one float64 array.
+
+    ``rows`` has shape ``(K, 4)`` with the columns ``t_s, ia, wia,
+    weight_w`` and is not writeable; a float64 array passed in is taken
+    as is, not copied, and made read-only. Indexing and iteration yield
+    points of Python floats, a slice is an :class:`IATrace` over a view,
+    and ``+`` concatenates. A trace equals another with equal rows, and
+    any sequence of 4-tuples equal to its list of points;
+    ``numpy.asarray`` returns ``rows`` itself.
+    """
+
+    __slots__ = ("rows",)
+    __hash__ = None
+
+    def __init__(self, rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise ValidationError(
+                f"a trace needs shape (K, 4), got {rows.shape}")
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return IATrace(self.rows[index])
+        return _new_point(IATracePoint,
+                          self.rows[operator.index(index)].tolist())
+
+    def __iter__(self):
+        return map(_new_point, repeat(IATracePoint), self.rows.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.rows, dtype=dtype, copy=copy)
+
+    def __add__(self, other):
+        if not isinstance(other, IATrace):
+            return NotImplemented
+        return IATrace(np.concatenate((self.rows, other.rows)))
+
+    def __eq__(self, other):
+        if isinstance(other, IATrace):
+            return np.array_equal(self.rows, other.rows)
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"IATrace({self.rows!r})"
 
 
 class StreamingEvaluator:
@@ -207,7 +267,7 @@ EXACT_PREFIX_SLOTS = 330_280
 
 
 def _prefix_sum_trace(grid_pred: SlotGrid, grid_gt: SlotGrid,
-                      mode: MatchingMode) -> list[IATracePoint]:
+                      mode: MatchingMode) -> IATrace:
     k = len(grid_gt)
     pred = np.fromiter(grid_pred.codes, np.int64, k)
     truth = np.fromiter(grid_gt.codes, np.int64, k)
@@ -229,17 +289,19 @@ def _prefix_sum_trace(grid_pred: SlotGrid, grid_gt: SlotGrid,
                    / np.where(both, n * p * seen, 1), ia)
     w = np.where(both, n / np.maximum(p, 1), 1.0)
     t_s = seen * grid_gt.delta_t_s
-    return list(map(IATracePoint._make, zip(
-        t_s.tolist(), ia.tolist(), wia.tolist(), w.tolist())))
+    return IATrace(np.column_stack((t_s, ia, wia, w)))
 
 
 def evaluate_grids(grid_pred: SlotGrid, grid_gt: SlotGrid,
                    mode: MatchingMode = MatchingMode.CLASS_AWARE,
-                   ) -> list[IATracePoint]:
+                   ) -> IATrace:
     """Trace two completed grids; equals feeding a :class:`StreamingEvaluator`.
 
     Grids of up to :data:`EXACT_PREFIX_SLOTS` slots are scored by prefix
-    sums over class codes; longer ones are replayed slot by slot.
+    sums over class codes; longer ones are replayed slot by slot. Either
+    way the result is an :class:`IATrace`, equal to the evaluator's
+    ``trace`` list point for point; its ``rows`` columns are what batch
+    writers and :func:`maia` read.
     """
     _check_grids(grid_pred, grid_gt)
     if len(grid_gt) <= EXACT_PREFIX_SLOTS:
@@ -247,7 +309,7 @@ def evaluate_grids(grid_pred: SlotGrid, grid_gt: SlotGrid,
     evaluator = StreamingEvaluator(grid_gt, mode)
     for label in grid_pred.labels:
         evaluator.consume(label)
-    return evaluator.trace
+    return IATrace(evaluator.trace)
 
 
 def _k_prime_at(grid: SlotGrid, t_prime_s: float) -> int:
@@ -288,7 +350,8 @@ def weight_trace(grid_gt: SlotGrid) -> list[tuple[float, float]]:
     only, never on predictions: it is the ``weight_w`` column of the
     ground truth scored against itself.
     """
-    return [(p.t_s, p.weight_w) for p in evaluate_grids(grid_gt, grid_gt)]
+    rows = evaluate_grids(grid_gt, grid_gt).rows
+    return list(zip(rows[:, 0].tolist(), rows[:, 3].tolist()))
 
 
 def maia(per_video_traces: Iterable[tuple[float, Sequence[float]]],

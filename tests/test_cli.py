@@ -19,7 +19,7 @@ from oadeval.formats import (
     load_canonical_gt,
     write_canonical_gt,
 )
-from oadeval.ia import IATracePoint
+from oadeval.ia import IATrace, IATracePoint
 from oadeval.timeline import (
     MAX_SLOTS,
     AnnotationTrack,
@@ -268,6 +268,9 @@ class TestEvaluate:
             for p in trace]
         assert (tmp_path / "t.csv").read_bytes() == (
             "\n".join(rows) + "\n").encode()
+        _write_trace(tmp_path / "columnar.csv", IATrace(trace))
+        assert (tmp_path / "columnar.csv").read_bytes() == (
+            tmp_path / "t.csv").read_bytes()
 
     def test_nan_duration_is_a_located_error(self, tmp_path, worked_pred,
                                              capsys):
@@ -414,8 +417,20 @@ class TestBaseline:
             "--out", out)))
         assert codes == [1] and peak < 2 ** 20
         assert capsys.readouterr().err == (
-            f"error: 10000000000 frames exceed the limit of {MAX_SLOTS} "
-            "per video\n")
+            "error: video 'worked-example': 10000000000 frames exceed the "
+            f"limit of {MAX_SLOTS} per video at --fps 1000000000.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["pm", "all-bg"])
+    @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_fps_is_one_error_before_any_input(self, tmp_path, capsys,
+                                                   kind, fps):
+        # the ground truth does not exist: the flag is checked first
+        out = tmp_path / "p.jsonl"
+        assert run("baseline", "--gt", tmp_path / "missing.jsonl",
+                   "--kind", kind, f"--fps={fps}", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: --fps {float(fps)} must be finite and > 0\n")
         assert not out.exists()
 
     def test_seed_changes_pm_scores(self, tmp_path, worked_gt):
@@ -577,6 +592,28 @@ def fuzz_clean_run(tmp_path_factory):
     assert code == 0, err
     return gt, {p.name: p.read_bytes()
                 for p in (root / "clean").glob("*.trace.csv")}
+
+
+@pytest.mark.parametrize("mode", ["class-aware", "binary"])
+def test_plain_list_traces_write_the_same_bytes(tmp_path, monkeypatch, mode):
+    # evaluate reads the batch trace as an array, so a plain list of
+    # points from a substitute evaluate_grids writes the same files
+    gt = _write_lines(tmp_path / "gt.jsonl", map(json.dumps, FUZZ_GT_RECORDS))
+    pred = _write_lines(tmp_path / "p.jsonl", map(json.dumps, FUZZ_RECORDS))
+    columnar, plain = tmp_path / "columnar", tmp_path / "plain"
+    assert run("evaluate", "--gt", gt, "--pred", pred, "--mode", mode,
+               "--out-dir", columnar) == 0
+    evaluate_grids = cli.evaluate_grids
+    monkeypatch.setattr(cli, "evaluate_grids",
+                        lambda *args: list(evaluate_grids(*args)))
+    assert run("evaluate", "--gt", gt, "--pred", pred, "--mode", mode,
+               "--out-dir", plain) == 0
+    names = sorted(p.name for p in columnar.iterdir())
+    assert names == ["a.trace.csv", "b.trace.csv", "c.trace.csv",
+                     "summary.json"]
+    assert names == sorted(p.name for p in plain.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (columnar / name).read_bytes()
 
 
 def check_fails_alone(run_result, out, clean_traces, video_id, path, line):

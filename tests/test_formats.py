@@ -158,6 +158,27 @@ class TestCanonicalGt:
             load_canonical_gt(path)
         assert err.split()[0].lower() in str(excinfo.value).lower()
 
+    @pytest.mark.parametrize("fields,err", [
+        ({"duration_s": "4"}, "field 'duration_s': expected a number but got str"),
+        ({"video_id": 7}, "field 'video_id': expected a string but got int"),
+        ({"intervals": {}}, "field 'intervals': expected a list but got dict"),
+        ({"intervals": [{"label": "a", "start_s": None, "end_s": 1.0}]},
+         "field 'start_s': expected a number but got NoneType"),
+        # 37 characters of the 401-digit repr, then an ellipsis
+        ({"duration_s": 10 ** 400},
+         f"field 'duration_s': expected a finite number but got {'1' + '0' * 36}..."),
+        ({"duration_s": -10 ** 400},
+         f"field 'duration_s': expected a finite number but got {'-1' + '0' * 35}..."),
+    ])
+    def test_field_errors_name_the_kind_in_words(self, tmp_path, fields, err):
+        path = tmp_path / "gt.jsonl"
+        record = {"record": "video", "video_id": "v", "duration_s": 4.0,
+                  "intervals": [], **fields}
+        path.write_text(f"{self.VOCAB}\n{json.dumps(record)}\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}, line 2, {err}") + "$"):
+            load_canonical_gt(path)
+
     def test_unknown_interval_label_rejected(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         path.write_text(

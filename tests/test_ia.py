@@ -3,6 +3,7 @@
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from oadeval import ia
 from oadeval.errors import DegenerateInputError, ValidationError, VocabularyError
 from oadeval.ia import (
     EXACT_PREFIX_SLOTS,
+    IATrace,
     IATracePoint,
     MatchingMode,
     MetricState,
@@ -371,6 +373,81 @@ class TestExactPrefixBound:
         assert num_slots(k * 0.5, 0.5) == k  # within the slot-count limit
         gt = make_grid(("jump", "background") * (k // 2) + ("jump",), vocab)
         trace = evaluate_grids(gt, gt, MatchingMode.BINARY)
+        assert isinstance(trace, IATrace)
+        assert trace == replay(gt, gt, MatchingMode.BINARY)
         assert len(trace) == k
         assert trace[-1] == IATracePoint(k * 0.5, 1.0, 1.0,
                                          (k // 2) / (k // 2 + 1))
+
+
+class TestIATrace:
+    """The batch trace is one read-only array that still reads as points."""
+
+    @pytest.fixture
+    def pair(self, vocab):
+        gt = make_grid(["background", "jump", "jump", "run", "background"],
+                       vocab)
+        pred = make_grid(["background", "jump", "run", "run", "jump"], vocab)
+        return pred, gt
+
+    def test_columnar_rows(self, pair):
+        trace = evaluate_grids(*pair)
+        assert isinstance(trace, IATrace)
+        assert trace.rows.shape == (5, 4) and trace.rows.dtype == np.float64
+        assert np.asarray(trace) is trace.rows
+        assert trace.rows.tolist() == [list(p) for p in oracle_ia(*pair)]
+
+    @pytest.mark.parametrize("mode", list(MatchingMode))
+    def test_equals_oracle_lists_both_ways(self, pair, mode):
+        trace = evaluate_grids(*pair, mode)
+        expected = oracle_ia(*pair, mode)
+        assert trace == expected and expected == trace
+        assert not (trace != expected) and not (expected != trace)
+        assert trace == tuple(expected)
+        assert trace != expected[:-1] and expected[:-1] != trace
+        wrong = expected[:-1] + [expected[-1]._replace(ia=0.0)]
+        assert trace != wrong and wrong != trace
+        assert trace != [list(p) for p in expected]  # rows are not points
+        assert trace != "t_s,ia,wia,weight_w" and trace != 4
+
+    def test_slices_and_concatenation_are_traces(self, pair):
+        trace = evaluate_grids(*pair)
+        points = oracle_ia(*pair)
+        for part in (trace[1:3], trace[:-1], trace[::-1], trace[5:]):
+            assert isinstance(part, IATrace)
+        assert trace[1:3] == points[1:3] and trace[::-1] == points[::-1]
+        shifted = trace[:1] + trace[:-1]
+        assert isinstance(shifted, IATrace)
+        assert shifted == points[:1] + points[:-1]
+        assert trace[:2] + trace[2:] == trace
+        assert trace[-1] == points[-1] and trace[-5] == points[0]
+        with pytest.raises(IndexError):
+            trace[5]
+        with pytest.raises(TypeError):
+            trace + points
+
+    def test_values_are_python_floats(self, pair):
+        trace = evaluate_grids(*pair)
+        points = [trace[0], trace[-1], *trace]
+        assert all(type(p) is IATracePoint for p in points)
+        assert all(type(v) is float for p in points for v in p)
+        assert type(trace[2].wia) is float
+
+    def test_rows_refuse_assignment(self, pair):
+        trace = evaluate_grids(*pair)
+        with pytest.raises(ValueError, match="read-only"):
+            trace.rows[0, 1] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            trace[1:].rows[:] = 0.0
+        with pytest.raises(TypeError):
+            hash(trace)
+
+    def test_built_from_points(self, pair):
+        points = oracle_ia(*pair)
+        trace = IATrace(points)
+        assert trace == points and trace == evaluate_grids(*pair)
+        empty = IATrace(np.zeros((0, 4)))
+        assert len(empty) == 0 and empty == [] and trace[5:] == empty
+        for bad in ([], np.zeros((2, 3)), points[0]):
+            with pytest.raises(ValidationError, match="shape"):
+                IATrace(bad)
