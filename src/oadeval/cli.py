@@ -30,7 +30,7 @@ from .formats import (
 )
 from .ia import MatchingMode, evaluate_grids, maia
 from .offline import frame_cap, frame_count, frame_map
-from .timeline import discretize, slot_us
+from .timeline import discretize, num_slots, slot_us
 
 TRACE_HEADER = "t_s,ia,wia,weight_w"
 
@@ -39,13 +39,79 @@ def _safe_filename(video_id: str) -> str:
     return re.sub(r"[^\w.-]", "_", video_id)
 
 
+def _text_words() -> np.ndarray:
+    """Four ASCII bytes per uint32, the pieces of a ``"%.6f"`` value.
+
+    ``v < 10**4`` is at ``v`` zero-padded, at ``_HIGH + v`` space-padded
+    and blank for 0, and at ``_ALONE + v`` space-padded; ``v < 1000`` is
+    at ``_POINT + v`` as ``".ddd"`` and at ``_LAST[c] + v`` as ``"ddd"``
+    and the separator that follows column ``c`` of a trace row.
+    """
+    quad = np.arange(10_000, dtype=np.int16)[:, None]
+    digits = (quad // np.array([1000, 100, 10, 1], np.int16) % 10
+              + ord("0")).astype(np.uint8)
+    triple = digits[:1000, 1:]
+    return np.concatenate([
+        digits,
+        np.where(quad < [1000, 100, 10, 1], ord(" "), digits),
+        np.where(quad < [1000, 100, 10, 0], ord(" "), digits),
+        np.insert(triple, 0, ord("."), axis=1),
+        np.insert(triple, 3, ord(","), axis=1),
+        np.insert(triple, 3, ord("\n"), axis=1),
+    ]).view(np.uint32).ravel()
+
+
+_WORDS = _text_words()
+_HIGH, _ALONE, _POINT = 10_000, 20_000, 30_000
+_LAST = np.array([31_000, 31_000, 31_000, 32_000])
+_BLOCK_ROWS = 4096
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """``b"%.6f,%.6f,%.6f,%.6f\\n"`` of each row of a ``(n, 4)`` block.
+
+    ``%.6f`` writes ``x * 10**6`` rounded half to even from the exact
+    binary value. ``np.rint`` of the float product rounds it the same
+    way unless the product lands on a tie ``k + 1/2``: the product is
+    correctly rounded, and every tie below 2**52 is a float, so rounding
+    can land on a tie but never cross one. Such values, those whose
+    product may round to ``10**14`` or more, and negative or non-finite
+    ones are left to ``"%.6f"``, which formats their rows whole. Every
+    other value is four words of ``_WORDS``, two for the integer part
+    and two for the decimals and the separator; the spaces that pad the
+    integer part are then deleted.
+    """
+    x = rows.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 1e6
+        fast = ~np.signbit(x) & (y < 1e14 - 1) & (y - np.floor(y) != 0.5)
+    n = np.rint(np.where(fast, y, 0.0)).astype(np.int64)
+    whole = n // 1_000_000
+    frac = n - 1_000_000 * whole
+    high = whole // 10_000
+    point = frac // 1000
+    last = (frac - 1000 * point).reshape(-1, 4) + _LAST
+    words = np.column_stack((
+        high + _HIGH, whole - 10_000 * high + (high == 0) * _ALONE,
+        point + _POINT, last.ravel()))
+    text = _WORDS[words].tobytes()
+    pieces, start = [], 0
+    for r in dict.fromkeys((np.flatnonzero(~fast) // 4).tolist()):
+        pieces += (text[start * 64:r * 64].translate(None, b" "),
+                   b"%.6f,%.6f,%.6f,%.6f\n" % tuple(rows[r].tolist()))
+        start = r + 1
+    pieces.append(text[start * 64:].translate(None, b" "))
+    return b"".join(pieces)
+
+
 def _write_trace(path: Path, trace) -> None:
-    # one %-format over the whole trace, an IATrace, its rows or a list
-    # of points alike; "%.6f" writes the same digits as f"{x:.6f}"
-    row = "%.6f,%.6f,%.6f,%.6f\n"
-    values = np.asarray(trace, np.float64).ravel().tolist()
-    body = (row * len(trace)) % tuple(values)
-    path.write_text(f"{TRACE_HEADER}\n{body}", encoding="utf-8")
+    # an IATrace, its rows or a list of points alike, in fixed-size
+    # blocks so that the formatting buffers do not grow with the trace
+    rows = np.asarray(trace, np.float64).reshape(-1, 4)
+    with open(path, "wb") as out:
+        out.write(f"{TRACE_HEADER}\n".encode())
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            out.write(_format_rows(rows[start:start + _BLOCK_ROWS]))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -175,13 +241,16 @@ def cmd_baseline(args) -> int:
     _check_fps(args.fps)
     manifest = load_canonical_gt(args.gt)
     streams, matrices = [], []
+    limits = [("--delta-t", args.delta_t, num_slots)]
+    if args.fps is not None:
+        limits.insert(0, ("--fps", args.fps, frame_count))
     for track in sorted(manifest.tracks, key=lambda t: t.video_id):
-        if args.fps is not None:
+        for flag, value, count in limits:
             try:
-                frame_count(track.duration_s, args.fps)
+                count(track.duration_s, value)
             except ValidationError as exc:
                 raise EvaluationError(f"video {track.video_id!r}: {exc} "
-                                      f"at --fps {args.fps}") from None
+                                      f"at {flag} {value}") from None
         if args.kind == "all-bg":
             stream, matrix = all_bg(track, args.delta_t, manifest.vocabulary,
                                     fps=args.fps)

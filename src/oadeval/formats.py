@@ -25,7 +25,11 @@ Every record passes the same field checks (:func:`_require`,
 wrong types, non-finite numbers, unknown record kinds) raise
 :class:`ParseError` naming the field, with the file and line;
 semantic problems (unknown labels, bounds, slot counts) raise
-validation errors naming the video. A prediction record's own checks
+validation errors naming the video. A list of intervals or events, a
+record's labels and its score rows are first checked as a whole, with
+one type set per column; only when that check fails are the entries
+checked one by one, which locates the fault (:func:`_parse_intervals`).
+A prediction record's own checks
 (:func:`build_stream`, :func:`build_scores`) leave the line to the
 caller, which knows it.
 :func:`read_predictions` alone decides which prediction record belongs
@@ -42,6 +46,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -55,11 +60,11 @@ from .timeline import (
     LabelVocabulary,
     PredictionStream,
     TimeInterval,
+    check_action_labels,
     events_to_stream,
     num_slots,
     seconds_to_us,
     slot_us,
-    sort_action_intervals,
 )
 
 
@@ -129,7 +134,8 @@ def _iter_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
-_SCORE_TYPES = {int, float}
+# exact types: bool is an int subclass but never a number here
+_NUMBER_TYPES = {int, float}
 
 
 def _is_number(value) -> bool:
@@ -189,6 +195,31 @@ def _parse_interval(entry: Any, path=None, lineno=None,
     return TimeInterval(label=label, start_s=float(start), end_s=float(end))
 
 
+def _parse_intervals(raw: list, path=None, lineno=None,
+                     key="intervals") -> tuple[TimeInterval, ...]:
+    """Every entry of the list ``key``, as :func:`_parse_interval` parses it.
+
+    A valid list passes a few whole-list checks at once: every entry is
+    an object, every label a ``str``, every time an ``int`` or ``float``
+    (so not a ``bool``) and finite. If any check fails or raises, the
+    entries are parsed one by one instead, so the same error names the
+    same entry.
+    """
+    try:
+        if set(map(type, raw)) <= {dict}:
+            labels = [e["label"] for e in raw]
+            starts = [e["start_s"] for e in raw]
+            ends = [e["end_s"] for e in raw]
+            if (set(map(type, labels)) <= {str}
+                    and set(map(type, starts + ends)) <= _NUMBER_TYPES
+                    and all(map(math.isfinite, starts + ends))):
+                return tuple(map(TimeInterval, labels, map(float, starts),
+                                 map(float, ends)))
+    except (KeyError, OverflowError):  # a missing field, a huge integer
+        pass
+    return tuple(_parse_interval(e, path, lineno, key) for e in raw)
+
+
 # ---------------------------------------------------------------------------
 # canonical ground truth
 
@@ -233,9 +264,8 @@ def load_canonical_gt(path: str | Path) -> CorpusManifest:
                 if not isinstance(multi, bool):
                     raise ParseError("expected a boolean", path=path,
                                      line=lineno, field="multi_label")
-                intervals = tuple(_parse_interval(e, path, lineno)
-                                  for e in raw)
-                sort_action_intervals(intervals, vocab)
+                intervals = _parse_intervals(raw, path, lineno)
+                check_action_labels(intervals, vocab)
                 tracks.append(AnnotationTrack(
                     video_id=video_id, duration_s=float(duration),
                     intervals=intervals, multi_label=multi))
@@ -474,7 +504,7 @@ def build_stream(kind: str, obj: dict, track: AnnotationTrack,
     """Validate one decisions/detections record against its track.
 
     Fields pass the ground-truth checks (:func:`_require`,
-    :func:`_parse_interval` on each of the ``events``), so a structural
+    :func:`_parse_intervals` on the ``events``), so a structural
     fault is a :class:`ParseError` naming the field but no line: the
     caller adds that. A decisions record's ``delta_t_s`` must pass
     :func:`~oadeval.timeline.slot_us` and equal ``delta_t_s`` in
@@ -489,7 +519,8 @@ def build_stream(kind: str, obj: dict, track: AnnotationTrack,
                 f"video {video_id!r}: decisions at delta_t {record_delta} s "
                 f"cannot be evaluated at delta_t {delta_t_s} s")
         labels = _require(obj, "labels", list)
-        if not all(isinstance(lab, str) for lab in labels):
+        if not (set(map(type, labels)) <= {str}
+                or all(isinstance(lab, str) for lab in labels)):
             raise ParseError("expected a list of strings", field="labels")
         expected = num_slots(track.duration_s, delta_t_s)
         if not labels:
@@ -506,8 +537,8 @@ def build_stream(kind: str, obj: dict, track: AnnotationTrack,
         stream.extend(labels)
         return stream
     if kind == "detections":
-        intervals = [_parse_interval(e, key="events")
-                     for e in _require(obj, "events", list)]
+        intervals = _parse_intervals(_require(obj, "events", list),
+                                     key="events")
         return events_to_stream(intervals, video_id, track.duration_s,
                                 delta_t_s, vocab)
     raise ValidationError(f"record kind {kind!r} is not a stream")
@@ -528,12 +559,16 @@ def build_scores(obj: dict, track: AnnotationTrack,
     expected = frame_count(track.duration_s, float(fps))
     rows = _require(obj, "scores", list)
     n_classes = len(vocab.classes)
-    for row in rows:
-        # exact types: bool is an int subclass but never a score
-        if (not isinstance(row, list) or len(row) != n_classes
-                or not set(map(type, row)) <= _SCORE_TYPES):
-            raise ValidationError(
-                f"video {video_id!r}: each score row needs {n_classes} numbers")
+    # one type set per record; when it fails, the row loop decides (a
+    # list subclass passes there)
+    if not (set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {n_classes}
+            and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
+        for row in rows:
+            if (not isinstance(row, list) or len(row) != n_classes
+                    or not set(map(type, row)) <= _NUMBER_TYPES):
+                raise ValidationError(f"video {video_id!r}: each score row "
+                                      f"needs {n_classes} numbers")
     if len(rows) != expected:
         raise ValidationError(
             f"video {video_id!r}: {len(rows)} score rows but a "

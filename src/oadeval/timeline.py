@@ -244,20 +244,30 @@ def paint_midpoints(bounds: Sequence[tuple], mids: Sequence, fill) -> list:
     return painted
 
 
+def check_action_labels(intervals: Iterable[TimeInterval],
+                        vocab: LabelVocabulary) -> None:
+    """Check that every interval label is an action class.
+
+    Labels are checked in the given order, each once: an unknown one
+    raises :class:`VocabularyError`, a background one
+    :class:`ValidationError`, since background is whatever the intervals
+    leave uncovered.
+    """
+    for label in dict.fromkeys([iv.label for iv in intervals]):
+        if not vocab.is_action(label):
+            raise ValidationError("background intervals are implicit, never stored")
+
+
 def sort_action_intervals(intervals: Iterable[TimeInterval],
                           vocab: LabelVocabulary) -> list[TimeInterval]:
-    """Check every label is an action class, then sort by start and label.
+    """Check the labels (:func:`check_action_labels`), then sort them.
 
-    Labels are checked in the given order: an unknown one raises
-    :class:`VocabularyError`, a background one :class:`ValidationError`,
-    since background is whatever the intervals leave uncovered. The
-    sorted list is what :func:`paint_midpoints` expects; both rasterizers
-    (slots here, frames in :mod:`oadeval.offline`) start from it.
+    The order, by start and then label, is what :func:`paint_midpoints`
+    expects; both rasterizers (slots here, frames in
+    :mod:`oadeval.offline`) start from it.
     """
     intervals = tuple(intervals)
-    for iv in intervals:
-        if not vocab.is_action(iv.label):
-            raise ValidationError("background intervals are implicit, never stored")
+    check_action_labels(intervals, vocab)
     return sorted(intervals, key=lambda iv: (iv.start_us, iv.label))
 
 

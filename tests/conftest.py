@@ -1,4 +1,5 @@
-"""Shared fixtures: the 20-slot worked example used across the suite.
+"""Shared fixtures: the 20-slot worked example used across the suite,
+and the suite's hypothesis profile.
 
 A 10 s video at delta_t = 0.5 s; ground truth has one "jump" interval
 on [2.0, 5.0) (slots 5-10), the predictor reports "jump" on [2.0, 4.0)
@@ -6,6 +7,7 @@ on [2.0, 5.0) (slots 5-10), the predictor reports "jump" on [2.0, 4.0)
 """
 
 import pytest
+from hypothesis import settings
 
 from oadeval.timeline import (
     AnnotationTrack,
@@ -16,6 +18,11 @@ from oadeval.timeline import (
 
 DELTA_T = 0.5
 DURATION = 10.0
+
+# every property test draws the same examples on every run, however long
+# each one takes; a test's own @settings still sets its max_examples
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.load_profile("default")
 
 
 @pytest.fixture

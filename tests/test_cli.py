@@ -4,9 +4,11 @@ import copy
 import io
 import json
 import re
+import struct
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,26 @@ def worked_gt():
 @pytest.fixture
 def worked_pred():
     return DATA / "worked_example.pred.jsonl"
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# values for every path of the trace writer: any float64 bit pattern
+# (negatives, -0.0, NaN, infinities, subnormals, huge values), decimal
+# ties (k + 1/2) / 10**6, exact binary ties m / 128, and values around
+# 10**8 and 2**51 / 10**6, where it hands the formatting to "%.6f"
+TRACE_VALUES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_float_from_bits),
+    st.integers(0, 10 ** 15).map(lambda k: (k + 0.5) / 1e6),
+    st.integers(0, 2 ** 50).map(lambda m: m / 128),
+    st.floats(0.0, 1e4),
+    st.floats(1e8 - 1, 1e8 + 1),
+    st.floats(2 ** 51 / 1e6 - 1, 2 ** 51 / 1e6 + 1),
+    st.sampled_from([0.0, -0.0, 5e-7, 2.5e-7, 5e-324, 99999999.9999996,
+                     float("nan"), float("inf")]),
+)
 
 
 class TestEvaluate:
@@ -272,6 +294,32 @@ class TestEvaluate:
         assert (tmp_path / "columnar.csv").read_bytes() == (
             tmp_path / "t.csv").read_bytes()
 
+    @given(values=st.lists(TRACE_VALUES, min_size=1, max_size=48),
+           block_rows=st.sampled_from([1, 3, cli._BLOCK_ROWS]))
+    @settings(max_examples=400)
+    def test_trace_bytes_match_per_value_formatting(self, values, block_rows):
+        values += [0.0] * (-len(values) % 4)
+        rows = [values[i:i + 4] for i in range(0, len(values), 4)]
+        expected = "".join(
+            ",".join(f"{x:.6f}" for x in row) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            _write_trace(Path(tmp) / "t.csv", rows)
+            written = (Path(tmp) / "t.csv").read_bytes()
+        assert written == f"{cli.TRACE_HEADER}\n{expected}".encode()
+
+    def test_trace_longer_than_a_block(self, tmp_path):
+        # rows "%.6f" writes itself sit on and around block edges
+        n = 2 * cli._BLOCK_ROWS + 5
+        t = [j * 0.5 for j in range(1, n + 1)]
+        odd = {0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, n - 1}
+        rows = [[t[j], (j + 0.5) / 1e6 if j in odd else j / n, 1 / 128,
+                 float("nan") if j in odd else 3 * j / 7] for j in range(n)]
+        _write_trace(tmp_path / "t.csv", IATrace(rows))
+        assert (tmp_path / "t.csv").read_text().splitlines() == [
+            cli.TRACE_HEADER] + [",".join(f"{x:.6f}" for x in row)
+                                 for row in rows]
+
     def test_nan_duration_is_a_located_error(self, tmp_path, worked_pred,
                                              capsys):
         gt = tmp_path / "gt.jsonl"
@@ -419,6 +467,25 @@ class TestBaseline:
         assert capsys.readouterr().err == (
             "error: video 'worked-example': 10000000000 frames exceed the "
             f"limit of {MAX_SLOTS} per video at --fps 1000000000.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["pm", "all-bg"])
+    def test_huge_duration_fails_before_allocating(self, tmp_path, capsys,
+                                                   kind):
+        # 2e12 slots at 0.5 s: over the limit, never allocated
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(
+            '{"record": "vocabulary", "classes": ["jump"], '
+            '"background": "background"}\n'
+            '{"record": "video", "video_id": "long", "duration_s": 1e12, '
+            '"intervals": []}\n')
+        out, codes = tmp_path / "p.jsonl", []
+        peak = allocation_peak(lambda: codes.append(run(
+            "baseline", "--gt", gt, "--kind", kind, "--out", out)))
+        assert codes == [1] and peak < 2 ** 20
+        assert capsys.readouterr().err == (
+            "error: video 'long': 2000000000000 slots exceed the limit of "
+            f"{MAX_SLOTS} per video at --delta-t 0.5\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["pm", "all-bg"])

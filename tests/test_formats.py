@@ -3,12 +3,14 @@
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oadeval import formats
 from oadeval.errors import ParseError, ValidationError, VocabularyError
 from oadeval.formats import (
     CorpusManifest,
@@ -62,6 +64,15 @@ def manifests():
         return CorpusManifest(vocabulary=vocab, tracks=tuple(tracks))
 
     return build()
+
+
+@st.composite
+def interval_entries(draw):
+    """A valid interval entry, its times ints or floats."""
+    start = draw(st.one_of(st.integers(0, 10 ** 6), st.floats(0.0, 1e6)))
+    length = draw(st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3)))
+    return {"label": draw(st.sampled_from(["a", "walk", "bg"])),
+            "start_s": start, "end_s": start + length}
 
 
 class TestCanonicalGt:
@@ -169,6 +180,17 @@ class TestCanonicalGt:
          f"field 'duration_s': expected a finite number but got {'1' + '0' * 36}..."),
         ({"duration_s": -10 ** 400},
          f"field 'duration_s': expected a finite number but got {'-1' + '0' * 35}..."),
+        # interval faults the whole-list checks send to the entry loop
+        ({"intervals": [{"label": "a", "start_s": 0, "end_s": 1},
+                        {"label": "a", "start_s": 2, "end_s": 10 ** 400}]},
+         f"field 'end_s': expected a finite number but got {'1' + '0' * 36}..."),
+        ({"intervals": [{"label": "a", "start_s": True, "end_s": 1.0}]},
+         "field 'start_s': expected a finite number but got True"),
+        ({"intervals": [{"label": "a", "start_s": 0.0, "end_s": 1.0},
+                        {"start_s": 1.0, "end_s": 2.0}]},
+         "field 'label': missing field"),
+        ({"intervals": [{"label": "a", "start_s": 0.0, "end_s": 1.0}, 7]},
+         "field 'intervals': interval must be an object"),
     ])
     def test_field_errors_name_the_kind_in_words(self, tmp_path, fields, err):
         path = tmp_path / "gt.jsonl"
@@ -178,6 +200,23 @@ class TestCanonicalGt:
         with pytest.raises(ParseError, match=re.escape(
                 f"{path}, line 2, {err}") + "$"):
             load_canonical_gt(path)
+
+    @given(entries=st.lists(interval_entries(), max_size=30),
+           key=st.sampled_from(["intervals", "events"]))
+    @settings(max_examples=200)
+    def test_whole_list_interval_checks_match_the_entry_loop(self, entries,
+                                                             key):
+        # the entry loop must not run: a valid list passes in bulk
+        with mock.patch.object(formats, "_parse_interval",
+                               side_effect=AssertionError):
+            bulk = formats._parse_intervals(entries, "gt.jsonl", 2, key)
+        one_by_one = tuple(formats._parse_interval(e, "gt.jsonl", 2, key)
+                           for e in entries)
+        assert bulk == one_by_one
+        assert [(type(iv.start_s), type(iv.end_s), iv.start_us, iv.end_us)
+                for iv in bulk] == [
+            (type(iv.start_s), type(iv.end_s), iv.start_us, iv.end_us)
+            for iv in one_by_one]
 
     def test_unknown_interval_label_rejected(self, tmp_path):
         path = tmp_path / "gt.jsonl"
@@ -453,6 +492,21 @@ class TestPredictions:
             "record": "scores", "video_id": "worked-example", "fps": 2.0,
             "scores": rows}) + "\n")
         with pytest.raises(ValidationError, match="line 1: .*(numbers|float)"):
+            load_scores(path, manifest)
+
+    @pytest.mark.parametrize("row", [[0.5], [0.5, 0.5, 0.5], [], "0.5",
+                                     {"a": 0.5}, None])
+    def test_score_rows_of_the_wrong_shape_rejected(self, manifest, tmp_path,
+                                                    row):
+        rows = [[0.0, 0.0]] * 20
+        rows[3] = row
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({
+            "record": "scores", "video_id": "worked-example", "fps": 2.0,
+            "scores": rows}) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}, line 1: video 'worked-example': each score row "
+                "needs 2 numbers") + "$"):
             load_scores(path, manifest)
 
     def test_unknown_video_rejected(self, manifest, tmp_path):
