@@ -8,6 +8,7 @@ byte-identical trace files and summaries. Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -39,8 +40,12 @@ def _safe_filename(video_id: str) -> str:
     return re.sub(r"[^\w.-]", "_", video_id)
 
 
+@functools.cache
 def _text_words() -> np.ndarray:
     """Four ASCII bytes per uint32, the pieces of a ``"%.6f"`` value.
+
+    Built on the first trace written, so commands that write none do
+    not hold the table.
 
     ``v < 10**4`` is at ``v`` zero-padded, at ``_HIGH + v`` space-padded
     and blank for 0, and at ``_ALONE + v`` space-padded; ``v < 1000`` is
@@ -61,7 +66,6 @@ def _text_words() -> np.ndarray:
     ]).view(np.uint32).ravel()
 
 
-_WORDS = _text_words()
 _HIGH, _ALONE, _POINT = 10_000, 20_000, 30_000
 _LAST = np.array([31_000, 31_000, 31_000, 32_000])
 _BLOCK_ROWS = 4096
@@ -77,7 +81,7 @@ def _format_rows(rows: np.ndarray) -> bytes:
     can land on a tie but never cross one. Such values, those whose
     product may round to ``10**14`` or more, and negative or non-finite
     ones are left to ``"%.6f"``, which formats their rows whole. Every
-    other value is four words of ``_WORDS``, two for the integer part
+    other value is four words of :func:`_text_words`, two for the integer part
     and two for the decimals and the separator; the spaces that pad the
     integer part are then deleted.
     """
@@ -94,7 +98,7 @@ def _format_rows(rows: np.ndarray) -> bytes:
     words = np.column_stack((
         high + _HIGH, whole - 10_000 * high + (high == 0) * _ALONE,
         point + _POINT, last.ravel()))
-    text = _WORDS[words].tobytes()
+    text = _text_words()[words].tobytes()
     pieces, start = [], 0
     for r in dict.fromkeys((np.flatnonzero(~fast) // 4).tolist()):
         pieces += (text[start * 64:r * 64].translate(None, b" "),

@@ -519,8 +519,7 @@ def build_stream(kind: str, obj: dict, track: AnnotationTrack,
                 f"video {video_id!r}: decisions at delta_t {record_delta} s "
                 f"cannot be evaluated at delta_t {delta_t_s} s")
         labels = _require(obj, "labels", list)
-        if not (set(map(type, labels)) <= {str}
-                or all(isinstance(lab, str) for lab in labels)):
+        if not set(map(type, labels)) <= {str}:
             raise ParseError("expected a list of strings", field="labels")
         expected = num_slots(track.duration_s, delta_t_s)
         if not labels:
@@ -559,16 +558,11 @@ def build_scores(obj: dict, track: AnnotationTrack,
     expected = frame_count(track.duration_s, float(fps))
     rows = _require(obj, "scores", list)
     n_classes = len(vocab.classes)
-    # one type set per record; when it fails, the row loop decides (a
-    # list subclass passes there)
     if not (set(map(type, rows)) <= {list}
             and set(map(len, rows)) <= {n_classes}
             and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
-        for row in rows:
-            if (not isinstance(row, list) or len(row) != n_classes
-                    or not set(map(type, row)) <= _NUMBER_TYPES):
-                raise ValidationError(f"video {video_id!r}: each score row "
-                                      f"needs {n_classes} numbers")
+        raise ValidationError(f"video {video_id!r}: each score row "
+                              f"needs {n_classes} numbers")
     if len(rows) != expected:
         raise ValidationError(
             f"video {video_id!r}: {len(rows)} score rows but a "
