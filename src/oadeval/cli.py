@@ -149,9 +149,17 @@ def cmd_evaluate(args) -> int:
     records, failures = read_predictions(args.pred, manifest,
                                          ("decisions", "detections"))
     results = {}
+    # trace names written so far, casefolded, as a case-insensitive file
+    # system would compare them, each with the video that wrote it
+    written = {}
     for vid in sorted(records):
         lineno, kind, obj = records[vid]
         track = tracks[vid]
+        name = f"{_safe_filename(vid)}.trace.csv"
+        if name.casefold() in written:
+            failures[vid] = (f"line {lineno}: trace file {name} would overwrite "
+                             f"that of video {written[name.casefold()]!r}")
+            continue
         try:
             stream = build_stream(kind, obj, track, manifest.vocabulary,
                                   args.delta_t)
@@ -166,7 +174,8 @@ def cmd_evaluate(args) -> int:
             named = ": ".join(filter(None, (type(exc).__name__, str(exc))))
             failures[vid] = f"line {lineno}: {named}"
             continue
-        _write_trace(out_dir / f"{_safe_filename(vid)}.trace.csv", rows)
+        _write_trace(out_dir / name, rows)
+        written[name.casefold()] = vid
         results[vid] = track, rows
 
     per_video = {}

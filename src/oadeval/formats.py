@@ -111,15 +111,35 @@ class LoadReport:
         return self
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    return _digest(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------
 # low-level record handling
 
-def _iter_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    text = Path(path).read_text(encoding="utf-8")
+def _read_text(path: str) -> tuple[bytes, str]:
+    """A file's bytes, read once, and their UTF-8 text.
+
+    Bytes that are not UTF-8 raise a :class:`ParseError` on the line of
+    the first bad byte, as :meth:`str.splitlines` numbers the lines.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "x" stands in for the bad byte, so a line it starts is counted
+        before = data[:exc.start].decode("utf-8")
+        raise ParseError(f"not UTF-8: {exc.reason} {data[exc.start]:#04x}",
+                         path=path, line=len((before + "x").splitlines())
+                         ) from exc
+
+
+def _iter_json_lines(path: str, text: str) -> Iterator[tuple[int, dict]]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -230,10 +250,11 @@ def load_canonical_gt(path: str | Path) -> CorpusManifest:
     the line of the first record with that id as well.
     """
     path = str(path)
+    data, text = _read_text(path)
     vocab = None
     tracks = []
     first_lines: dict[str, int] = {}
-    for lineno, obj in _iter_json_lines(path):
+    for lineno, obj in _iter_json_lines(path, text):
         kind = _require(obj, "record", str, path, lineno)
         try:
             if kind == "vocabulary":
@@ -278,7 +299,7 @@ def load_canonical_gt(path: str | Path) -> CorpusManifest:
     if vocab is None:
         raise ParseError("no vocabulary record found", path=path)
     return CorpusManifest(vocabulary=vocab, tracks=tuple(tracks),
-                          source=f"canonical:{file_digest(path)}")
+                          source=f"canonical:{_digest(data)}")
 
 
 def write_canonical_gt(manifest: CorpusManifest, path: str | Path) -> None:
@@ -490,7 +511,7 @@ def iter_prediction_records(path: str | Path,
                             ) -> Iterator[tuple[int, str, dict]]:
     """Yield structurally valid (line, kind, record) prediction entries."""
     path = str(path)
-    for lineno, obj in _iter_json_lines(path):
+    for lineno, obj in _iter_json_lines(path, _read_text(path)[1]):
         kind = _require(obj, "record", str, path, lineno)
         if kind not in ("decisions", "detections", "scores"):
             raise ParseError(f"unknown record kind {kind!r}",

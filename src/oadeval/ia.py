@@ -14,15 +14,16 @@ which keeps wIA bounded in [0, 1] and lets a perfect predictor score 1
 at every instant.
 
 Both engines score the vocabulary's small-int class codes (background 0,
-classes 1..C), which every :class:`~oadeval.timeline.SlotGrid` takes once
-at construction as ``grid.codes``. :class:`StreamingEvaluator` reads the
-ground truth's codes; each decision then costs one dict lookup and a few
-integer adds, O(1) per slot. :func:`update` is the same step on label strings
-and explicit :class:`MetricState` values, and shares the trace-point
-arithmetic with the evaluator. :func:`evaluate_grids` scores two
-completed grids at once: the counters are prefix sums, taken with NumPy.
-Every value is one float division of two exact integers, so the prefix
-sums match the streaming engine bit for bit up to
+classes 1..C), which are what a :class:`~oadeval.timeline.SlotGrid` is:
+``grid.codes`` is one read-only NumPy array, and its labels are derived
+only when asked for. :class:`StreamingEvaluator` takes the ground truth's
+codes once, as Python ints; each decision then costs one dict lookup and
+a few integer adds, O(1) per slot. :func:`update` is the same step on
+label strings and explicit :class:`MetricState` values, and shares the
+trace-point arithmetic with the evaluator. :func:`evaluate_grids` scores
+two completed grids at once: the counters are prefix sums over both code
+arrays, taken with NumPy. Every value is one float division of two exact
+integers, so the prefix sums match the streaming engine bit for bit up to
 :data:`EXACT_PREFIX_SLOTS` slots; longer grids are replayed through
 :class:`StreamingEvaluator`. Its result is an :class:`IATrace`: one
 read-only ``(K, 4)`` float64 array whose columns are the four
@@ -193,7 +194,8 @@ class StreamingEvaluator:
         self._grid_gt = grid_gt
         self.mode = mode
         self._codes = grid_gt.vocab.codes
-        self._truth = grid_gt.codes
+        # Python ints: indexing the array would make a NumPy scalar per slot
+        self._truth = grid_gt.codes.tolist()
         self._delta_t_s = grid_gt.delta_t_s
         # slots seen, true positives, true negatives, ground-truth actions;
         # ground-truth background is k - p
@@ -269,8 +271,7 @@ EXACT_PREFIX_SLOTS = 330_280
 def _prefix_sum_trace(grid_pred: SlotGrid, grid_gt: SlotGrid,
                       mode: MatchingMode) -> IATrace:
     k = len(grid_gt)
-    pred = np.fromiter(grid_pred.codes, np.int64, k)
-    truth = np.fromiter(grid_gt.codes, np.int64, k)
+    pred, truth = grid_pred.codes, grid_gt.codes
     truth_action = truth > 0
     if mode is MatchingMode.BINARY:
         tp_flags = truth_action & (pred > 0)

@@ -100,9 +100,11 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
     ``vocab.codes`` code of the interval covering the midpoint
     ``(i - 1/2)/fps``, 0 (background) if none does, ties resolved as in
     the slot discretizer (earliest start, then label). Midpoints
-    and interval bounds are compared as floats in seconds. The same
-    bisection sweep as the slot discretizer costs O(N + n log N) for
-    ``N`` frames and ``n`` intervals.
+    and interval bounds are compared as floats in seconds: each
+    interval's frame range is found by ``numpy.searchsorted`` over the
+    ascending midpoints and painted by the slot discretizer's
+    :func:`~oadeval.timeline.paint_midpoints`, so ``N`` frames and ``n``
+    intervals cost O(N + n log N).
 
     Interval labels pass the slot discretizer's check
     (:func:`~oadeval.timeline.sort_action_intervals`): an unknown label
@@ -110,11 +112,13 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
     interval raises :class:`ValidationError`, so a background interval
     can never mask the action frames it overlaps.
     """
-    bounds = [(iv.start_us / 1e6, iv.end_us / 1e6, vocab.codes[iv.label])
-              for iv in sort_action_intervals(track.intervals, vocab)]
-    mids = [(i - 0.5) / fps
-            for i in range(1, frame_count(track.duration_s, fps) + 1)]
-    return paint_midpoints(bounds, mids, 0)
+    intervals = sort_action_intervals(track.intervals, vocab)
+    mids = (np.arange(1, frame_count(track.duration_s, fps) + 1) - 0.5) / fps
+    bounds = np.reshape([(iv.start_us / 1e6, iv.end_us / 1e6)
+                         for iv in intervals], (-1, 2))
+    ranges = zip(*np.searchsorted(mids, bounds).T.tolist(),
+                 [vocab.codes[iv.label] for iv in intervals])
+    return paint_midpoints(list(ranges), len(mids)).tolist()
 
 
 def _collect(score_matrices, tracks, vocab):

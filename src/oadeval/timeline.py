@@ -13,14 +13,22 @@ interval, track and grid converts its own times once, when it is
 built, into ``*_us`` fields that take no part in ``==``, ``hash`` or
 ``repr``. A slot size must round to at least 1 microsecond;
 :func:`slot_us` is the one place that rule is checked.
+
+A grid is its class codes: one read-only NumPy array with background
+0 and the classes 1..C. :func:`discretize` finds each interval's slot
+range with exact integer arithmetic and paints the ranges into that
+array, so ``K`` slots and ``n`` intervals cost O(K + n) after the sort;
+slot labels are derived from the codes only when asked for.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CausalityError, DegenerateInputError, ValidationError, VocabularyError
 
@@ -177,35 +185,70 @@ class AnnotationTrack:
                 covered_until = max(covered_until, iv.end_us)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SlotGrid:
-    """Dense per-slot label sequence at resolution ``delta_t_s``.
+    """Dense per-slot class codes at resolution ``delta_t_s``.
 
-    ``codes`` holds each slot's class code (``vocab.codes``: background
-    0, the classes 1..C), taken once here; it is what both IA engines
-    score. Like ``delta_t_us`` it takes no part in ``==``, ``hash`` or
-    ``repr``, which the labels already decide.
+    ``codes`` is the grid: one read-only ``numpy.intp`` array of each
+    slot's class code (``vocab.codes``: background 0, the classes 1..C),
+    which both IA engines score. ``labels`` is derived from it on first
+    use. The constructor takes labels and names the first unknown one;
+    :func:`discretize` and :meth:`PredictionStream.as_grid` build grids
+    from the codes they hold. ``==`` and ``hash`` compare the slot size,
+    the vocabulary and the codes; ``repr`` shows the codes as labels.
     """
 
     delta_t_s: float
-    labels: tuple[str, ...]
     vocab: LabelVocabulary
-    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    delta_t_us: int = field(init=False, repr=False, compare=False)
+    codes: np.ndarray
+    delta_t_us: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "delta_t_us", slot_us(self.delta_t_s))
-        if not self.labels:
-            raise DegenerateInputError("slot grid must hold at least one slot")
+    def __init__(self, delta_t_s: float, labels: Iterable[str],
+                 vocab: LabelVocabulary):
+        labels = tuple(labels)
+        slot_us(delta_t_s)  # a bad slot size is reported before any label
         try:
-            codes = tuple(map(self.vocab.codes.__getitem__, self.labels))
+            codes = list(map(vocab.codes.__getitem__, labels))
         except KeyError as exc:
             raise VocabularyError(f"unknown slot label {exc.args[0]!r}") from None
-        object.__setattr__(self, "codes", codes)
+        self._hold(delta_t_s, codes, vocab)
+        self.__dict__["labels"] = labels
+
+    @classmethod
+    def _of_codes(cls, delta_t_s: float, codes, vocab: LabelVocabulary,
+                  ) -> SlotGrid:
+        """A grid over ``codes``, each a code of ``vocab``."""
+        grid = cls.__new__(cls)
+        grid._hold(delta_t_s, codes, vocab)
+        return grid
+
+    def _hold(self, delta_t_s, codes, vocab) -> None:
+        if not len(codes):
+            raise DegenerateInputError("slot grid must hold at least one slot")
+        codes = np.asarray(codes, np.intp)
+        codes.flags.writeable = False
+        self.__dict__.update(delta_t_s=delta_t_s, vocab=vocab, codes=codes,
+                             delta_t_us=slot_us(delta_t_s))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        names = tuple(self.vocab.codes)  # in code order
+        return tuple(map(names.__getitem__, self.codes.tolist()))
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.codes)
+
+    def __eq__(self, other):
+        return (isinstance(other, SlotGrid) and self.delta_t_s == other.delta_t_s
+                and self.vocab == other.vocab
+                and np.array_equal(self.codes, other.codes))
+
+    def __hash__(self) -> int:
+        return hash((self.delta_t_s, self.vocab, self.codes.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"SlotGrid(delta_t_s={self.delta_t_s!r}, "
+                f"labels={self.labels!r}, vocab={self.vocab!r})")
 
 
 def num_slots(duration_s: float, delta_t_s: float) -> int:
@@ -225,22 +268,20 @@ def num_slots(duration_s: float, delta_t_s: float) -> int:
     return k
 
 
-def paint_midpoints(bounds: Sequence[tuple], mids: Sequence, fill) -> list:
-    """Paint each midpoint with the value of the interval covering it.
+def paint_midpoints(ranges: Sequence[tuple[int, int, int]],
+                   size: int) -> np.ndarray:
+    """Paint ``size`` midpoints with the code of the interval covering each.
 
-    ``bounds`` holds ``(start, end, value)`` triples sorted by start then
-    label, in the same units as the ascending ``mids``; midpoints no
-    interval covers get ``fill``. The values are whatever the caller
-    paints: labels for slots, class codes for frames. The midpoints an
-    interval covers, ``start <= mid < end``, form one index range found by
-    bisection. Painting the intervals in reverse sort order leaves the
-    earliest start, then the smallest label, on top wherever they overlap.
+    ``ranges`` holds one ``(lo, hi, code)`` per interval, sorted by start
+    then label: the interval covers the midpoints ``lo`` to ``hi - 1``,
+    and a range past ``size`` is cut there, as a slice is. Midpoints no
+    interval covers hold 0 (background). Painting the
+    ranges in reverse order, one slice each, leaves the earliest start,
+    then the smallest label, on top wherever intervals overlap.
     """
-    painted = [fill] * len(mids)
-    for start, end, value in reversed(bounds):
-        lo = bisect_left(mids, start)
-        hi = bisect_left(mids, end)
-        painted[lo:hi] = [value] * (hi - lo)
+    painted = np.zeros(size, np.intp)
+    for lo, hi, code in reversed(ranges):
+        painted[lo:hi] = code
     return painted
 
 
@@ -262,8 +303,8 @@ def sort_action_intervals(intervals: Iterable[TimeInterval],
                           vocab: LabelVocabulary) -> list[TimeInterval]:
     """Check the labels (:func:`check_action_labels`), then sort them.
 
-    The order, by start and then label, is what :func:`paint_midpoints`
-    expects; both rasterizers (slots here, frames in
+    The order, by start and then label, is the one whose ranges
+    :func:`paint_midpoints` expects; both rasterizers (slots here, frames in
     :mod:`oadeval.offline`) start from it.
     """
     intervals = tuple(intervals)
@@ -275,18 +316,22 @@ def discretize(intervals: Iterable[TimeInterval], duration_s: float,
                delta_t_s: float, vocab: LabelVocabulary) -> SlotGrid:
     """Rasterize intervals onto a slot grid using the midpoint rule.
 
-    Slot ``j`` takes the label of the interval covering its midpoint
+    Slot ``j`` takes the code of the interval covering its midpoint
     ``(j - 1/2) * delta_t``; background if none does. When several
     intervals cover the midpoint the earliest start wins, then the
-    lexicographically smallest label. Midpoint membership is evaluated
-    with doubled-microsecond integer arithmetic, so half-slot offsets
-    stay exact even for odd microsecond slot sizes.
+    lexicographically smallest label.
 
-    Each interval's slot range is found by bisecting the ascending
-    midpoints, so ``K`` slots and ``n`` intervals cost O(K + n log K);
-    overlapping intervals also repaint the slots they share. Labels are
-    checked by :func:`sort_action_intervals`, the duration, slot size and
-    slot count by :func:`num_slots`.
+    The midpoints below a time ``t`` are counted exactly in integer
+    microseconds: slot ``j`` has its midpoint below ``t`` when
+    ``(2j - 1) * delta < 2t``, so ``ceil((2t - delta) / (2 delta))``
+    slots do, capped at ``K``. Python integers never overflow, so this
+    holds for any time a :class:`TimeInterval` accepts, and half-slot
+    offsets stay exact for odd microsecond slot sizes. Each interval's
+    range is then one slice of a ``K``-slot code array
+    (:func:`paint_midpoints`), so painting costs O(K + n) for ``n``
+    intervals; overlapping intervals repaint the slots they share.
+    Labels are checked by :func:`sort_action_intervals`, the duration,
+    slot size and slot count by :func:`num_slots`.
     """
     k = num_slots(duration_s, delta_t_s)
     duration_us = seconds_to_us(duration_s)
@@ -300,11 +345,13 @@ def discretize(intervals: Iterable[TimeInterval], duration_s: float,
         raise DegenerateInputError(
             f"delta_t {delta_t_s} larger than duration {duration_s}: zero slots")
 
-    # twice the slot midpoints, in microseconds: (2j - 1) * delta for j = 1..k
-    mids2 = range(delta_us, (2 * k - 1) * delta_us + 1, 2 * delta_us)
-    bounds = [(2 * iv.start_us, 2 * iv.end_us, iv.label) for iv in intervals]
-    labels = paint_midpoints(bounds, mids2, vocab.background)
-    return SlotGrid(delta_t_s=delta_t_s, labels=tuple(labels), vocab=vocab)
+    # ceil((2t - delta) / (2 delta)) == (2t + delta - 1) // (2 delta); every
+    # end is within the duration, so no range passes slot k + 1
+    step, half, codes = 2 * delta_us, delta_us - 1, vocab.codes
+    ranges = [((2 * iv.start_us + half) // step,
+               (2 * iv.end_us + half) // step, codes[iv.label])
+              for iv in intervals]
+    return SlotGrid._of_codes(delta_t_s, paint_midpoints(ranges, k), vocab)
 
 
 class PredictionStream:
@@ -326,29 +373,30 @@ class PredictionStream:
         self.delta_t_s = delta_t_s
         self.vocab = vocab
         self.num_slots = num_slots
-        self._decisions: list[str] = []
+        self._codes: list[int] = []
 
     def __len__(self) -> int:
-        return len(self._decisions)
+        return len(self._codes)
 
     @property
     def decisions(self) -> tuple[str, ...]:
-        return tuple(self._decisions)
+        names = tuple(self.vocab.codes)  # in code order
+        return tuple(map(names.__getitem__, self._codes))
 
     def append(self, label: str) -> int:
         """Record the decision for the next slot; returns its 1-based index."""
-        self.vocab.require(label)
-        j = len(self._decisions) + 1
+        code = self.vocab.codes[self.vocab.require(label)]
+        j = len(self._codes) + 1
         if self.num_slots is not None and j > self.num_slots:
             raise CausalityError(
                 f"video {self.video_id!r}: stream is complete at "
                 f"{self.num_slots} slots, cannot append slot {j}")
-        self._decisions.append(label)
+        self._codes.append(code)
         return j
 
     def record(self, slot: int, label: str) -> int:
         """Record the decision for slot ``slot`` (must be the next slot)."""
-        expected = len(self._decisions) + 1
+        expected = len(self._codes) + 1
         if slot < expected:
             raise CausalityError(
                 f"video {self.video_id!r}: slot {slot} already decided, "
@@ -362,31 +410,35 @@ class PredictionStream:
     def extend(self, labels: Iterable[str]) -> None:
         """Append each label in turn, as repeated :meth:`append` would.
 
-        When every label is known and all of them fit, they are checked
-        in one set operation and appended at once; otherwise they are
-        appended one by one, so the same error is raised at the same
-        slot and the valid prefix before it is kept.
+        When all of them fit, they are mapped to codes at once, and that
+        lookup is their label check; if they do not fit or a label is
+        unknown, they are appended one by one, so the same error is
+        raised at the same slot and the valid prefix before it is kept.
         """
         labels = list(labels)
-        fits = (self.num_slots is None
-                or len(self._decisions) + len(labels) <= self.num_slots)
-        if fits and self.vocab.codes.keys() >= set(labels):
-            self._decisions.extend(labels)
-            return
+        if (self.num_slots is None
+                or len(self._codes) + len(labels) <= self.num_slots):
+            try:  # the whole list is mapped before any code is added
+                self._codes += list(map(self.vocab.codes.__getitem__, labels))
+                return
+            except KeyError:
+                pass
         for lab in labels:
             self.append(lab)
 
     def as_grid(self) -> SlotGrid:
         """View the decided prefix as a slot grid."""
-        return SlotGrid(delta_t_s=self.delta_t_s, labels=tuple(self._decisions),
-                        vocab=self.vocab)
+        return SlotGrid._of_codes(self.delta_t_s, self._codes, self.vocab)
 
 
 def events_to_stream(detections: Sequence[TimeInterval], video_id: str,
                      duration_s: float, delta_t_s: float,
                      vocab: LabelVocabulary) -> PredictionStream:
-    """Discretize timed detection events and replay them as a stream."""
+    """Discretize timed detection events into a complete stream.
+
+    The stream takes the grid's codes as they are: no label is mapped.
+    """
     grid = discretize(detections, duration_s, delta_t_s, vocab)
     stream = PredictionStream(video_id, delta_t_s, vocab, num_slots=len(grid))
-    stream.extend(grid.labels)
+    stream._codes = grid.codes.tolist()
     return stream

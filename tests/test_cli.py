@@ -334,6 +334,57 @@ class TestEvaluate:
         assert "line 2" in err and "duration_s" in err
         assert "Traceback" not in err
 
+    # a bad byte's line is the one str.splitlines() gives it: "\r" and
+    # U+2028 end lines too
+    @pytest.mark.parametrize("data,line,message", [
+        (b"\xff\xfe{}\n", 1, "invalid start byte 0xff"),
+        (b'{"a": 1}\n\n{"b": "\xc3"}\n', 3, "invalid continuation byte 0xc3"),
+        (b"{}\r\n\xe2\x82", 2, "unexpected end of data 0xe2"),
+        (b"{}\r\xff", 2, "invalid start byte 0xff"),
+        (b"{}\xe2\x80\xa8 \xff", 2, "invalid start byte 0xff"),
+    ])
+    def test_non_utf8_input_is_one_located_error(self, tmp_path, worked_gt,
+                                                 worked_pred, capsys, data,
+                                                 line, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data)
+        for argv in (["evaluate", "--gt", bad, "--pred", worked_pred],
+                     ["evaluate", "--gt", worked_gt, "--pred", bad],
+                     ["offline", "--gt", worked_gt, "--pred", bad]):
+            assert run(*argv, "--out-dir", tmp_path / "o") == 1
+            assert capsys.readouterr().err == (
+                f"error: {bad}, line {line}: not UTF-8: {message}\n")
+
+    @pytest.mark.parametrize("first,second,name", [
+        ("a b", "a_b", "a_b.trace.csv"), ("A", "a", "a.trace.csv")])
+    def test_colliding_trace_names_fail_the_later_video(
+            self, tmp_path, capsys, first, second, name):
+        gt = tmp_path / "gt.jsonl"
+        write_canonical_gt(CorpusManifest(
+            vocabulary=LabelVocabulary(classes=("jump",)),
+            tracks=(AnnotationTrack(first, 1.0), AnnotationTrack(second, 1.0))),
+            gt)
+        pred, alone = tmp_path / "p.jsonl", tmp_path / "alone.jsonl"
+        records = [json.dumps({"record": "decisions", "video_id": vid,
+                               "delta_t_s": 0.5, "labels": [label] * 2})
+                   for vid, label in ((second, "background"), (first, "jump"))]
+        pred.write_text("\n".join(records) + "\n")
+        alone.write_text(records[1] + "\n")
+        out, alone_out = tmp_path / "out", tmp_path / "alone"
+        assert run("evaluate", "--gt", gt, "--pred", pred, "--out-dir", out) == 1
+        error = (f"line 1: trace file {name} would overwrite that of video "
+                 f"{first!r}")
+        assert capsys.readouterr().err == f"FAILED {second}: {error}\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [{"video_id": second, "error": error}]
+        assert list(summary["per_video"]) == [first]
+        run("evaluate", "--gt", gt, "--pred", alone, "--out-dir", alone_out)
+        traces = sorted(p.name for p in out.glob("*.trace.csv"))
+        assert traces == sorted(p.name for p in alone_out.glob("*.trace.csv"))
+        assert len(traces) == 1
+        assert ((out / traces[0]).read_bytes()
+                == (alone_out / traces[0]).read_bytes())
+
     def test_jobs_is_accepted_and_ignored(self, tmp_path, worked_gt,
                                           worked_pred):
         outs = []

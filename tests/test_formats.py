@@ -1,5 +1,6 @@
 """Canonical file formats, dataset adapters, prediction loading."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -97,6 +98,19 @@ class TestCanonicalGt:
         assert len(manifest.tracks) == 1
         assert manifest.tracks[0].intervals[0].label == "a"
         assert manifest.source.startswith("canonical:")
+
+    def test_source_digest_is_of_the_bytes_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(
+            '{"record": "vocabulary", "classes": ["a"], "background": "bg"}\n')
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self) or read_bytes(self))
+        monkeypatch.setattr(Path, "read_text", None)
+        manifest = load_canonical_gt(path)
+        assert reads == [path]
+        assert manifest.source == (
+            f"canonical:{hashlib.sha256(read_bytes(path)).hexdigest()[:16]}")
 
     def test_worked_example_fixture(self):
         manifest = load_canonical_gt(DATA / "worked_example.gt.jsonl")

@@ -302,6 +302,16 @@ class TestStreamingEvaluator:
             evaluator.state = MetricState(2, 0, 0, 1, 0)
         assert evaluator.state == MetricState()
 
+    def test_consume_returns_points_of_python_floats(self, vocab):
+        gt = make_grid(["jump", "background", "run", "run"], vocab)
+        evaluator = StreamingEvaluator(gt)
+        points = [evaluator.consume(label)
+                  for label in ("jump", "run", "background", "run")]
+        assert all(type(p) is IATracePoint for p in points)
+        assert all(type(v) is float for p in points for v in p)
+        assert points == oracle_ia(make_grid(["jump", "run", "background",
+                                              "run"], vocab), gt)
+
     def test_ground_truth_is_read_only(self, vocab):
         gt = make_grid(["jump"], vocab)
         evaluator = StreamingEvaluator(gt)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,8 @@ from oadeval.errors import (
 )
 from oadeval.baselines import all_bg, perfect_model
 from oadeval.formats import build_scores, build_stream
-from oadeval.ia import ia_at, maia
-from oadeval.offline import frame_count
+from oadeval.ia import StreamingEvaluator, evaluate_grids, ia_at, maia, oracle_ia
+from oadeval.offline import frame_count, rasterize_frames
 from oadeval.timeline import (
     MAX_SLOTS,
     AnnotationTrack,
@@ -32,6 +33,7 @@ from oadeval.timeline import (
     seconds_to_us,
     slot_us,
 )
+from test_offline import brute_force_frame_labels
 
 
 def midpoint_labels(intervals, duration_s, delta_t_s, background="background"):
@@ -97,6 +99,60 @@ def multi_label_slot_cases(draw):
                                           min(start, end) / 1e6,
                                           max(start, end) / 1e6))
     return intervals, duration_us / 1e6, delta_us / 1e6
+
+
+def draw_intervals(draw, points, tail):
+    """Up to 10 intervals between drawn points, some of them ending in
+    ``tail``, with three overlapping labels."""
+    intervals = []
+    for _ in range(draw(st.integers(0, 10))):
+        start, end = draw(points), draw(points | tail)
+        if start != end:
+            intervals.append(TimeInterval(
+                draw(st.sampled_from(["jump", "run", "walk"])),
+                min(start, end) / 1e6, max(start, end) / 1e6))
+    return intervals
+
+
+@st.composite
+def odd_microsecond_slot_cases(draw):
+    """Overlapping multi-label intervals on slots of an odd number of
+    microseconds, whose midpoints fall on half microseconds; ends may lie
+    past the last midpoint, in the trailing partial slot."""
+    delta_us = 2 * draw(st.integers(0, 50_000)) + 1
+    k = draw(st.integers(1, 30))
+    duration_us = k * delta_us + draw(st.integers(0, delta_us - 1))
+    near = [t + e for j in range(k + 1)
+            for t in (j * delta_us, (2 * j - 1) * delta_us // 2) for e in (0, 1)]
+    points = (st.sampled_from([t for t in near if 0 <= t <= duration_us])
+              | st.integers(0, duration_us))
+    last_mid = (2 * k - 1) * delta_us // 2
+    intervals = draw_intervals(draw, points,
+                               st.integers(last_mid + 1, duration_us))
+    track = AnnotationTrack("v", duration_us / 1e6, tuple(intervals),
+                            multi_label=True)
+    return track, delta_us / 1e6
+
+
+@st.composite
+def odd_microsecond_frame_cases(draw):
+    """The same for frames of an odd number of microseconds: bounds on, or
+    a microsecond either side of, frame midpoints, and ends past the last."""
+    frame_us = 2 * draw(st.integers(1, 200_000)) + 1
+    fps = 1e6 / frame_us
+    duration_us = (draw(st.integers(1, 30)) * frame_us
+                   + draw(st.integers(0, frame_us - 1)))
+    mids = [seconds_to_us((i - 0.5) / fps)
+            for i in range(1, frame_count(duration_us / 1e6, fps) + 1)]
+    near = [t + e for t in mids for e in (-1, 0, 1)] + [0, duration_us]
+    points = (st.sampled_from([t for t in near if 0 <= t <= duration_us])
+              | st.integers(0, duration_us))
+    last_mid = mids[-1] if mids else 0
+    intervals = draw_intervals(draw, points,
+                               st.integers(last_mid, duration_us))
+    track = AnnotationTrack("v", duration_us / 1e6, tuple(intervals),
+                            multi_label=True)
+    return track, fps
 
 
 class TestLabelVocabulary:
@@ -289,13 +345,52 @@ class TestDiscretize:
         grid = discretize(intervals, duration, delta, vocab)
         assert list(grid.labels) == brute_force_slot_labels(
             intervals, duration, delta)
-        assert grid.codes == tuple(vocab.codes[lab] for lab in grid.labels)
+        assert grid.codes.tolist() == [vocab.codes[lab] for lab in grid.labels]
 
     def test_determinism(self, vocab):
         intervals = [TimeInterval("jump", 1.0, 4.0), TimeInterval("run", 5.0, 7.0)]
         a = discretize(intervals, 10.0, 0.5, vocab)
         b = discretize(list(reversed(intervals)), 10.0, 0.5, vocab)
         assert a == b
+
+    def test_slot_ranges_stay_exact_past_int64(self):
+        # twice the end in microseconds, 1.98e19, is past int64's 9.22e18;
+        # midpoints (j - 1/2) * 1e8 s from j = 92,001 to 99,000 are covered
+        vocab = LabelVocabulary(classes=("a",))
+        grid = discretize([TimeInterval("a", 9.2e12, 9.9e12)], 1e13, 1e8, vocab)
+        assert len(grid) == 100_000
+        assert np.flatnonzero(grid.codes).tolist() == list(range(92_000, 99_000))
+        assert grid.labels.count("a") == 7_000
+
+    @given(odd_microsecond_slot_cases())
+    @settings(max_examples=300)
+    def test_painted_codes_match_brute_force_at_odd_microseconds(self, case):
+        track, delta = case
+        vocab = LabelVocabulary(classes=("jump", "run", "walk"))
+        grid = discretize(track.intervals, track.duration_s, delta, vocab)
+        expected = brute_force_slot_labels(track.intervals, track.duration_s,
+                                           delta)
+        assert grid.codes.tolist() == [vocab.codes[lab] for lab in expected]
+        assert list(grid.labels) == expected
+
+    @given(odd_microsecond_frame_cases())
+    @settings(max_examples=300)
+    def test_painted_frames_match_brute_force_at_odd_microseconds(self, case):
+        track, fps = case
+        vocab = LabelVocabulary(classes=("jump", "run", "walk"))
+        assert rasterize_frames(track, fps, vocab) == [
+            vocab.codes[lab] for lab in brute_force_frame_labels(track, fps)]
+
+    def test_codes_hold_more_than_255_classes(self):
+        vocab = LabelVocabulary(classes=tuple(f"c{i}" for i in range(300)))
+        intervals = [TimeInterval("c299", 0.0, 1.0), TimeInterval("c0", 1.0, 2.0)]
+        grid = discretize(intervals, 3.0, 0.5, vocab)
+        assert grid.codes.tolist() == [300, 300, 1, 1, 0, 0]
+        assert grid.labels == ("c299",) * 2 + ("c0",) * 2 + ("background",) * 2
+        assert SlotGrid(0.5, grid.labels, vocab) == grid
+        assert rasterize_frames(AnnotationTrack("v", 3.0, tuple(intervals)),
+                                2.0, vocab) == [300, 300, 1, 1, 0, 0]
+        assert evaluate_grids(grid, grid) == oracle_ia(grid, grid)
 
 
 @st.composite
@@ -333,6 +428,43 @@ class TestSlotGrid:
         assert repr(a) == (f"SlotGrid(delta_t_s={0.1 + 0.2!r}, "
                            f"labels=('jump', 'background'), vocab={vocab!r})")
 
+    def test_every_builder_gives_the_same_grid(self, vocab):
+        labels = ["run", "run", "background", "jump", "jump", "background"]
+        intervals = [TimeInterval("run", 0.0, 1.0), TimeInterval("jump", 1.5, 2.5)]
+        stream = PredictionStream("v", 0.5, vocab)
+        stream.extend(labels)
+        one_by_one = PredictionStream("v", 0.5, vocab, num_slots=6)
+        for lab in labels:
+            one_by_one.append(lab)
+        grids = [SlotGrid(0.5, labels, vocab),
+                 discretize(intervals, 3.0, 0.5, vocab),
+                 stream.as_grid(), one_by_one.as_grid(),
+                 events_to_stream(intervals, "v", 3.0, 0.5, vocab).as_grid()]
+        # the painted grids score without deriving their labels
+        evaluate_grids(grids[2], grids[1])
+        assert all("labels" not in vars(g) for g in grids[1:])
+        for grid in grids:
+            assert grid == grids[0] and hash(grid) == hash(grids[0])
+            assert repr(grid) == (
+                "SlotGrid(delta_t_s=0.5, labels=('run', 'run', 'background', "
+                f"'jump', 'jump', 'background'), vocab={vocab!r})")
+            assert grid.codes.tolist() == [2, 2, 0, 1, 1, 0]
+            assert grid.labels == tuple(labels) and len(grid) == 6
+        assert grids[0] != SlotGrid(0.25, labels, vocab)
+        assert grids[0] != SlotGrid(0.5, labels[:-1], vocab)
+        assert grids[0] != SlotGrid(0.5, labels, LabelVocabulary(("jump", "run",
+                                                                  "walk")))
+        assert grids[0] != tuple(labels)
+
+    def test_codes_are_read_only(self, vocab):
+        for grid in (SlotGrid(0.5, ("jump", "run"), vocab),
+                     discretize([TimeInterval("jump", 0.0, 0.5)], 1.0, 0.5, vocab)):
+            with pytest.raises(ValueError, match="read-only"):
+                grid.codes[0] = 0
+            with pytest.raises(AttributeError):
+                grid.codes = np.zeros(2, np.uint8)
+            assert grid.codes.tolist()[0] == vocab.codes["jump"]
+
     @given(labels_maybe_unknown())
     @settings(deadline=None)
     def test_label_check_names_the_first_unknown_label(self, labels):
@@ -345,7 +477,7 @@ class TestSlotGrid:
         assert outcome(lambda: SlotGrid(0.5, labels, vocab)) == expected
         if not unknown:
             grid = SlotGrid(0.5, labels, vocab)
-            assert grid.codes == tuple(vocab.codes[lab] for lab in labels)
+            assert grid.codes.tolist() == [vocab.codes[lab] for lab in labels]
 
 
 def _ia_at_on_own_grid(delta_t_s, vocab):
@@ -507,8 +639,8 @@ class TestPredictionStream:
         assert outcome(lambda: bulk.extend(iter(labels))) == outcome(append_each)
         assert bulk.decisions == one_by_one.decisions
         if bulk.decisions:
-            assert bulk.as_grid().codes == tuple(
-                vocab.codes[lab] for lab in bulk.decisions)
+            assert bulk.as_grid().codes.tolist() == [
+                vocab.codes[lab] for lab in bulk.decisions]
 
 
 class TestEventsToStream:
