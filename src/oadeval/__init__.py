@@ -25,7 +25,6 @@ from .ia import (
     ia_at,
     maia,
     oracle_ia,
-    update,
     weight_trace,
     wia_at,
 )

@@ -110,12 +110,18 @@ def _format_rows(rows: np.ndarray) -> bytes:
 
 def _write_trace(path: Path, trace) -> None:
     # an IATrace, its rows or a list of points alike, in fixed-size
-    # blocks so that the formatting buffers do not grow with the trace
+    # blocks so that the formatting buffers do not grow with the trace;
+    # a write that fails removes the file it began
     rows = np.asarray(trace, np.float64).reshape(-1, 4)
-    with open(path, "wb") as out:
-        out.write(f"{TRACE_HEADER}\n".encode())
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            out.write(_format_rows(rows[start:start + _BLOCK_ROWS]))
+    out = open(path, "wb")
+    try:
+        with out:
+            out.write(f"{TRACE_HEADER}\n".encode())
+            for start in range(0, len(rows), _BLOCK_ROWS):
+                out.write(_format_rows(rows[start:start + _BLOCK_ROWS]))
+    except BaseException:
+        path.unlink()
+        raise
 
 
 def _write_json(path: Path, payload) -> None:
@@ -174,7 +180,12 @@ def cmd_evaluate(args) -> int:
             named = ": ".join(filter(None, (type(exc).__name__, str(exc))))
             failures[vid] = f"line {lineno}: {named}"
             continue
-        _write_trace(out_dir / name, rows)
+        try:
+            _write_trace(out_dir / name, rows)
+        except OSError as exc:
+            failures[vid] = (f"line {lineno}: cannot write {name}: "
+                             f"{exc.strerror or exc}")
+            continue
         written[name.casefold()] = vid
         results[vid] = track, rows
 

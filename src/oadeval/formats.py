@@ -115,32 +115,39 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def file_digest(path: str | Path) -> str:
-    return _digest(Path(path).read_bytes())
-
-
 # ---------------------------------------------------------------------------
 # low-level record handling
 
-def _read_text(path: str) -> tuple[bytes, str]:
+def _read_text(path: str | Path) -> tuple[bytes, str]:
     """A file's bytes, read once, and their UTF-8 text.
 
-    Bytes that are not UTF-8 raise a :class:`ParseError` on the line of
-    the first bad byte, as :meth:`str.splitlines` numbers the lines.
+    ``"\\r\\n"`` and ``"\\r"`` in the text become ``"\\n"``, as
+    :meth:`Path.read_text` translates them, and a line ends only at
+    ``"\\n"``: the other line boundaries of :meth:`str.splitlines`, such
+    as U+2028, are characters like any other, as they are in a JSON
+    string. Bytes that are not UTF-8 raise a :class:`ParseError` on the
+    line of the first bad byte.
     """
     data = Path(path).read_bytes()
     try:
-        return data, data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # "x" stands in for the bad byte, so a line it starts is counted
-        before = data[:exc.start].decode("utf-8")
+        before = _universal_newlines(data[:exc.start].decode("utf-8"))
         raise ParseError(f"not UTF-8: {exc.reason} {data[exc.start]:#04x}",
-                         path=path, line=len((before + "x").splitlines())
+                         path=str(path), line=before.count("\n") + 1
                          ) from exc
+    return data, _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    # most files hold no "\r", and one search costs about 1% of two replaces
+    if "\r" not in text:
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _iter_json_lines(path: str, text: str) -> Iterator[tuple[int, dict]]:
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -335,8 +342,9 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
     left empty by clamping are dropped.
     """
     report = LoadReport()
+    raw, text = _read_text(path)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path),
                          line=exc.lineno) from exc
@@ -399,7 +407,7 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
 
     vocab = LabelVocabulary(classes=tuple(sorted(labels_seen)))
     manifest = CorpusManifest(vocabulary=vocab, tracks=tuple(tracks),
-                              source=f"activitynet:{file_digest(path)}")
+                              source=f"activitynet:{_digest(raw)}")
     return manifest, report.finalize()
 
 
@@ -410,10 +418,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _read_duration_table(path: str | Path) -> dict[str, float]:
+def _read_duration_table(path: str | Path, text: str) -> dict[str, float]:
     durations = {}
-    for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split()
@@ -443,7 +450,8 @@ def load_thumos_gt(dir_path: str | Path,
     the sidecar table; rows naming a video absent from it are an error.
     """
     dir_path = Path(dir_path)
-    durations = _read_duration_table(durations_path)
+    raw, text = _read_text(durations_path)
+    durations = _read_duration_table(durations_path, text)
     sidecar = Path(durations_path).resolve()
     class_files = sorted(p for p in dir_path.glob("*.txt")
                          if p.resolve() != sidecar)
@@ -463,7 +471,7 @@ def load_thumos_gt(dir_path: str | Path,
                              "not an action class", path=str(class_file))
         classes.append(cls)
         for lineno, line in enumerate(
-                class_file.read_text(encoding="utf-8").splitlines(), start=1):
+                _read_text(class_file)[1].split("\n"), start=1):
             if not line.strip():
                 continue
             parts = line.split()
@@ -501,7 +509,7 @@ def load_thumos_gt(dir_path: str | Path,
     )
     vocab = LabelVocabulary(classes=tuple(sorted(set(classes))))
     return CorpusManifest(vocabulary=vocab, tracks=tracks,
-                          source=f"thumos:{file_digest(durations_path)}")
+                          source=f"thumos:{_digest(raw)}")
 
 
 # ---------------------------------------------------------------------------

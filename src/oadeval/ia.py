@@ -18,9 +18,7 @@ classes 1..C), which are what a :class:`~oadeval.timeline.SlotGrid` is:
 ``grid.codes`` is one read-only NumPy array, and its labels are derived
 only when asked for. :class:`StreamingEvaluator` takes the ground truth's
 codes once, as Python ints; each decision then costs one dict lookup and
-a few integer adds, O(1) per slot. :func:`update` is the same step on
-label strings and explicit :class:`MetricState` values, and shares the
-trace-point arithmetic with the evaluator. :func:`evaluate_grids` scores
+a few integer adds, O(1) per slot. :func:`evaluate_grids` scores
 two completed grids at once: the counters are prefix sums over both code
 arrays, taken with NumPy. Every value is one float division of two exact
 integers, so the prefix sums match the streaming engine bit for bit up to
@@ -46,7 +44,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError, VocabularyError
-from .timeline import LabelVocabulary, SlotGrid, num_slots, seconds_to_us
+from .timeline import SlotGrid, num_slots, seconds_to_us
 
 
 class MatchingMode(enum.Enum):
@@ -79,51 +77,8 @@ class IATracePoint(NamedTuple):
     weight_w: float
 
 
-def update(state: MetricState, predicted: str, truth: str,
-           vocab: LabelVocabulary, delta_t_s: float,
-           mode: MatchingMode = MatchingMode.CLASS_AWARE,
-           ) -> tuple[MetricState, IATracePoint]:
-    """Consume one slot decision and return the new state plus trace point.
-
-    ``tp`` increments when the truth is an action and the prediction
-    matches it under ``mode``; ``tn`` increments when both sides are
-    background. Unknown labels raise a vocabulary error.
-    """
-    truth_is_action = vocab.is_action(truth)
-    pred_is_action = vocab.is_action(predicted)
-
-    k = state.k_prime + 1
-    tp = state.tp_count
-    tn = state.tn_count
-    p = state.gt_action_count
-    n = state.gt_background_count
-    if truth_is_action:
-        p += 1
-        if pred_is_action and (mode is MatchingMode.BINARY or predicted == truth):
-            tp += 1
-    else:
-        n += 1
-        if not pred_is_action:
-            tn += 1
-
-    return MetricState(k, tp, tn, p, n), _trace_point(k, tp, tn, p, n, delta_t_s)
-
-
 # tuple.__new__ skips the namedtuple's Python-level __new__ on the hot path
 _new_point = tuple.__new__
-
-
-def _trace_point(k: int, tp: int, tn: int, p: int, n: int,
-                 delta_t_s: float) -> IATracePoint:
-    # wIA is evaluated over a common integer denominator,
-    #   (N'^2*tp + P'^2*tn) / (N'*P'*K')  ==  (w*tp + tn/w) / K',
-    # so only one float rounding happens: a perfect prefix scores 1.0
-    # exactly and the numerator can never exceed the denominator.
-    ia = (tp + tn) / k
-    if p > 0 and n > 0:
-        return _new_point(IATracePoint, (k * delta_t_s, ia,
-                          (n * n * tp + p * p * tn) / (n * p * k), n / p))
-    return _new_point(IATracePoint, (k * delta_t_s, ia, ia, 1.0))
 
 
 class IATrace(Sequence):
@@ -231,14 +186,24 @@ class StreamingEvaluator:
             raise VocabularyError(f"unknown label {predicted!r}")
         t = truth[k]
         self._k = k = k + 1
+        tp, tn, p = self._tp, self._tn, self._p
         if t:
-            self._p += 1
+            self._p = p = p + 1
             if pred == t or (pred and self.mode is MatchingMode.BINARY):
-                self._tp += 1
+                self._tp = tp = tp + 1
         elif not pred:
-            self._tn += 1
-        p = self._p
-        point = _trace_point(k, self._tp, self._tn, p, k - p, self._delta_t_s)
+            self._tn = tn = tn + 1
+        n = k - p
+        # wIA is evaluated over a common integer denominator,
+        #   (N'^2*tp + P'^2*tn) / (N'*P'*K')  ==  (w*tp + tn/w) / K',
+        # so only one float rounding happens: a perfect prefix scores 1.0
+        # exactly and the numerator can never exceed the denominator.
+        ia = (tp + tn) / k
+        if p > 0 and n > 0:
+            point = _new_point(IATracePoint, (k * self._delta_t_s, ia,
+                               (n * n * tp + p * p * tn) / (n * p * k), n / p))
+        else:
+            point = _new_point(IATracePoint, (k * self._delta_t_s, ia, ia, 1.0))
         self.trace.append(point)
         return point
 
@@ -263,7 +228,7 @@ def _check_grids(grid_pred: SlotGrid, grid_gt: SlotGrid) -> None:
 # tn <= N', a numerator <= N'*P'*(N'+P') = N'*P'*K' <= K*floor(K*K/4).
 # While that bound is <= 2**53, int64 holds every term and float64
 # represents it exactly, so each division is the correctly rounded
-# quotient of the same exact integers that update() divides.
+# quotient of the same exact integers that consume() divides.
 # K*(K*K//4) <= 2**53 holds up to K = 330,280 (45.9 h at 0.5 s slots).
 EXACT_PREFIX_SLOTS = 330_280
 

@@ -250,6 +250,10 @@ class SlotGrid:
         return (f"SlotGrid(delta_t_s={self.delta_t_s!r}, "
                 f"labels={self.labels!r}, vocab={self.vocab!r})")
 
+    def __reduce__(self):
+        # a pickled or copied array comes back writeable; _hold locks it
+        return SlotGrid._of_codes, (self.delta_t_s, self.codes, self.vocab)
+
 
 def num_slots(duration_s: float, delta_t_s: float) -> int:
     """Slot count ``K = floor(duration / delta_t)``, exact in microseconds.

@@ -276,6 +276,60 @@ class TestEvaluate:
         assert f"FAILED b: {entry}" in err
         assert "Traceback" not in err
 
+    def test_failed_trace_write_fails_only_its_video(self, tmp_path, capsys):
+        long_id = "b" * 300  # a trace name longer than a file name may be
+        gt, pred = tmp_path / "gt.jsonl", tmp_path / "p.jsonl"
+        write_canonical_gt(CorpusManifest(
+            vocabulary=LabelVocabulary(classes=("jump",)),
+            tracks=tuple(AnnotationTrack(vid, 1.0)
+                         for vid in ("a", long_id, "c"))), gt)
+        pred.write_text("".join(
+            json.dumps({"record": "decisions", "video_id": vid,
+                        "delta_t_s": 0.5, "labels": ["background"] * 2}) + "\n"
+            for vid in ("a", long_id, "c")))
+        out = tmp_path / "out"
+        assert run("evaluate", "--gt", gt, "--pred", pred,
+                   "--out-dir", out) == 1
+        error = f"line 2: cannot write {long_id}.trace.csv: File name too long"
+        assert capsys.readouterr().err == f"FAILED {long_id}: {error}\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [{"video_id": long_id, "error": error}]
+        assert list(summary["per_video"]) == ["a", "c"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a.trace.csv", "c.trace.csv", "summary.json"]
+
+    def test_trace_write_failing_midway_leaves_no_file(self, tmp_path,
+                                                       monkeypatch):
+        gt, pred = tmp_path / "gt.jsonl", tmp_path / "p.jsonl"
+        write_canonical_gt(CorpusManifest(
+            vocabulary=LabelVocabulary(classes=("jump",)),
+            tracks=(AnnotationTrack("a", 1.0), AnnotationTrack("b", 1.5))), gt)
+        pred.write_text("".join(
+            json.dumps({"record": "decisions", "video_id": vid,
+                        "delta_t_s": 0.5, "labels": ["jump"] * k}) + "\n"
+            for vid, k in (("a", 2), ("b", 3))))
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert run("evaluate", "--gt", gt, "--pred", pred,
+                   "--out-dir", clean) == 0
+        format_rows = cli._format_rows
+
+        def disk_full_on_b(rows):
+            if len(rows) == 3:  # only video b has 3 slots
+                raise OSError(28, "No space left on device")
+            return format_rows(rows)
+
+        monkeypatch.setattr(cli, "_format_rows", disk_full_on_b)
+        assert run("evaluate", "--gt", gt, "--pred", pred,
+                   "--out-dir", out) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [{
+            "video_id": "b",
+            "error": "line 2: cannot write b.trace.csv: No space left on device"}]
+        assert sorted(p.name for p in out.iterdir()) == ["a.trace.csv",
+                                                          "summary.json"]
+        assert ((out / "a.trace.csv").read_bytes()
+                == (clean / "a.trace.csv").read_bytes())
+
     def test_trace_rows_match_per_value_formatting(self, tmp_path):
         awkward = [0.0, 1.0, 0.0000005, 0.0000015, 2.5e-7, 1e-300, 5e-324,
                    0.1234565, 0.9999995, 1 / 3, 2 / 3, 123.4567895,
@@ -334,14 +388,13 @@ class TestEvaluate:
         assert "line 2" in err and "duration_s" in err
         assert "Traceback" not in err
 
-    # a bad byte's line is the one str.splitlines() gives it: "\r" and
-    # U+2028 end lines too
+    # a line ends at "\n", "\r\n" or "\r", never at U+2028
     @pytest.mark.parametrize("data,line,message", [
         (b"\xff\xfe{}\n", 1, "invalid start byte 0xff"),
         (b'{"a": 1}\n\n{"b": "\xc3"}\n', 3, "invalid continuation byte 0xc3"),
         (b"{}\r\n\xe2\x82", 2, "unexpected end of data 0xe2"),
         (b"{}\r\xff", 2, "invalid start byte 0xff"),
-        (b"{}\xe2\x80\xa8 \xff", 2, "invalid start byte 0xff"),
+        (b"{}\xe2\x80\xa8 \xff", 1, "invalid start byte 0xff"),
     ])
     def test_non_utf8_input_is_one_located_error(self, tmp_path, worked_gt,
                                                  worked_pred, capsys, data,
@@ -354,6 +407,32 @@ class TestEvaluate:
             assert run(*argv, "--out-dir", tmp_path / "o") == 1
             assert capsys.readouterr().err == (
                 f"error: {bad}, line {line}: not UTF-8: {message}\n")
+
+    def test_records_end_only_at_line_feeds(self, tmp_path, capsys):
+        # U+2028 and U+0085 end a line for str.splitlines() but not in JSON
+        vid, label = "a\u2028b\x85c", "x\x85y\u2028z"
+        gt, pred = tmp_path / "gt.jsonl", tmp_path / "p.jsonl"
+        gt.write_text(json.dumps({"record": "vocabulary", "classes": [label],
+                                  "background": "background"},
+                                 ensure_ascii=False) + "\r\n"
+                      + json.dumps({"record": "video", "video_id": vid,
+                                    "duration_s": 1.0, "intervals": []},
+                                   ensure_ascii=False) + "\r", encoding="utf-8")
+        pred.write_text(json.dumps({"record": "decisions", "video_id": vid,
+                                    "delta_t_s": 0.5,
+                                    "labels": [label, "background"]},
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
+        assert run("evaluate", "--gt", gt, "--pred", pred,
+                   "--out-dir", tmp_path / "o") == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert list(summary["per_video"]) == [vid]
+        assert summary["per_video"][vid]["final_ia"] == 0.5
+        with pred.open("a", encoding="utf-8") as out:
+            out.write("\u2028{\n")
+        assert run("evaluate", "--gt", gt, "--pred", pred,
+                   "--out-dir", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {pred}, line 2: invalid JSON: Expecting value\n")
 
     @pytest.mark.parametrize("first,second,name", [
         ("a b", "a_b", "a_b.trace.csv"), ("A", "a", "a.trace.csv")])
@@ -921,6 +1000,45 @@ class TestConvert:
                 "background label") in err
         assert "Traceback" not in err
         assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("name,data,line,message", [
+        ("anet.json", b"\xff{}", 1, "invalid start byte 0xff"),
+        ("anet.json", b'{"database":\r\n {"v": "\xc3"}}', 2,
+         "invalid continuation byte 0xc3"),
+        ("durations.txt", b"video_001 9.0\rvideo_\xff 1.0\n", 2,
+         "invalid start byte 0xff"),
+        ("Jump_test.txt", b"video_001 1.0 2.0\n\nvideo_001 \xe2\x82", 3,
+         "unexpected end of data 0xe2"),
+    ])
+    def test_non_utf8_input_is_one_located_error(self, tmp_path, capsys,
+                                                 name, data, line, message):
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        files = {"anet.json": tmp_path / "anet.json",
+                 "durations.txt": tmp_path / "durations.txt",
+                 "Jump_test.txt": ann / "Jump_test.txt"}
+        files["durations.txt"].write_text("video_001 9.0\n")
+        files["Jump_test.txt"].write_text("video_001 1.0 2.0\n")
+        files[name].write_bytes(data)
+        if name == "anet.json":
+            argv = ["--format", "activitynet", "--in", files[name]]
+        else:
+            argv = ["--format", "thumos", "--in", ann,
+                    "--durations", files["durations.txt"]]
+        assert run("convert", *argv, "--out", tmp_path / "c.jsonl") == 1
+        assert capsys.readouterr().err == (
+            f"error: {files[name]}, line {line}: not UTF-8: {message}\n")
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_activitynet_json_error_lines_count_every_line_end(
+            self, tmp_path, capsys):
+        anet = tmp_path / "anet.json"
+        anet.write_bytes(b'{"database":\r{},\r\n\n}')
+        assert run("convert", "--format", "activitynet", "--in", anet,
+                   "--out", tmp_path / "c.jsonl") == 1
+        assert capsys.readouterr().err == (
+            f"error: {anet}, line 4: invalid JSON: Expecting property name "
+            "enclosed in double quotes\n")
 
     def test_thumos_requires_durations(self, tmp_path):
         assert run("convert", "--format", "thumos",

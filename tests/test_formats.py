@@ -304,6 +304,15 @@ class TestActivityNetAdapter:
         assert manifest.tracks == ()
         assert report.warnings
 
+    def test_source_digest_is_of_the_bytes_read(self, monkeypatch):
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self) or read_bytes(self))
+        monkeypatch.setattr(Path, "read_text", None)
+        manifest, _ = load_activitynet_gt(DATA / "activitynet_fixture.json")
+        assert reads == [DATA / "activitynet_fixture.json"]
+        assert manifest.source == "activitynet:c56645965805b9fa"
+
     def test_subset_filter(self):
         manifest, _ = load_activitynet_gt(DATA / "activitynet_fixture.json",
                                           subset="training")
@@ -318,6 +327,18 @@ class TestThumosAdapter:
         track = manifest.by_id()["video_001"]
         assert len(track.intervals) == 2
         assert {iv.label for iv in track.intervals} == {"HighJump", "PoleVault"}
+
+    def test_source_digest_is_of_the_durations_bytes_read(self, monkeypatch):
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self) or read_bytes(self))
+        monkeypatch.setattr(Path, "read_text", None)
+        fixture = DATA / "thumos_fixture"
+        manifest = load_thumos_gt(fixture, fixture / "durations.txt")
+        assert reads == [fixture / "durations.txt",
+                         fixture / "HighJump_test.txt",
+                         fixture / "PoleVault_test.txt"]
+        assert manifest.source == "thumos:2a1f3efd59ab2ffe"
 
     def test_malformed_row_names_file_and_line(self, tmp_path):
         (tmp_path / "Jump_test.txt").write_text("video_001 1.0\n")

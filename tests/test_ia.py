@@ -21,7 +21,6 @@ from oadeval.ia import (
     ia_at,
     maia,
     oracle_ia,
-    update,
     weight_trace,
     wia_at,
 )
@@ -58,31 +57,32 @@ def grid_pairs(max_k=40, classes=("jump", "run")):
     ).map(build)
 
 
-class TestUpdate:
+class TestConsume:
     def test_fresh_tp(self, vocab):
-        state, pt = update(MetricState(), "jump", "jump", vocab, 0.5)
-        assert state == MetricState(1, 1, 0, 1, 0)
+        evaluator = StreamingEvaluator(make_grid(["jump"], vocab))
+        pt = evaluator.consume("jump")
+        assert evaluator.state == MetricState(1, 1, 0, 1, 0)
         assert pt == IATracePoint(0.5, 1.0, 1.0, 1.0)
 
     def test_mode_contrast_on_wrong_class(self, vocab):
-        _, pt = update(MetricState(), "jump", "run", vocab, 0.5,
-                       MatchingMode.BINARY)
+        gt = make_grid(["run"], vocab)
+        pt = StreamingEvaluator(gt, MatchingMode.BINARY).consume("jump")
         assert pt.ia == 1.0
-        _, pt = update(MetricState(), "jump", "run", vocab, 0.5,
-                       MatchingMode.CLASS_AWARE)
+        pt = StreamingEvaluator(gt, MatchingMode.CLASS_AWARE).consume("jump")
         assert pt.ia == 0.0
 
     def test_unknown_label_raises(self, vocab):
         with pytest.raises(VocabularyError):
-            update(MetricState(), "walk", "jump", vocab, 0.5)
-        with pytest.raises(VocabularyError):
-            update(MetricState(), "jump", "walk", vocab, 0.5)
+            StreamingEvaluator(make_grid(["jump"], vocab)).consume("walk")
+        with pytest.raises(VocabularyError):  # no ground truth holds one
+            make_grid(["walk"], vocab)
 
     def test_worked_example_final_values(self, worked_pred_grid, worked_gt_grid):
-        state = MetricState()
-        for pred, truth in zip(worked_pred_grid.labels, worked_gt_grid.labels):
-            state, pt = update(state, pred, truth, worked_gt_grid.vocab, 0.5)
-        assert state == MetricState(20, 4, 14, 6, 14)
+        evaluator = StreamingEvaluator(worked_gt_grid)
+        for pred in worked_pred_grid.labels:
+            pt = evaluator.consume(pred)
+        assert evaluator.state == MetricState(20, 4, 14, 6, 14)
+        assert pt == oracle_ia(worked_pred_grid, worked_gt_grid)[-1]
         assert pt.ia == pytest.approx(0.90, abs=1e-12)
         assert pt.weight_w == pytest.approx(14 / 6, abs=1e-12)
         assert pt.wia == pytest.approx(46 / 60, abs=1e-12)
@@ -238,9 +238,11 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_counters_monotone_and_consistent(self, pair):
         pred, gt = pair
-        state = MetricState()
-        for predicted, truth in zip(pred.labels, gt.labels):
-            new, _ = update(state, predicted, truth, gt.vocab, gt.delta_t_s)
+        evaluator = StreamingEvaluator(gt)
+        state = evaluator.state
+        for predicted in pred.labels:
+            evaluator.consume(predicted)
+            new = evaluator.state
             assert new.k_prime == state.k_prime + 1
             assert new.tp_count >= state.tp_count
             assert new.tn_count >= state.tn_count
@@ -321,17 +323,22 @@ class TestStreamingEvaluator:
 
     @given(grid_pairs(), st.sampled_from(list(MatchingMode)))
     @settings(max_examples=300, deadline=None)
-    def test_consume_equals_chained_update(self, pair, mode):
+    def test_consume_equals_oracle_bit_for_bit(self, pair, mode):
         pred, gt = pair
         evaluator = StreamingEvaluator(gt, mode)
-        state = MetricState()
-        expected = []
-        for predicted, truth in zip(pred.labels, gt.labels):
-            state, point = update(state, predicted, truth, gt.vocab,
-                                  gt.delta_t_s, mode)
-            expected.append(point)
+        expected = oracle_ia(pred, gt, mode)
+        bg = gt.vocab.background
+        seen = []
+        for predicted, truth, point in zip(pred.labels, gt.labels, expected):
             assert evaluator.consume(predicted) == point
-            assert evaluator.state == state
+            seen.append((predicted, truth))
+            actions = sum(t != bg for _, t in seen)
+            assert evaluator.state == MetricState(
+                len(seen),
+                sum(t != bg != pr and (pr == t or mode is MatchingMode.BINARY)
+                    for pr, t in seen),
+                sum(t == bg == pr for pr, t in seen),
+                actions, len(seen) - actions)
         assert ([tuple(map(float.hex, p)) for p in evaluator.trace]
                 == [tuple(map(float.hex, p)) for p in expected])
 

@@ -4,9 +4,10 @@
 look them up, by name, and the benchmark's gate test corrupts a
 ``StreamingEvaluator`` through its ``state`` attribute. A refactor that
 moves or renames one of those functions, or stops honouring an assigned
-state, would otherwise fail only the benchmark's own runs and tests,
-which this suite does not start. The tracer is read and executed here,
-never imported from its package or written to.
+state, fails here with the entry at fault named, besides failing the
+benchmark's own tests in ``perfbench/test_smoke.py``, which the same
+``pytest`` run collects. The tracer is read and executed here, never
+imported from its package or written to.
 """
 
 import importlib
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from oadeval.ia import MetricState, StreamingEvaluator, update
+from oadeval.ia import IATracePoint, MetricState, StreamingEvaluator
 from oadeval.timeline import LabelVocabulary, SlotGrid
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -60,8 +61,5 @@ def test_assigned_streaming_state_is_honoured():
     forgotten = MetricState(*state[:1], 0, 0, *state[3:])
     evaluator.state = forgotten
     assert evaluator.state == forgotten
-    expected_state, expected = update(forgotten, labels[3], labels[3], vocab,
-                                      0.5)
-    assert evaluator.consume(labels[3]) == expected
-    assert evaluator.state == expected_state == MetricState(4, 0, 1, 2, 2)
-    assert expected.ia == 0.25
+    assert evaluator.consume(labels[3]) == IATracePoint(2.0, 0.25, 0.25, 1.0)
+    assert evaluator.state == MetricState(4, 0, 1, 2, 2)

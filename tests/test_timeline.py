@@ -1,7 +1,9 @@
 """Timeline types and the interval -> slot discretizer."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -464,6 +466,17 @@ class TestSlotGrid:
             with pytest.raises(AttributeError):
                 grid.codes = np.zeros(2, np.uint8)
             assert grid.codes.tolist()[0] == vocab.codes["jump"]
+
+    def test_pickled_and_copied_codes_stay_read_only(self, vocab):
+        grid = discretize([TimeInterval("jump", 0.0, 0.5)], 1.0, 0.5, vocab)
+        for copied in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid),
+                       copy.copy(grid)):
+            assert type(copied) is SlotGrid
+            assert copied == grid and hash(copied) == hash(grid)
+            assert repr(copied) == repr(grid)
+            with pytest.raises(ValueError, match="read-only"):
+                copied.codes[0] = 0
+            assert copied.codes.tolist() == grid.codes.tolist()
 
     @given(labels_maybe_unknown())
     @settings(deadline=None)
