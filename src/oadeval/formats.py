@@ -34,10 +34,13 @@ A prediction record's own checks
 caller, which knows it.
 :func:`read_predictions` alone decides which prediction record belongs
 to which video, and reports unknown, duplicate and missing records per
-video with their line. Adapters for ActivityNet-style JSON and Thumos-style
-per-class text files convert external ground truth into the canonical
-model; durations for Thumos come from a sidecar table because its
-annotation files carry none.
+video with their line. :func:`write_predictions` writes each record as
+``json.dumps(..., sort_keys=True)`` does, byte for byte; a score matrix
+goes out a block of rows at a time, each block's cells gathered from a
+table that holds the text of each distinct value once. Adapters for
+ActivityNet-style JSON and Thumos-style per-class text files convert
+external ground truth into the canonical model; durations for Thumos
+come from a sidecar table because its annotation files carry none.
 """
 
 from __future__ import annotations
@@ -662,21 +665,72 @@ def load_scores(path: str | Path, manifest: CorpusManifest,
     return scores
 
 
+# rows of a score matrix formatted at a time, which bounds the writer's
+# buffers whatever the matrix's length
+_BLOCK_ROWS = 4096
+
+
+def _json_rows(block: np.ndarray) -> bytes:
+    """The ``json.dumps`` text of the rows of a 2-D float64 block.
+
+    The rows are joined by ``", "``, with no brackets around them. Each
+    distinct bit pattern (so ``-0.0`` and ``0.0`` apart) is formatted
+    once, by ``json.dumps`` of the distinct values, into a NUL-padded
+    fixed-width table whose rows read ``"\\0" + token + ", \\0"``.
+    Gathering a table row per cell lays the block out; the first
+    column's cells then open their row with ``"["``, the last column's
+    close it with ``"], "`` (the block's last cell with ``"]"``), and
+    deleting the NUL bytes leaves the text.
+    """
+    distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    tokens = np.array(
+        json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), "S")
+    width = tokens.itemsize
+    table = np.zeros((len(tokens), width + 4), np.uint8)
+    table[:, 1:width + 1] = tokens.view(np.uint8).reshape(-1, width)
+    table[:, width + 1:width + 3] = (ord(","), ord(" "))
+    cells = table[inverse.reshape(block.shape)]
+    cells[:, 0, 0] = ord("[")
+    cells[:, -1, width + 1:] = (ord("]"), ord(","), ord(" "))
+    cells[-1, -1, width + 2:] = 0
+    return cells.tobytes().translate(None, b"\0")
+
+
 def write_predictions(path: str | Path, streams=(), score_matrices=()) -> None:
-    """Emit canonical decisions (and scores) records, sorted by video id."""
-    lines = []
-    for stream in sorted(streams, key=lambda s: s.video_id):
-        lines.append(json.dumps({
-            "record": "decisions",
-            "video_id": stream.video_id,
-            "delta_t_s": stream.delta_t_s,
-            "labels": list(stream.decisions),
-        }, sort_keys=True))
-    for matrix in sorted(score_matrices, key=lambda m: m.video_id):
-        lines.append(json.dumps({
-            "record": "scores",
-            "video_id": matrix.video_id,
-            "fps": matrix.fps,
-            "scores": matrix.scores.tolist(),
-        }, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Emit canonical decisions (and scores) records, sorted by video id.
+
+    Each record is the ``json.dumps(..., sort_keys=True)`` text of its
+    fields, one per line. A scores record's matrix is written
+    :data:`_BLOCK_ROWS` rows at a time by :func:`_json_rows`, byte for
+    byte the text ``json.dumps`` gives its ``tolist()``, so every value
+    is its ``float.__repr__``.
+    """
+    streams = sorted(streams, key=lambda s: s.video_id)
+    matrices = sorted(score_matrices, key=lambda m: m.video_id)
+    with open(path, "wb") as out:
+        if not streams and not matrices:
+            out.write(b"\n")  # a file of no records is one empty line
+        for stream in streams:
+            out.write(json.dumps({
+                "record": "decisions",
+                "video_id": stream.video_id,
+                "delta_t_s": stream.delta_t_s,
+                "labels": list(stream.decisions),
+            }, sort_keys=True).encode() + b"\n")
+        for matrix in matrices:
+            scores = matrix.scores
+            # the fields around "scores", in sort_keys order
+            head = json.dumps({"fps": matrix.fps, "record": "scores"},
+                              sort_keys=True)[:-1]
+            tail = json.dumps({"video_id": matrix.video_id})[1:]
+            out.write(f'{head}, "scores": '.encode())
+            if scores.size:
+                out.write(b"[")
+                for start in range(0, len(scores), _BLOCK_ROWS):
+                    if start:
+                        out.write(b", ")
+                    out.write(_json_rows(scores[start:start + _BLOCK_ROWS]))
+                out.write(b"]")
+            else:  # no rows, or rows of no columns
+                out.write(json.dumps(scores.tolist()).encode())
+            out.write(f", {tail}\n".encode())

@@ -169,11 +169,22 @@ class StreamingEvaluator:
 
     @state.setter
     def state(self, state: MetricState) -> None:
+        """Assign counters that some prefix of the ground truth can have.
+
+        ``k_prime`` is at most the grid's length, the action and
+        background counts are those of its first ``k_prime`` slots, and
+        ``tp_count`` and ``tn_count`` lie within them.
+        """
         k, tp, tn, p, n = state
         if k != p + n:
             raise ValidationError(
                 f"state counts {p} action + {n} background slots "
                 f"but k_prime is {k}")
+        truth = self._truth
+        if not (0 <= k <= len(truth) and p == k - truth[:k].count(0)
+                and 0 <= tp <= p and 0 <= tn <= n):
+            raise ValidationError(f"no prefix of the {len(truth)} "
+                                  f"ground-truth slots has {state}")
         self._k, self._tp, self._tn, self._p = k, tp, tn, p
 
     def consume(self, predicted: str) -> IATracePoint:

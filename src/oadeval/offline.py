@@ -17,7 +17,6 @@ highly for some class they surface as false positives only.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,6 @@ from .timeline import (
     paint_midpoints,
     sort_action_intervals,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +164,6 @@ def _ranked_average_precision(scores, codes, vocab, calibrated):
         n_pos = np.count_nonzero(positives)
         if n_pos == 0:
             skipped.append(cls)
-            logger.warning("class %r has no ground-truth frames; "
-                           "excluded from the mean", cls)
             continue
         order = np.argsort(-scores[:, col], kind="stable")
         # precision is read at the positives only: the k-th positive in
@@ -199,7 +194,7 @@ def frame_map(score_matrices, tracks, vocab: LabelVocabulary) -> APResult:
     Frames are ranked per class by descending score with a stable sort
     of the stacked rows, so ties keep row order: video id, then frame
     index. Classes without ground-truth frames are excluded from the
-    mean (and logged).
+    mean and listed in :attr:`APResult.skipped_classes`.
     """
     return _ranked_average_precision(*_collect(score_matrices, tracks, vocab),
                                      vocab=vocab, calibrated=False)

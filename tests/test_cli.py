@@ -3,8 +3,11 @@
 import copy
 import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -31,6 +34,7 @@ from oadeval.timeline import (
 from test_timeline import allocation_peak
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -491,6 +495,24 @@ class TestOffline:
         assert payload["mean"] < 1.0
         assert payload["skipped_classes"] == ["run"]
         assert "mean" in capsys.readouterr().out
+
+    def test_skipped_class_is_named_once_on_stderr(self, tmp_path, worked_gt):
+        # a fresh interpreter, so that stderr is what a user sees, with
+        # no test harness handler on the logging tree
+        pred = tmp_path / "bg.jsonl"
+        assert run("baseline", "--gt", worked_gt, "--kind", "all-bg",
+                   "--fps", "2", "--out", pred) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "oadeval.cli", "offline", "--gt",
+             str(worked_gt), "--pred", str(pred), "--metric", "cap",
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert re.findall(r"\brun\b", proc.stderr) == ["run"]
+        assert proc.stderr == f"{'run':30s} cAP -  (no ground-truth frames)\n"
 
     def test_perfect_ranking_scores_one_for_both_metrics(self, tmp_path):
         gt = tmp_path / "gt.jsonl"

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import math
 import re
+import struct
+import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +33,7 @@ from oadeval.offline import FrameScoreMatrix
 from oadeval.timeline import (
     AnnotationTrack,
     LabelVocabulary,
+    PredictionStream,
     TimeInterval,
     discretize,
 )
@@ -74,6 +79,45 @@ def interval_entries(draw):
     length = draw(st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3)))
     return {"label": draw(st.sampled_from(["a", "walk", "bg"])),
             "start_s": start, "end_s": start + length}
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# score values for the writer: any finite float64 bit pattern, and values
+# that json.dumps spells in a way of their own
+SCORE_VALUES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_float_from_bits).filter(math.isfinite),
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-5, 5e-324, 1e16, 1e22]))
+
+# score cells as the reader sees them: ints of any size within the float
+# range, and finite floats
+SCORE_CELLS = st.one_of(st.integers(-2 ** 80, 2 ** 80),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def score_matrices(draw):
+    """A finite float64 matrix of 0-12 rows and 0-4 columns.
+
+    Its cells come from a pool of one to three values, so that values
+    repeat, or also from :data:`SCORE_VALUES`, so that most are
+    distinct. It is C-ordered, Fortran-ordered or a strided view.
+    """
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(0, 4))
+    pool = st.sampled_from(draw(st.lists(SCORE_VALUES, min_size=1,
+                                         max_size=3)))
+    cells = pool if draw(st.booleans()) else st.one_of(pool, SCORE_VALUES)
+    matrix = np.array(draw(st.lists(cells, min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols)),
+                      dtype=float).reshape(n_rows, n_cols)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(matrix)
+    if layout == "strided":
+        return np.repeat(matrix, 2, axis=0)[::2]
+    return matrix
 
 
 class TestCanonicalGt:
@@ -518,16 +562,44 @@ class TestPredictions:
                 f"{path}, line 1: field '{field}': ")):
             load_scores(path, manifest)
 
-    @pytest.mark.parametrize("cell", [True, False, None, "0.5", 10 ** 400])
-    def test_non_number_score_cells_rejected(self, manifest, tmp_path, cell):
-        rows = [[0.0, 0.0]] * 20
-        rows[3] = [0.5, cell]
+    # each cell is raw JSON text, so that 1e400 stays a literal (it
+    # parses to inf)
+    @pytest.mark.parametrize("cell,error", [
+        ("true", "each score row needs 2 numbers"),
+        ("false", "each score row needs 2 numbers"),
+        ("null", "each score row needs 2 numbers"),
+        ('"0.5"', "each score row needs 2 numbers"),
+        ("[0.5]", "each score row needs 2 numbers"),
+        ('{"a": 0.5}', "each score row needs 2 numbers"),
+        ("1" + "0" * 400, "score beyond the float range"),
+        ("1e400", "scores must be finite"),
+    ])
+    def test_non_number_score_cells_rejected(self, manifest, tmp_path, cell,
+                                             error):
+        rows = ["[0.0, 0.0]"] * 20
+        rows[3] = f"[0.5, {cell}]"
         path = tmp_path / "p.jsonl"
-        path.write_text(json.dumps({
-            "record": "scores", "video_id": "worked-example", "fps": 2.0,
-            "scores": rows}) + "\n")
-        with pytest.raises(ValidationError, match="line 1: .*(numbers|float)"):
+        path.write_text('{"record": "scores", "video_id": "worked-example", '
+                        f'"fps": 2.0, "scores": [{", ".join(rows)}]}}\n')
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}, line 1: video 'worked-example': {error}") + "$"):
             load_scores(path, manifest)
+
+    @given(rows=st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(SCORE_CELLS, min_size=n, max_size=n), min_size=1,
+        max_size=8)))
+    @settings(max_examples=200)
+    def test_score_rows_build_the_float_matrix(self, rows):
+        vocab = LabelVocabulary(classes=tuple(f"c{i}" for i in
+                                              range(len(rows[0]))))
+        track = AnnotationTrack("v", float(len(rows)))
+        matrix = formats.build_scores(
+            {"video_id": "v", "fps": 1, "scores": json.loads(json.dumps(rows))},
+            track, vocab)
+        expected = np.array(rows, dtype=float)
+        assert matrix.scores.shape == expected.shape
+        assert (matrix.scores.view(np.int64).tolist()
+                == expected.view(np.int64).tolist())
 
     @pytest.mark.parametrize("row", [[0.5], [0.5, 0.5, 0.5], [], "0.5",
                                      {"a": 0.5}, None])
@@ -573,6 +645,80 @@ class TestPredictions:
             "scores": [[float(x) for x in row] for row in values],
         }, sort_keys=True)
         assert path.read_text(encoding="utf-8") == expected + "\n"
+
+    @given(matrix=score_matrices(),
+           block_rows=st.sampled_from([1, 2, 5, formats._BLOCK_ROWS]),
+           video_id=st.text(max_size=4), fps=st.floats(1e-3, 1e3))
+    @settings(max_examples=200)
+    def test_written_scores_are_the_json_dumps_record(
+            self, matrix, block_rows, video_id, fps, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "scores.jsonl"
+        with mock.patch.object(formats, "_BLOCK_ROWS", block_rows):
+            write_predictions(path, score_matrices=[
+                FrameScoreMatrix(video_id, fps, matrix)])
+        expected = json.dumps({
+            "record": "scores", "video_id": video_id, "fps": fps,
+            "scores": matrix.tolist()}, sort_keys=True)
+        assert path.read_text(encoding="utf-8") == expected + "\n"
+
+    def test_matrix_past_one_block_is_written_whole(self, tmp_path):
+        # a block of few distinct values, one of all distinct ones, and a
+        # short last block with -0.0 beside 0.0
+        block = formats._BLOCK_ROWS
+        n = 2 * block + 5
+        values = np.zeros((n, 3))
+        values[np.arange(n), np.arange(n) % 3] = 1.0
+        values[block:2 * block] = np.random.default_rng(0).random((block, 3))
+        values[-1, 1] = -0.0
+        path = tmp_path / "p.jsonl"
+        write_predictions(path, score_matrices=[
+            FrameScoreMatrix("v", 4.0, values)])
+        expected = json.dumps({"record": "scores", "video_id": "v",
+                               "fps": 4.0, "scores": values.tolist()},
+                              sort_keys=True)
+        assert path.read_text(encoding="utf-8") == expected + "\n"
+
+    def test_written_file_is_the_json_dumps_lines(self, manifest, tmp_path):
+        # records come out sorted by video id, decisions first
+        stream, matrix = perfect_model(manifest.tracks[0], 0.5,
+                                       manifest.vocabulary, seed=0, fps=2.0)
+        other = PredictionStream("a", 0.5, manifest.vocabulary, num_slots=2)
+        other.extend(["jump", "background"])
+        streams = [stream, other]
+        matrices = [matrix, FrameScoreMatrix("a", 2.0, [[0.5, -0.0]])]
+        path = tmp_path / "p.jsonl"
+        write_predictions(path, streams=streams, score_matrices=matrices)
+        lines = [json.dumps({"record": "decisions", "video_id": s.video_id,
+                             "delta_t_s": s.delta_t_s,
+                             "labels": list(s.decisions)}, sort_keys=True)
+                 for s in streams[::-1]]
+        lines += [json.dumps({"record": "scores", "video_id": m.video_id,
+                              "fps": m.fps, "scores": m.scores.tolist()},
+                             sort_keys=True)
+                  for m in matrices[::-1]]
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        write_predictions(path)
+        assert path.read_bytes() == b"\n"
+
+    def test_writer_peaks_below_the_floats_of_tolist(self, tmp_path):
+        n = 200_000
+        values = np.zeros((n, 20))
+        values[np.arange(n), np.arange(n) % 20] = 1.0
+        matrix = FrameScoreMatrix("v", 4.0, values)
+        path = tmp_path / "p.jsonl"
+        tracemalloc.start()
+        try:
+            write_predictions(path, score_matrices=[matrix])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # tolist() alone makes one float object per cell, and row lists
+        assert peak < values.size * sys.getsizeof(0.0)
+        rows = [json.dumps(row) for row in values[:20].tolist()]
+        assert path.read_text(encoding="utf-8") == (
+            '{"fps": 4.0, "record": "scores", "scores": ['
+            + ", ".join(rows[i % 20] for i in range(n))
+            + '], "video_id": "v"}\n')
 
     def test_load_scores_requires_complete_coverage(self, manifest, tmp_path):
         path = tmp_path / "p.jsonl"

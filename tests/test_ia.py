@@ -1,5 +1,6 @@
 """Instantaneous-accuracy engine: examples, invariants, oracle equivalence."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -303,6 +304,41 @@ class TestStreamingEvaluator:
         with pytest.raises(ValidationError):
             evaluator.state = MetricState(2, 0, 0, 1, 0)
         assert evaluator.state == MetricState()
+
+    # every state below adds up (k_prime = actions + background) on the
+    # 2-slot grid ["jump", "background"], yet no prefix of it has them
+    @pytest.mark.parametrize("state", [
+        MetricState(7, 0, 0, 3, 4),  # k_prime past the grid
+        MetricState(-1, 0, 0, 0, -1),  # k_prime below 0
+        MetricState(1, 0, 1, 0, 1),  # the first slot is an action
+        MetricState(2, 0, 0, 2, 0),  # the second is background
+        MetricState(1, 5, -3, 1, 0),  # more true positives than actions
+        MetricState(1, -1, 0, 1, 0),  # negative true positives
+        MetricState(2, 0, 2, 1, 1),  # more true negatives than background
+        MetricState(2, 1, -1, 1, 1),  # negative true negatives
+    ])
+    def test_state_rejects_counts_no_prefix_can_have(self, vocab, state):
+        evaluator = StreamingEvaluator(make_grid(["jump", "background"],
+                                                 vocab))
+        evaluator.consume("jump")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"no prefix of the 2 ground-truth slots has {state!r}") + "$"):
+            evaluator.state = state
+        assert evaluator.state == MetricState(1, 1, 0, 1, 0)
+        assert evaluator.consume("background") == IATracePoint(
+            1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("state,point", [
+        (MetricState(0, 0, 0, 0, 0), IATracePoint(0.5, 0.0, 0.0, 1.0)),
+        (MetricState(1, 0, 0, 1, 0), IATracePoint(1.0, 0.0, 0.0, 1.0)),
+        (MetricState(1, 1, 0, 1, 0), IATracePoint(1.0, 0.5, 0.5, 1.0)),
+    ])
+    def test_state_of_a_prefix_is_assigned(self, vocab, state, point):
+        evaluator = StreamingEvaluator(make_grid(["jump", "background"],
+                                                 vocab))
+        evaluator.state = state
+        assert evaluator.state == state
+        assert evaluator.consume("run") == point
 
     def test_consume_returns_points_of_python_floats(self, vocab):
         gt = make_grid(["jump", "background", "run", "run"], vocab)
