@@ -29,6 +29,7 @@ from .timeline import (
     LabelVocabulary,
     PredictionStream,
     discretize,
+    events_to_stream,
 )
 
 
@@ -44,16 +45,12 @@ def all_bg(track: AnnotationTrack, delta_t_s: float, vocab: LabelVocabulary,
            fps: float | None = None,
            ) -> tuple[PredictionStream, FrameScoreMatrix | None]:
     """Background decision on every slot; zero scores when ``fps`` is given."""
-    grid = discretize((), track.duration_s, delta_t_s, vocab)
-    stream = PredictionStream(track.video_id, delta_t_s, vocab,
-                              num_slots=len(grid))
-    stream.extend(grid.labels)
-    scores = None
-    if fps is not None:
-        n_frames = frame_count(track.duration_s, fps)
-        scores = FrameScoreMatrix(track.video_id, fps,
-                                  np.zeros((n_frames, len(vocab.classes))))
-    return stream, scores
+    stream = events_to_stream((), track.video_id, track.duration_s,
+                              delta_t_s, vocab)
+    if fps is None:
+        return stream, None
+    shape = (frame_count(track.duration_s, fps), len(vocab.classes))
+    return stream, FrameScoreMatrix(track.video_id, fps, np.zeros(shape))
 
 
 def perfect_model(track: AnnotationTrack, delta_t_s: float,

@@ -154,7 +154,8 @@ def cmd_evaluate(args) -> int:
     tracks = manifest.by_id()
     records, failures = read_predictions(args.pred, manifest,
                                          ("decisions", "detections"))
-    results = {}
+    per_video = {}
+    ia_traces, wia_traces = [], []
     # trace names written so far, casefolded, as a case-insensitive file
     # system would compare them, each with the video that wrote it
     written = {}
@@ -187,12 +188,6 @@ def cmd_evaluate(args) -> int:
                              f"{exc.strerror or exc}")
             continue
         written[name.casefold()] = vid
-        results[vid] = track, rows
-
-    per_video = {}
-    ia_traces, wia_traces = [], []
-    for vid in sorted(results):
-        track, rows = results[vid]
         # Python floats: round() of an np.float64 rounds another way
         ia_values, wia_values = rows[:, 1].tolist(), rows[:, 2].tolist()
         ia_traces.append((track.duration_s, ia_values))
@@ -207,19 +202,19 @@ def cmd_evaluate(args) -> int:
     summary = {
         "delta_t_s": args.delta_t,
         "mode": mode.value,
-        "videos_evaluated": len(results),
+        "videos_evaluated": len(per_video),
         "failures": [{"video_id": vid, "error": failures[vid]}
                      for vid in sorted(failures)],
-        "maia": round(maia(ia_traces, args.delta_t), 6) if results else None,
+        "maia": round(maia(ia_traces, args.delta_t), 6) if per_video else None,
         "weighted_maia": (round(maia(wia_traces, args.delta_t), 6)
-                          if results else None),
+                          if per_video else None),
         "per_video": per_video,
     }
     _write_json(out_dir / "summary.json", summary)
 
-    print(f"evaluated {len(results)}/{len(tracks)} videos "
+    print(f"evaluated {len(per_video)}/{len(tracks)} videos "
           f"(delta_t={args.delta_t}s, mode={mode.value})")
-    if results:
+    if per_video:
         print(f"maIA          {summary['maia']:.6f}")
         print(f"weighted maIA {summary['weighted_maia']:.6f}")
     for entry in summary["failures"]:
@@ -264,6 +259,8 @@ def cmd_baseline(args) -> int:
     _check_delta_t(args.delta_t)
     _check_fps(args.fps)
     manifest = load_canonical_gt(args.gt)
+    baseline = (all_bg if args.kind == "all-bg"
+                else functools.partial(perfect_model, seed=args.seed))
     streams, matrices = [], []
     limits = [("--delta-t", args.delta_t, num_slots)]
     if args.fps is not None:
@@ -275,13 +272,8 @@ def cmd_baseline(args) -> int:
             except ValidationError as exc:
                 raise EvaluationError(f"video {track.video_id!r}: {exc} "
                                       f"at {flag} {value}") from None
-        if args.kind == "all-bg":
-            stream, matrix = all_bg(track, args.delta_t, manifest.vocabulary,
-                                    fps=args.fps)
-        else:
-            stream, matrix = perfect_model(track, args.delta_t,
-                                           manifest.vocabulary, args.seed,
-                                           fps=args.fps)
+        stream, matrix = baseline(track, args.delta_t, manifest.vocabulary,
+                                  fps=args.fps)
         streams.append(stream)
         if matrix is not None:
             matrices.append(matrix)
@@ -343,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta-t", type=float, default=0.5)
     p.add_argument("--fps", type=float, default=None,
-                   help="also emit frame scores at this rate")
+                   help="frame rate of the scores records; without it "
+                   "pm scores one frame per slot and all-bg writes none")
     p.add_argument("--out", required=True, help="prediction file to write")
     p.set_defaults(func=cmd_baseline)
 

@@ -149,7 +149,13 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _iter_json_lines(path: str, text: str) -> Iterator[tuple[int, dict]]:
+def _iter_records(path: str, text: str, kinds: tuple[str, ...],
+                  ) -> Iterator[tuple[int, str, dict]]:
+    """``(line, kind, record)`` of each non-blank line of ``text``.
+
+    Each line must be a JSON object whose ``record`` field is a string
+    among ``kinds``; anything else is a :class:`ParseError` on its line.
+    """
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -157,11 +163,15 @@ def _iter_json_lines(path: str, text: str) -> Iterator[tuple[int, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}",
-                             path=str(path), line=lineno) from exc
+                             path=path, line=lineno) from exc
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object",
-                             path=str(path), line=lineno)
-        yield lineno, obj
+                             path=path, line=lineno)
+        kind = _require(obj, "record", str, path, lineno)
+        if kind not in kinds:
+            raise ParseError(f"unknown record kind {kind!r}",
+                             path=path, line=lineno, field="record")
+        yield lineno, kind, obj
 
 
 # exact types: bool is an int subclass but never a number here
@@ -264,8 +274,7 @@ def load_canonical_gt(path: str | Path) -> CorpusManifest:
     vocab = None
     tracks = []
     first_lines: dict[str, int] = {}
-    for lineno, obj in _iter_json_lines(path, text):
-        kind = _require(obj, "record", str, path, lineno)
+    for lineno, kind, obj in _iter_records(path, text, ("vocabulary", "video")):
         try:
             if kind == "vocabulary":
                 if vocab is not None:
@@ -278,7 +287,7 @@ def load_canonical_gt(path: str | Path) -> CorpusManifest:
                 background = _require(obj, "background", str, path, lineno)
                 vocab = LabelVocabulary(classes=tuple(classes),
                                         background=background)
-            elif kind == "video":
+            else:
                 if vocab is None:
                     raise ParseError(
                         "vocabulary record must precede video records",
@@ -301,9 +310,6 @@ def load_canonical_gt(path: str | Path) -> CorpusManifest:
                     video_id=video_id, duration_s=float(duration),
                     intervals=intervals, multi_label=multi))
                 first_lines[video_id] = lineno
-            else:
-                raise ParseError(f"unknown record kind {kind!r}",
-                                 path=path, line=lineno, field="record")
         except ValidationError as exc:
             raise type(exc)(f"{path}, line {lineno}: {exc}") from exc
     if vocab is None:
@@ -522,11 +528,8 @@ def iter_prediction_records(path: str | Path,
                             ) -> Iterator[tuple[int, str, dict]]:
     """Yield structurally valid (line, kind, record) prediction entries."""
     path = str(path)
-    for lineno, obj in _iter_json_lines(path, _read_text(path)[1]):
-        kind = _require(obj, "record", str, path, lineno)
-        if kind not in ("decisions", "detections", "scores"):
-            raise ParseError(f"unknown record kind {kind!r}",
-                             path=path, line=lineno, field="record")
+    for lineno, kind, obj in _iter_records(
+            path, _read_text(path)[1], ("decisions", "detections", "scores")):
         _require(obj, "video_id", str, path, lineno)
         yield lineno, kind, obj
 

@@ -37,7 +37,11 @@ class FrameScoreMatrix:
     """Per-frame confidence scores, one column per action class.
 
     Column order follows the vocabulary's class order. Row count must
-    equal ``floor(duration * fps)`` of the matching video.
+    equal ``floor(duration * fps)`` of the matching video. ``scores`` is
+    read-only, so the scores stay finite after the check made here: a
+    float64 array passed in is frozen, not copied, and anything else is
+    converted to a new float64 array first. A pickled or copied matrix
+    is built again through the constructor, so it is read-only too.
     """
 
     video_id: str
@@ -53,7 +57,11 @@ class FrameScoreMatrix:
         if not np.all(np.isfinite(scores)):
             raise ValidationError(
                 f"video {self.video_id!r}: scores must be finite")
+        scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
+
+    def __reduce__(self):
+        return FrameScoreMatrix, (self.video_id, self.fps, self.scores)
 
     @property
     def n_frames(self) -> int:
@@ -101,7 +109,9 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
     interval's frame range is found by ``numpy.searchsorted`` over the
     ascending midpoints and painted by the slot discretizer's
     :func:`~oadeval.timeline.paint_midpoints`, so ``N`` frames and ``n``
-    intervals cost O(N + n log N).
+    intervals cost O(N + n log N + F), where ``F`` counts each frame
+    once per interval covering it: overlapping intervals repaint the
+    frames they share, and without overlaps the cost is O(N + n log N).
 
     Interval labels pass the slot discretizer's check
     (:func:`~oadeval.timeline.sort_action_intervals`): an unknown label
@@ -132,11 +142,11 @@ def _collect(score_matrices, tracks, vocab):
             raise ValidationError(f"duplicate score matrix for {m.video_id!r}")
         by_id[m.video_id] = m
     track_ids = {t.video_id for t in tracks}
-    if set(by_id) - track_ids:
-        missing = sorted(set(by_id) - track_ids)
-        raise ValidationError(f"scores reference unknown videos: {missing}")
-    if track_ids - set(by_id):
-        missing = sorted(track_ids - set(by_id))
+    unknown = sorted(set(by_id) - track_ids)
+    if unknown:
+        raise ValidationError(f"scores reference unknown videos: {unknown}")
+    missing = sorted(track_ids - set(by_id))
+    if missing:
         raise ValidationError(f"missing scores for videos: {missing}")
 
     all_scores, all_codes = [np.zeros((0, len(vocab.classes)))], []

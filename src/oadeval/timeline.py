@@ -17,8 +17,11 @@ built, into ``*_us`` fields that take no part in ``==``, ``hash`` or
 A grid is its class codes: one read-only NumPy array with background
 0 and the classes 1..C. :func:`discretize` finds each interval's slot
 range with exact integer arithmetic and paints the ranges into that
-array, so ``K`` slots and ``n`` intervals cost O(K + n) after the sort;
-slot labels are derived from the codes only when asked for.
+array. After the sort, ``K`` slots and ``n`` intervals cost
+O(K + n + S), where ``S`` counts each slot once per interval covering
+it: overlapping intervals repaint the slots they share, and a track
+without overlaps costs O(K + n). Slot labels are derived from the
+codes only when asked for.
 """
 
 from __future__ import annotations
@@ -77,19 +80,20 @@ class LabelVocabulary:
     """Closed set of action classes plus one distinguished background label.
 
     Immutable after construction; class names must be unique, non-empty
-    and must not collide with the background label. ``codes`` maps each
-    label to a small int: background to 0, the classes to 1..C in
-    declared order. It is the only membership structure: ``in``,
-    :meth:`is_action` and :meth:`require` all read it.
+    and must not collide with the background label. ``labels`` holds
+    every label in code order: background first, then the classes in
+    declared order. ``codes`` maps each label to its index there: background
+    to 0, the classes to 1..C. It is the only membership structure:
+    ``in``, :meth:`is_action` and :meth:`require` all read it.
     """
 
     classes: tuple[str, ...]
     background: str = DEFAULT_BACKGROUND
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         classes = tuple(self.classes)
-        object.__setattr__(self, "classes", classes)
         if not self.background:
             raise ValidationError("background label must be non-empty")
         if any(not c for c in classes):
@@ -99,9 +103,9 @@ class LabelVocabulary:
         if self.background in classes:
             raise ValidationError(
                 f"background label {self.background!r} must not be an action class")
-        codes = {self.background: 0}
-        codes.update((c, i) for i, c in enumerate(classes, start=1))
-        object.__setattr__(self, "codes", codes)
+        labels = (self.background, *classes)
+        self.__dict__.update(classes=classes, labels=labels,
+                             codes={c: i for i, c in enumerate(labels)})
 
     def __contains__(self, label: str) -> bool:
         return label in self.codes
@@ -114,8 +118,7 @@ class LabelVocabulary:
         return code > 0
 
     def require(self, label: str) -> str:
-        if label not in self.codes:
-            raise VocabularyError(f"unknown label {label!r}")
+        self.is_action(label)  # raises on an unknown label
         return label
 
 
@@ -232,8 +235,7 @@ class SlotGrid:
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        names = tuple(self.vocab.codes)  # in code order
-        return tuple(map(names.__getitem__, self.codes.tolist()))
+        return tuple(map(self.vocab.labels.__getitem__, self.codes.tolist()))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -332,8 +334,10 @@ def discretize(intervals: Iterable[TimeInterval], duration_s: float,
     holds for any time a :class:`TimeInterval` accepts, and half-slot
     offsets stay exact for odd microsecond slot sizes. Each interval's
     range is then one slice of a ``K``-slot code array
-    (:func:`paint_midpoints`), so painting costs O(K + n) for ``n``
-    intervals; overlapping intervals repaint the slots they share.
+    (:func:`paint_midpoints`), so painting ``n`` intervals costs
+    O(K + n + S), where ``S`` counts each slot once per interval
+    covering it: overlapping intervals repaint the slots they share,
+    and without overlaps the cost is O(K + n).
     Labels are checked by :func:`sort_action_intervals`, the duration,
     slot size and slot count by :func:`num_slots`.
     """
@@ -384,8 +388,7 @@ class PredictionStream:
 
     @property
     def decisions(self) -> tuple[str, ...]:
-        names = tuple(self.vocab.codes)  # in code order
-        return tuple(map(names.__getitem__, self._codes))
+        return tuple(map(self.vocab.labels.__getitem__, self._codes))
 
     def append(self, label: str) -> int:
         """Record the decision for the next slot; returns its 1-based index."""

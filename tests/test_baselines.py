@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oadeval import synthetic
 from oadeval.baselines import all_bg, perfect_model, video_rng
 from oadeval.errors import ValidationError
 from oadeval.ia import evaluate_grids, maia, oracle_ia
@@ -177,3 +178,40 @@ class TestSyntheticCorpus:
             action = sum(1 for lab in grid.labels
                          if lab != a.vocabulary.background)
             assert 0.0 < action / len(grid) < 0.5
+
+    def test_video_with_no_drawn_action_gets_one(self):
+        # a zero density covers its target before any segment is drawn
+        manifest = synthetic_corpus(seed=3, n_videos=4,
+                                    density_range=(0.0, 0.0))
+        for track in manifest.tracks:
+            (interval,) = track.intervals
+            assert interval.label in manifest.vocabulary.classes
+            assert (interval.start_s, interval.end_s) == (1.0, 1.6)
+
+    def test_short_segment_stops_the_draw(self, monkeypatch):
+        # the draw never gives a segment under 0.3 s (segments are at
+        # least 0.6 s, and both caps stay above 0.3 s while the loop
+        # runs), so a generator whose second segment is 0.1 s stands in
+        real = np.random.default_rng
+        segments = iter([1.0, 0.1])
+
+        class ShortSecondSegment:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def uniform(self, low, high):
+                if (low, high) == (0.6, 2.4):
+                    return next(segments)
+                return self.rng.uniform(low, high)
+
+            def integers(self, n):
+                return self.rng.integers(n)
+
+        monkeypatch.setattr(synthetic.np.random, "default_rng",
+                            ShortSecondSegment)
+        manifest = synthetic_corpus(seed=3, n_videos=1,
+                                    duration_range=(30.0, 30.0),
+                                    density_range=(0.4, 0.4))
+        (interval,) = manifest.tracks[0].intervals
+        assert interval.end_s - interval.start_s == pytest.approx(1.0)
+        assert interval.start_s != 1.0  # not the fallback segment

@@ -652,6 +652,27 @@ class TestBaseline:
             f"error: --fps {float(fps)} must be finite and > 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,fps,score_fps", [
+        ("pm", None, 2.0),          # one frame per 0.5 s slot
+        ("all-bg", None, None),     # no scores record at all
+        ("pm", "4.0", 4.0),
+        ("all-bg", "4.0", 4.0),
+    ])
+    def test_fps_sets_the_scores_records(self, tmp_path, worked_gt, kind, fps,
+                                         score_fps):
+        out = tmp_path / "p.jsonl"
+        flags = [] if fps is None else ["--fps", fps]
+        assert run("baseline", "--gt", worked_gt, "--kind", kind,
+                   "--delta-t", "0.5", *flags, "--out", out) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["record"], r["video_id"]) for r in records] == [
+            ("decisions", "worked-example")] + (
+            [] if score_fps is None else [("scores", "worked-example")])
+        assert len(records[0]["labels"]) == 20
+        if score_fps is not None:
+            assert records[1]["fps"] == score_fps
+            assert len(records[1]["scores"]) == 10 * score_fps
+
     def test_seed_changes_pm_scores(self, tmp_path, worked_gt):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run("baseline", "--gt", worked_gt, "--kind", "pm", "--seed", "1",

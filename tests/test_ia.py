@@ -197,6 +197,16 @@ class TestOracle:
         assert all(p.ia == 1.0 and p.wia == 1.0
                    for p in oracle_ia(worked_gt_grid, worked_gt_grid))
 
+    def test_grids_of_different_vocabularies_rejected(self, vocab):
+        other = LabelVocabulary(classes=("jump",))
+        pred = make_grid(["jump", "background"], other)
+        gt = make_grid(["jump", "background"], vocab)
+        for engine in (evaluate_grids, oracle_ia):
+            with pytest.raises(ValidationError, match=(
+                    "^prediction and ground-truth grids use different "
+                    "vocabularies$")):
+                engine(pred, gt)
+
     @given(grid_pairs(), st.sampled_from(list(MatchingMode)))
     @settings(max_examples=300, deadline=None)
     def test_incremental_engine_is_bit_equal(self, pair, mode):
@@ -494,6 +504,12 @@ class TestIATrace:
             trace[1:].rows[:] = 0.0
         with pytest.raises(TypeError):
             hash(trace)
+
+    def test_repr_shows_the_rows(self, pair):
+        trace = evaluate_grids(*pair)
+        assert repr(trace) == f"IATrace({trace.rows!r})"
+        assert repr(IATrace([[0.5, 1.0, 1.0, 1.0]])) == (
+            "IATrace(array([[0.5, 1. , 1. , 1. ]]))")
 
     def test_built_from_points(self, pair):
         points = oracle_ia(*pair)

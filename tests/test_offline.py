@@ -1,6 +1,8 @@
 """Frame-level mAP / cAP against a brute-force ranking oracle."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -214,6 +216,62 @@ class TestFrameMap:
         matrix = FrameScoreMatrix("v", 1.0, np.zeros((3, 2)))
         with pytest.raises(ValidationError):
             frame_map([matrix], [track], vocab)
+
+    def test_duplicate_matrix_rejected(self, vocab):
+        matrices, tracks = single_video_inputs([[1.0, 0.0]], ["jump"], vocab)
+        with pytest.raises(ValidationError,
+                           match="^duplicate score matrix for 'v'$"):
+            frame_map(matrices * 2, tracks, vocab)
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_column_count_mismatch_rejected(self, vocab, columns):
+        track = AnnotationTrack("v", 4.0, (TimeInterval("jump", 0.0, 1.0),))
+        matrix = FrameScoreMatrix("v", 1.0, np.zeros((4, columns)))
+        with pytest.raises(ValidationError, match=(
+                f"^video 'v': {columns} score columns for 2 classes$")):
+            frame_map([matrix], [track], vocab)
+
+    @pytest.mark.parametrize("metric", [frame_map, frame_cap])
+    def test_no_ground_truth_frames_rejected(self, vocab, metric):
+        track = AnnotationTrack("v", 4.0)
+        matrix = FrameScoreMatrix("v", 1.0, np.ones((4, 2)))
+        with pytest.raises(ValidationError,
+                           match="^no class has ground-truth frames$"):
+            metric([matrix], [track], vocab)
+
+
+class TestFrameScoreMatrix:
+    @pytest.mark.parametrize("scores", [np.zeros(3), np.zeros((1, 2, 2)),
+                                        0.5])
+    def test_scores_must_be_two_dimensional(self, scores):
+        with pytest.raises(ValidationError, match=(
+                "^scores must be a 2-D frame x class array$")):
+            FrameScoreMatrix("v", 1.0, scores)
+
+    def test_scores_are_read_only(self):
+        scores = np.zeros((2, 1))
+        matrix = FrameScoreMatrix("v", 1.0, scores)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.scores[0, 0] = math.nan
+        # a float64 array is frozen in place, not copied
+        assert matrix.scores is scores
+        with pytest.raises(ValueError, match="read-only"):
+            scores[1, 0] = 1.0
+        assert matrix.scores.tolist() == [[0.0], [0.0]]
+        # any other input is converted to a new float64 array first
+        listed = [[1, 0], [0, 1]]
+        assert FrameScoreMatrix("v", 1.0, listed).scores.dtype == np.float64
+        assert listed == [[1, 0], [0, 1]]
+
+    def test_pickled_and_copied_scores_stay_read_only(self):
+        matrix = FrameScoreMatrix("v", 2.0, np.arange(6.0).reshape(3, 2))
+        for copied in (pickle.loads(pickle.dumps(matrix)),
+                       copy.deepcopy(matrix), copy.copy(matrix)):
+            assert type(copied) is FrameScoreMatrix
+            assert (copied.video_id, copied.fps) == ("v", 2.0)
+            assert np.array_equal(copied.scores, matrix.scores)
+            with pytest.raises(ValueError, match="read-only"):
+                copied.scores[0, 0] = math.nan
 
 
 class TestFrameCap:

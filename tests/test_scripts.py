@@ -36,3 +36,45 @@ def test_metric_comparison_pm_saturates_maia(tmp_path):
     assert table["PM"]["maIA"] == 1.0
     assert table["PM"]["weighted maIA"] == 1.0
     assert table["PM"]["mAP"] < 1.0
+
+
+# nine lines hold code: the import, the def, the four lines of the two
+# statements that span lines, the return, the class and its assignment
+CODE_SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # and a trailing one
+
+
+def f(x):
+    """A function docstring."""
+    y = (x +
+         1)
+    s = """a string that is
+not a docstring"""
+    return y, s
+
+
+class C:
+    "a class docstring"
+
+    z = 1
+'''
+
+
+def test_code_lines_counts_only_lines_that_hold_code(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(CODE_SAMPLE)
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "b.py").write_text("x = 1\n\n\n# done\n")
+    (package / "a.py").write_text('"""Only a docstring."""\n')
+    proc = run_script("code_lines.py", sample, package)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"     9 {sample}",
+        f"     0 {package / 'a.py'}",
+        f"     1 {package / 'b.py'}",
+        "    10 total",
+    ]

@@ -206,6 +206,21 @@ class TestLabelVocabulary:
         twin = LabelVocabulary(classes=("run", "jump"), background="bg")
         assert vocab == twin and hash(vocab) == hash(twin)
 
+    def test_only_classes_and_background_are_arguments(self):
+        vocab = LabelVocabulary(classes=["run", "jump"], background="bg")
+        assert repr(vocab) == ("LabelVocabulary(classes=('run', 'jump'), "
+                               "background='bg')")
+        for name in ("labels", "codes"):
+            with pytest.raises(TypeError):
+                LabelVocabulary(classes=("run",), **{name: ()})
+        # a copied vocabulary decodes codes to the same labels
+        copied = pickle.loads(pickle.dumps(vocab))
+        stream = PredictionStream("v", 0.5, copied)
+        stream.extend(["jump", "bg", "run"])
+        assert stream.as_grid().codes.tolist() == [2, 0, 1]
+        assert stream.as_grid().labels == stream.decisions == (
+            "jump", "bg", "run")
+
 
 class TestTimeInterval:
     def test_zero_or_negative_length_rejected(self):
@@ -256,6 +271,11 @@ class TestAnnotationTrack:
                TimeInterval("run", 3.0, 4.0))
         with pytest.raises(ValidationError):
             AnnotationTrack("v", 6.0, ivs)
+
+    def test_empty_video_id_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^video_id must be non-empty$"):
+            AnnotationTrack("", 5.0)
 
     def test_touching_intervals_are_not_overlap(self):
         track = AnnotationTrack("v", 5.0, (TimeInterval("jump", 0.0, 2.0),
@@ -631,6 +651,17 @@ class TestPredictionStream:
         s = PredictionStream("v", 0.5, vocab)
         with pytest.raises(VocabularyError):
             s.append("walk")
+
+    def test_empty_video_id_rejected(self, vocab):
+        with pytest.raises(ValidationError,
+                           match="^video_id must be non-empty$"):
+            PredictionStream("", 0.5, vocab)
+
+    @pytest.mark.parametrize("num_slots", [0, -1])
+    def test_non_positive_slot_count_rejected(self, vocab, num_slots):
+        with pytest.raises(ValidationError,
+                           match="^num_slots must be positive when given$"):
+            PredictionStream("v", 0.5, vocab, num_slots=num_slots)
 
     @given(before=st.lists(st.sampled_from(["jump", "background"]), max_size=4),
            labels=labels_maybe_unknown(),
