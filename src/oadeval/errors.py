@@ -47,5 +47,5 @@ class ParseError(EvaluationError):
             where.append(f"line {line}")
         if field is not None:
             where.append(f"field {field!r}")
-        prefix = ": ".join([", ".join(where)]) if where else ""
+        prefix = ", ".join(where)
         super().__init__(f"{prefix}: {message}" if prefix else message)

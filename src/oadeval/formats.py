@@ -375,8 +375,13 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
             report.warn(f"video {video_id!r}: missing or invalid duration; skipped")
             report.videos_skipped += 1
             continue
+        annotations = entry.get("annotations", [])
+        if not isinstance(annotations, list):
+            raise ParseError(
+                f"video {video_id!r}: 'annotations' must be a list, not "
+                f"{type(annotations).__name__}", path=str(path))
         intervals = []
-        for ann in entry.get("annotations", []):
+        for ann in annotations:
             if not isinstance(ann, dict):
                 ann = {}  # fails the check below, with the video named
             segment = ann.get("segment")
@@ -429,6 +434,7 @@ def _finite_float(text: str) -> float:
 
 def _read_duration_table(path: str | Path, text: str) -> dict[str, float]:
     durations = {}
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -436,6 +442,11 @@ def _read_duration_table(path: str | Path, text: str) -> dict[str, float]:
         if len(parts) != 2:
             raise ParseError("expected 'video_id duration_s'",
                              path=str(path), line=lineno)
+        if parts[0] in first_lines:
+            raise ParseError(f"duplicate video id {parts[0]!r} "
+                             f"(first at line {first_lines[parts[0]]})",
+                             path=str(path), line=lineno)
+        first_lines[parts[0]] = lineno
         try:
             duration = _finite_float(parts[1])
         except ValueError as exc:
@@ -456,7 +467,8 @@ def load_thumos_gt(dir_path: str | Path,
     after the file, minus a trailing ``_val``/``_test``); rows are
     ``video_id start_s end_s``. Overlapping rows are kept as-is (tracks
     are multi-label; the discretizer resolves them). Durations come from
-    the sidecar table; rows naming a video absent from it are an error.
+    the sidecar table; rows naming a video absent from it are an error,
+    and so is a video id the sidecar repeats.
     """
     dir_path = Path(dir_path)
     raw, text = _read_text(durations_path)

@@ -20,8 +20,9 @@ only when asked for. :class:`StreamingEvaluator` takes the ground truth's
 codes once, as Python ints; each decision then costs one dict lookup and
 a few integer adds, O(1) per slot. :func:`evaluate_grids` scores
 two completed grids at once: the counters are prefix sums over both code
-arrays, taken with NumPy. Every value is one float division of two exact
-integers, so the prefix sums match the streaming engine bit for bit up to
+arrays, one NumPy ``cumsum`` of their stacked flags. Every value is one
+float division of two exact integers, so the prefix sums match the
+streaming engine bit for bit up to
 :data:`EXACT_PREFIX_SLOTS` slots; longer grids are replayed through
 :class:`StreamingEvaluator`. Its result is an :class:`IATrace`: one
 read-only ``(K, 4)`` float64 array whose columns are the four
@@ -30,7 +31,9 @@ columns while indexing and iteration still yield points.
 
 Only the seen prefix ever enters a value: the metric is causal by
 construction, and :func:`oracle_ia` re-derives every instant from scratch
-(full prefix enumeration) to verify both engines bit-for-bit.
+to verify both engines bit-for-bit: it builds one flag byte per slot from
+the labels, not the codes, and recounts each prefix with
+``bytearray.count``.
 """
 
 from __future__ import annotations
@@ -246,27 +249,24 @@ EXACT_PREFIX_SLOTS = 330_280
 
 def _prefix_sum_trace(grid_pred: SlotGrid, grid_gt: SlotGrid,
                       mode: MatchingMode) -> IATrace:
-    k = len(grid_gt)
     pred, truth = grid_pred.codes, grid_gt.codes
     truth_action = truth > 0
-    if mode is MatchingMode.BINARY:
-        tp_flags = truth_action & (pred > 0)
-    else:
-        tp_flags = truth_action & (pred == truth)
-    tn_flags = (truth == 0) & (pred == 0)
-
-    seen = np.arange(1, k + 1, dtype=np.int64)
-    tp = np.cumsum(tp_flags, dtype=np.int64)
-    tn = np.cumsum(tn_flags, dtype=np.int64)
-    p = np.cumsum(truth_action, dtype=np.int64)
+    hit = pred > 0 if mode is MatchingMode.BINARY else pred == truth
+    # one int64 cumsum over the stacked true-positive, true-negative and
+    # ground-truth-action flags (codes are >= 0, so truth | pred == 0
+    # marks background on both sides)
+    tp, tn, p = np.array((truth_action & hit, (truth | pred) == 0,
+                          truth_action), dtype=np.int64).cumsum(axis=1)
+    seen = np.arange(1, len(truth) + 1, dtype=np.int64)
     n = seen - p
-    both = (p > 0) & (n > 0)
+    # n * p * seen is zero exactly where a ground-truth count is zero,
+    # and there wIA falls back to IA and w to 1
+    den = n * p * seen
+    both = den > 0
     ia = (tp + tn) / seen
-    wia = np.where(both, (n * n * tp + p * p * tn)
-                   / np.where(both, n * p * seen, 1), ia)
-    w = np.where(both, n / np.maximum(p, 1), 1.0)
-    t_s = seen * grid_gt.delta_t_s
-    return IATrace(np.column_stack((t_s, ia, wia, w)))
+    wia = np.divide(n * n * tp + p * p * tn, den, out=ia.copy(), where=both)
+    w = np.divide(n, p, out=np.ones_like(ia), where=both)
+    return IATrace(np.column_stack((seen * grid_gt.delta_t_s, ia, wia, w)))
 
 
 def evaluate_grids(grid_pred: SlotGrid, grid_gt: SlotGrid,
@@ -363,29 +363,29 @@ def oracle_ia(grid_pred: SlotGrid, grid_gt: SlotGrid,
               ) -> list[IATracePoint]:
     """Brute-force reference: recompute every instant from scratch.
 
-    For each prefix length the counters are re-accumulated over all its
-    slots (O(K^2) work overall) with no state carried between instants.
-    Results must match :func:`evaluate_grids` bit for bit.
+    The flags come from the grids' labels and ``vocab.is_action``, never
+    from class codes, as one byte per slot: true positive, true negative
+    and ground-truth action. For each prefix length ``k`` the counters
+    are recounted over all its slots with ``flags.count(1, 0, k)``
+    (O(K^2) work overall, O(K) memory), with no running total, no NumPy
+    and no state carried between instants. Results must match
+    :func:`evaluate_grids` bit for bit.
     """
     _check_grids(grid_pred, grid_gt)
-    vocab = grid_gt.vocab
-    delta_t_s = grid_gt.delta_t_s
     class_aware = mode is MatchingMode.CLASS_AWARE
-
-    truth_action = [vocab.is_action(t) for t in grid_gt.labels]
-    pred_action = [vocab.is_action(pr) for pr in grid_pred.labels]
-    tp_flags = []
-    tn_flags = []
-    for pr, t, t_act, pr_act in zip(grid_pred.labels, grid_gt.labels,
-                                    truth_action, pred_action):
-        tp_flags.append(1 if t_act and pr_act and (pr == t or not class_aware) else 0)
-        tn_flags.append(1 if not t_act and not pr_act else 0)
+    is_action = grid_gt.vocab.is_action
+    tp_flags, tn_flags, truth_action = bytearray(), bytearray(), bytearray()
+    for pr, t in zip(grid_pred.labels, grid_gt.labels):
+        t_act, pr_act = is_action(t), is_action(pr)
+        tp_flags.append(t_act and pr_act and (pr == t or not class_aware))
+        tn_flags.append(not (t_act or pr_act))
+        truth_action.append(t_act)
 
     trace = []
     for k in range(1, len(grid_gt) + 1):
-        tp = sum(tp_flags[:k])
-        tn = sum(tn_flags[:k])
-        p = sum(truth_action[:k])
+        tp = tp_flags.count(1, 0, k)
+        tn = tn_flags.count(1, 0, k)
+        p = truth_action.count(1, 0, k)
         n = k - p
         ia = (tp + tn) / k
         if p > 0 and n > 0:
@@ -394,5 +394,5 @@ def oracle_ia(grid_pred: SlotGrid, grid_gt: SlotGrid,
         else:
             w = 1.0
             wia = ia
-        trace.append(IATracePoint(t_s=k * delta_t_s, ia=ia, wia=wia, weight_w=w))
+        trace.append(IATracePoint(k * grid_gt.delta_t_s, ia, wia, w))
     return trace

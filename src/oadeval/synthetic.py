@@ -46,8 +46,6 @@ def synthetic_corpus(seed: int, n_videos: int = 20,
         while covered < target and t < duration - 1.0:
             seg = round(float(rng.uniform(0.6, 2.4)), 2)
             seg = min(seg, target - covered + 0.3, duration - t - 0.5)
-            if seg < 0.3:
-                break
             label = classes[int(rng.integers(len(classes)))]
             intervals.append(TimeInterval(label, round(t, 2), round(t + seg, 2)))
             covered += seg

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from oadeval import synthetic
 from oadeval.baselines import all_bg, perfect_model, video_rng
 from oadeval.errors import ValidationError
 from oadeval.ia import evaluate_grids, maia, oracle_ia
@@ -188,30 +187,19 @@ class TestSyntheticCorpus:
             assert interval.label in manifest.vocabulary.classes
             assert (interval.start_s, interval.end_s) == (1.0, 1.6)
 
-    def test_short_segment_stops_the_draw(self, monkeypatch):
-        # the draw never gives a segment under 0.3 s (segments are at
-        # least 0.6 s, and both caps stay above 0.3 s while the loop
-        # runs), so a generator whose second segment is 0.1 s stands in
-        real = np.random.default_rng
-        segments = iter([1.0, 0.1])
-
-        class ShortSecondSegment:
-            def __init__(self, seed):
-                self.rng = real(seed)
-
-            def uniform(self, low, high):
-                if (low, high) == (0.6, 2.4):
-                    return next(segments)
-                return self.rng.uniform(low, high)
-
-            def integers(self, n):
-                return self.rng.integers(n)
-
-        monkeypatch.setattr(synthetic.np.random, "default_rng",
-                            ShortSecondSegment)
-        manifest = synthetic_corpus(seed=3, n_videos=1,
-                                    duration_range=(30.0, 30.0),
-                                    density_range=(0.4, 0.4))
-        (interval,) = manifest.tracks[0].intervals
-        assert interval.end_s - interval.start_s == pytest.approx(1.0)
-        assert interval.start_s != 1.0  # not the fallback segment
+    @pytest.mark.parametrize("duration_range,density_range", [
+        ((8.0, 30.0), (0.1, 0.4)), ((4.0, 12.0), (0.05, 0.6)),
+        ((30.0, 300.0), (0.5, 0.95)), ((5.0, 5.0), (0.01, 0.02))])
+    def test_no_drawn_segment_is_shorter_than_0_3_s(self, duration_range,
+                                                    density_range):
+        # segments are drawn from [0.6, 2.4] s, and while the loop runs
+        # both caps (what is left of the target plus 0.3 s, what is left
+        # of the video minus 0.5 s) stay at or above 0.3 s; a capped
+        # last segment can be exactly 0.3 s
+        lengths = [iv.end_us - iv.start_us
+                   for seed in range(60)
+                   for track in synthetic_corpus(
+                       seed, n_videos=10, duration_range=duration_range,
+                       density_range=density_range).tracks
+                   for iv in track.intervals]
+        assert min(lengths) >= 300_000

@@ -1012,6 +1012,36 @@ class TestConvert:
         assert "Traceback" not in err
         assert not (tmp_path / "c.jsonl").exists()
 
+    @pytest.mark.parametrize("annotations,kind", [
+        ("5", "int"), ("null", "NoneType"), ('{"a": 1}', "dict")])
+    def test_activitynet_annotations_not_a_list_is_a_located_error(
+            self, tmp_path, capsys, annotations, kind):
+        anet = tmp_path / "anet.json"
+        anet.write_text(
+            '{"database": {"vid1": {"subset": "validation", "duration": 5.0,'
+            ' "annotations": ' + annotations + '}}}')
+        assert run("convert", "--format", "activitynet", "--in", anet,
+                   "--out", tmp_path / "c.jsonl") == 1
+        assert capsys.readouterr().err == (
+            f"error: {anet}: video 'vid1': 'annotations' must be a list, "
+            f"not {kind}\n")
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_thumos_repeated_duration_row_is_a_located_error(self, tmp_path,
+                                                             capsys):
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "Jump_test.txt").write_text("v1 1.0 2.0\n")
+        durations = tmp_path / "durations.txt"
+        durations.write_text("v1 10\n# again\nv1 20\n")
+        assert run("convert", "--format", "thumos", "--in", ann,
+                   "--durations", durations,
+                   "--out", tmp_path / "c.jsonl") == 1
+        assert capsys.readouterr().err == (
+            f"error: {durations}, line 3: duplicate video id 'v1' "
+            "(first at line 1)\n")
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_activitynet_background_label_is_a_located_error(self, tmp_path,
                                                               capsys):
         anet = tmp_path / "anet.json"

@@ -377,6 +377,13 @@ class TestActivityNetAdapter:
                                           subset="training")
         assert {t.video_id for t in manifest.tracks} == {"ghi789"}
 
+    def test_missing_annotations_mean_none(self, tmp_path):
+        path = tmp_path / "anet.json"
+        path.write_text(json.dumps({"database": {"v1": {
+            "subset": "validation", "duration": 5.0}}}))
+        manifest, _ = load_activitynet_gt(path)
+        assert manifest.by_id()["v1"].intervals == ()
+
     @staticmethod
     def load_one(tmp_path, annotations):
         """Load one 5 s validation video holding ``annotations``."""

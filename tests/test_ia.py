@@ -1,5 +1,6 @@
 """Instantaneous-accuracy engine: examples, invariants, oracle equivalence."""
 
+import itertools
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -182,7 +183,76 @@ class TestMaia:
             maia([(5.0, [1.0] * 10), (duration, [])], 0.5)
 
 
+def _slice_sum_oracle(grid_pred, grid_gt, mode=MatchingMode.CLASS_AWARE):
+    """Reference for :func:`oracle_ia`: the same flags as lists, each
+    prefix's counters summed over a freshly copied slice. The grid checks,
+    which the two share, are left out."""
+    vocab = grid_gt.vocab
+    delta_t_s = grid_gt.delta_t_s
+    class_aware = mode is MatchingMode.CLASS_AWARE
+
+    truth_action = [vocab.is_action(t) for t in grid_gt.labels]
+    pred_action = [vocab.is_action(pr) for pr in grid_pred.labels]
+    tp_flags = []
+    tn_flags = []
+    for pr, t, t_act, pr_act in zip(grid_pred.labels, grid_gt.labels,
+                                    truth_action, pred_action):
+        tp_flags.append(1 if t_act and pr_act and (pr == t or not class_aware) else 0)
+        tn_flags.append(1 if not t_act and not pr_act else 0)
+
+    trace = []
+    for k in range(1, len(grid_gt) + 1):
+        tp = sum(tp_flags[:k])
+        tn = sum(tn_flags[:k])
+        p = sum(truth_action[:k])
+        n = k - p
+        ia = (tp + tn) / k
+        if p > 0 and n > 0:
+            w = n / p
+            wia = (n * n * tp + p * p * tn) / (n * p * k)
+        else:
+            w = 1.0
+            wia = ia
+        trace.append(IATracePoint(t_s=k * delta_t_s, ia=ia, wia=wia, weight_w=w))
+    return trace
+
+
+def bits(points):
+    """Each value of each point as its exact float64 bits."""
+    return [tuple(map(float.hex, point)) for point in points]
+
+
 class TestOracle:
+    @pytest.mark.parametrize("mode", list(MatchingMode))
+    def test_equals_the_slice_sum_oracle_on_every_small_pair(self, vocab,
+                                                             mode):
+        pairs = 0
+        for k in range(1, 5):
+            grids = [make_grid(labels, vocab)
+                     for labels in itertools.product(LABELS, repeat=k)]
+            for gt in grids:
+                for pred in grids:
+                    points = oracle_ia(pred, gt, mode)
+                    assert bits(points) == bits(_slice_sum_oracle(pred, gt,
+                                                                  mode))
+                    assert all(type(p) is IATracePoint for p in points)
+                    pairs += 1
+        assert pairs == sum(9 ** k for k in range(1, 5))
+
+    def test_equals_the_slice_sum_oracle_on_random_grids(self):
+        vocab = LabelVocabulary(classes=("a", "b", "c"))
+        alphabet = ("a", "b", "c", vocab.background)
+        rng = np.random.default_rng(16)
+        for i in range(120):
+            k = int(rng.integers(1, 301))
+            # unbalanced ground truth on every other grid
+            weights = [0.05, 0.05, 0.05, 0.85] if i % 2 else None
+            gt = make_grid(rng.choice(alphabet, size=k, p=weights), vocab)
+            pred = make_grid(rng.choice(alphabet, size=k), vocab)
+            for mode in MatchingMode:
+                assert bits(oracle_ia(pred, gt, mode)) == bits(
+                    _slice_sum_oracle(pred, gt, mode))
+
     def test_worked_example_trace_matches_golden_file(self, worked_pred_grid,
                                                       worked_gt_grid):
         rows = (DATA / "worked_example_trace.csv").read_text().strip().splitlines()
