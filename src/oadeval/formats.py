@@ -48,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -64,6 +65,7 @@ from .timeline import (
     PredictionStream,
     TimeInterval,
     check_action_labels,
+    check_ends,
     events_to_stream,
     num_slots,
     seconds_to_us,
@@ -464,11 +466,12 @@ def load_thumos_gt(dir_path: str | Path,
     """Merge Thumos-style per-class annotation files into one manifest.
 
     Every ``*.txt`` file in the directory contributes one class (named
-    after the file, minus a trailing ``_val``/``_test``); rows are
-    ``video_id start_s end_s``. Overlapping rows are kept as-is (tracks
-    are multi-label; the discretizer resolves them). Durations come from
-    the sidecar table; rows naming a video absent from it are an error,
-    and so is a video id the sidecar repeats.
+    after the file, minus one trailing ``_val`` or ``_test``); rows are
+    ``video_id start_s end_s``, and each must end within its video
+    (:func:`~oadeval.timeline.check_ends`). Overlapping rows are kept
+    as-is (tracks are multi-label; the discretizer resolves them).
+    Durations come from the sidecar table; rows naming a video absent
+    from it are an error, and so is a video id the sidecar repeats.
     """
     dir_path = Path(dir_path)
     raw, text = _read_text(durations_path)
@@ -483,10 +486,7 @@ def load_thumos_gt(dir_path: str | Path,
     intervals_by_video: dict[str, list[TimeInterval]] = {}
     classes = []
     for class_file in class_files:
-        cls = class_file.stem
-        for suffix in ("_val", "_test"):
-            if cls.endswith(suffix):
-                cls = cls[: -len(suffix)]
+        cls = re.sub(r"_(val|test)\Z", "", class_file.stem)
         if cls == DEFAULT_BACKGROUND:
             raise ParseError(f"class {cls!r} is the background label, "
                              "not an action class", path=str(class_file))
@@ -507,15 +507,11 @@ def load_thumos_gt(dir_path: str | Path,
             vid = parts[0]
             try:
                 interval = TimeInterval(label=cls, start_s=start, end_s=end)
+                if vid in durations:
+                    check_ends((interval,), durations[vid], vid)
             except ValidationError as exc:
                 raise ParseError(str(exc), path=str(class_file),
                                  line=lineno) from exc
-            if (vid in durations
-                    and interval.end_us > seconds_to_us(durations[vid])):
-                raise ParseError(
-                    f"video {vid!r}: interval [{start}, {end}) exceeds "
-                    f"duration {durations[vid]}",
-                    path=str(class_file), line=lineno)
             intervals_by_video.setdefault(vid, []).append(interval)
 
     unknown = sorted(set(intervals_by_video) - set(durations))

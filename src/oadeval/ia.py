@@ -343,7 +343,8 @@ def maia(per_video_traces: Iterable[tuple[float, Sequence[float]]],
     IA trace for the unweighted aggregate, a wIA trace for the weighted
     one. Each video's slot count comes from
     :func:`~oadeval.timeline.num_slots`, so a duration that is not > 0
-    raises its :class:`ValidationError`.
+    raises its :class:`ValidationError`, and a video shorter than one
+    slot, which has no IA to average, its :class:`DegenerateInputError`.
     """
     totals = []
     for duration_s, values in per_video_traces:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .formats import CorpusManifest
 from .timeline import AnnotationTrack, LabelVocabulary, TimeInterval
 
@@ -31,6 +32,10 @@ def synthetic_corpus(seed: int, n_videos: int = 20,
     Durations snap to multiples of ``snap_duration_s`` (pass 0 to keep
     raw durations) so that evaluation at that slot size covers whole
     timelines with no trailing remainder.
+
+    A video that draws no segment gets one from 1.0 s, cut at the
+    video's end, so every video needs at least 1.3 s: a shorter one
+    raises :class:`ValidationError` naming ``duration_range``.
     """
     rng = np.random.default_rng(seed)
     vocab = LabelVocabulary(classes=tuple(classes))
@@ -39,6 +44,9 @@ def synthetic_corpus(seed: int, n_videos: int = 20,
         duration = round(float(rng.uniform(*duration_range)), 2)
         if snap_duration_s:
             duration = round(duration / snap_duration_s) * snap_duration_s
+        # the fallback segment below needs 0.3 s after 1.0 s
+        if duration < 1.3:
+            raise ValidationError(f"{duration_range=} drew {duration} s < 1.3 s")
         target = float(rng.uniform(*density_range)) * duration
         intervals = []
         covered = 0.0
@@ -51,9 +59,10 @@ def synthetic_corpus(seed: int, n_videos: int = 20,
             covered += seg
             t = round(t + seg + float(rng.uniform(1.0, 4.0)), 2)
         if not intervals:
-            # guarantee at least one action segment per video
+            # guarantee at least one action segment per video, cut at its end
             label = classes[int(rng.integers(len(classes)))]
-            intervals.append(TimeInterval(label, 1.0, 1.0 + max(0.6, target)))
+            end = min(1.0 + max(0.6, target), duration)
+            intervals.append(TimeInterval(label, 1.0, end))
         tracks.append(AnnotationTrack(
             video_id=f"synthetic-{i:03d}", duration_s=duration,
             intervals=tuple(intervals)))

@@ -4,7 +4,8 @@ Every video timeline is discretized into fixed-duration slots of length
 ``delta_t_s``. Slot ``j`` (1-indexed) covers ``[(j-1)*delta_t, j*delta_t)``
 and is labeled by the annotation interval covering its midpoint
 ``(j - 1/2) * delta_t``; a trailing partial slot is dropped, so a grid
-always holds exactly ``floor(duration / delta_t)`` slots.
+always holds exactly ``floor(duration / delta_t)`` slots, and
+:func:`num_slots` rejects a video too short for one.
 
 Timestamps are converted to integer microseconds before any slot
 arithmetic so boundary comparisons are exact and float noise from
@@ -12,7 +13,8 @@ upstream parsers cannot move a midpoint across an interval edge. Each
 interval, track and grid converts its own times once, when it is
 built, into ``*_us`` fields that take no part in ``==``, ``hash`` or
 ``repr``. A slot size must round to at least 1 microsecond;
-:func:`slot_us` is the one place that rule is checked.
+:func:`slot_us` is the one place that rule is checked, as
+:func:`check_ends` is for an interval ending within its video.
 
 A grid is its class codes: one read-only NumPy array with background
 0 and the classes 1..C. :func:`discretize` finds each interval's slot
@@ -172,11 +174,7 @@ class AnnotationTrack:
             raise ValidationError(
                 f"video {self.video_id!r}: duration {self.duration_s} must be > 0")
         object.__setattr__(self, "duration_us", seconds_to_us(self.duration_s))
-        for iv in self.intervals:
-            if iv.end_us > self.duration_us:
-                raise ValidationError(
-                    f"video {self.video_id!r}: interval [{iv.start_s}, {iv.end_s}) "
-                    f"exceeds duration {self.duration_s}")
+        check_ends(self.intervals, self.duration_s, self.video_id)
         if not self.multi_label:
             by_start = sorted(self.intervals, key=lambda iv: (iv.start_us, iv.label))
             covered_until = -1
@@ -261,13 +259,18 @@ def num_slots(duration_s: float, delta_t_s: float) -> int:
     """Slot count ``K = floor(duration / delta_t)``, exact in microseconds.
 
     The one slot-count rule: the duration must be > 0, the slot size
-    must pass :func:`slot_us`, and ``K`` must not exceed
+    must pass :func:`slot_us`, and ``K`` must be at least 1 and at most
     :data:`MAX_SLOTS`. Each failure raises :class:`ValidationError`
-    before anything is allocated.
+    before anything is allocated; ``K = 0``, a slot longer than the
+    video, raises its subclass :class:`DegenerateInputError`, since a
+    video without slots has no IA at any instant.
     """
     if duration_s <= 0:
         raise ValidationError(f"duration {duration_s} must be > 0")
     k = seconds_to_us(duration_s) // slot_us(delta_t_s)
+    if k == 0:
+        raise DegenerateInputError(
+            f"delta_t {delta_t_s} larger than duration {duration_s}: zero slots")
     if k > MAX_SLOTS:
         raise ValidationError(
             f"{k} slots exceed the limit of {MAX_SLOTS} per video")
@@ -305,6 +308,23 @@ def check_action_labels(intervals: Iterable[TimeInterval],
             raise ValidationError("background intervals are implicit, never stored")
 
 
+def check_ends(intervals: Iterable[TimeInterval], duration_s: float,
+               video_id: str | None = None) -> None:
+    """Check that every interval ends within its video, ``duration_s``.
+
+    The one interval-end rule, exact in microseconds. Ends are checked
+    in the given order: the first past the duration raises
+    :class:`ValidationError`, its text prefixed with ``video 'v': ``
+    when ``video_id`` is given.
+    """
+    duration_us = seconds_to_us(duration_s)
+    for iv in intervals:
+        if iv.end_us > duration_us:
+            where = "" if video_id is None else f"video {video_id!r}: "
+            raise ValidationError(f"{where}interval [{iv.start_s}, {iv.end_s}) "
+                                  f"exceeds duration {duration_s}")
+
+
 def sort_action_intervals(intervals: Iterable[TimeInterval],
                           vocab: LabelVocabulary) -> list[TimeInterval]:
     """Check the labels (:func:`check_action_labels`), then sort them.
@@ -338,20 +358,14 @@ def discretize(intervals: Iterable[TimeInterval], duration_s: float,
     O(K + n + S), where ``S`` counts each slot once per interval
     covering it: overlapping intervals repaint the slots they share,
     and without overlaps the cost is O(K + n).
-    Labels are checked by :func:`sort_action_intervals`, the duration,
-    slot size and slot count by :func:`num_slots`.
+    The duration, slot size and slot count are checked first, by
+    :func:`num_slots`, then the labels by :func:`sort_action_intervals`
+    and the ends, in that sorted order, by :func:`check_ends`.
     """
     k = num_slots(duration_s, delta_t_s)
-    duration_us = seconds_to_us(duration_s)
     delta_us = slot_us(delta_t_s)
     intervals = sort_action_intervals(intervals, vocab)
-    for iv in intervals:
-        if iv.end_us > duration_us:
-            raise ValidationError(
-                f"interval [{iv.start_s}, {iv.end_s}) exceeds duration {duration_s}")
-    if k == 0:
-        raise DegenerateInputError(
-            f"delta_t {delta_t_s} larger than duration {duration_s}: zero slots")
+    check_ends(intervals, duration_s)
 
     # ceil((2t - delta) / (2 delta)) == (2t + delta - 1) // (2 delta); every
     # end is within the duration, so no range passes slot k + 1

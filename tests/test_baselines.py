@@ -1,12 +1,15 @@
 """All-Background and Perfect-Model baseline generators."""
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from oadeval.baselines import all_bg, perfect_model, video_rng
 from oadeval.errors import ValidationError
+from oadeval.formats import write_canonical_gt
 from oadeval.ia import evaluate_grids, maia, oracle_ia
 from oadeval.offline import frame_map, rasterize_frames
 from oadeval.synthetic import synthetic_corpus
@@ -203,3 +206,42 @@ class TestSyntheticCorpus:
                        density_range=density_range).tracks
                    for iv in track.intervals]
         assert min(lengths) >= 300_000
+
+    def test_corpora_that_built_before_the_end_cap_are_unchanged(self, tmp_path):
+        # sha256 of the canonical files of 80 corpora, the last setting
+        # all fallback segments, taken before the fallback was cut at the
+        # video's end
+        digest = hashlib.sha256()
+        path = tmp_path / "gt.jsonl"
+        for duration_range, density_range in [
+                ((8.0, 30.0), (0.1, 0.4)), ((4.0, 12.0), (0.05, 0.6)),
+                ((30.0, 300.0), (0.5, 0.95)), ((8.0, 30.0), (0.0, 0.0))]:
+            for seed in range(20):
+                write_canonical_gt(synthetic_corpus(
+                    seed, n_videos=5, duration_range=duration_range,
+                    density_range=density_range), path)
+                digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "794dd31dcda79edb4e83fa450a3a98c02bad704dccd2ebaf79b20413ead67947")
+
+    @pytest.mark.parametrize("settings", [
+        {"duration_range": (2.0, 4.0), "density_range": (0.05, 0.9)},
+        {"duration_range": (1.5, 3.0), "density_range": (0.05, 0.9),
+         "snap_duration_s": 0},
+        {"duration_range": (1.3, 2.0), "density_range": (0.0, 1.0),
+         "snap_duration_s": 0},
+    ], ids=["short", "short-raw", "shortest-raw"])
+    def test_short_videos_hold_every_action(self, settings):
+        # the fallback segment is cut at the video's end, never below 0.3 s
+        for seed in range(60):
+            for track in synthetic_corpus(seed, n_videos=10,
+                                          **settings).tracks:
+                assert track.intervals
+                for iv in track.intervals:
+                    assert iv.end_us - iv.start_us >= 300_000
+                    assert iv.end_us <= track.duration_us
+
+    def test_too_short_range_is_named(self):
+        with pytest.raises(ValidationError, match=re.escape(
+                "duration_range=(1.0, 1.2) drew 1.13 s < 1.3 s")):
+            synthetic_corpus(0, duration_range=(1.0, 1.2), snap_duration_s=0)

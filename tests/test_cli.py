@@ -35,6 +35,14 @@ from test_timeline import allocation_peak
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
+# a 2 s video, then a 0.3 s one that holds no 0.5 s slot
+ZERO_SLOT_GT = (
+    '{"record": "vocabulary", "classes": ["jump"], '
+    '"background": "background"}\n'
+    '{"record": "video", "video_id": "v0", "duration_s": 2.0, '
+    '"intervals": []}\n'
+    '{"record": "video", "video_id": "v1", "duration_s": 0.3, '
+    '"intervals": []}\n')
 
 
 def run(*argv):
@@ -641,6 +649,18 @@ class TestBaseline:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["pm", "all-bg"])
+    def test_slotless_video_names_the_video_and_the_flag(
+            self, tmp_path, capsys, kind):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(ZERO_SLOT_GT)
+        out = tmp_path / "p.jsonl"
+        assert run("baseline", "--gt", gt, "--kind", kind, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: video 'v1': delta_t 0.5 larger than duration 0.3: zero "
+            "slots at --delta-t 0.5\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["pm", "all-bg"])
     @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "0", "-1"])
     def test_bad_fps_is_one_error_before_any_input(self, tmp_path, capsys,
                                                    kind, fps):
@@ -717,6 +737,25 @@ def test_detection_label_failure_names_its_line(tmp_path, label, error):
     assert run("evaluate", "--gt", gt, "--pred", pred, "--out-dir", out) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failures"] == [{"video_id": "v", "error": error}]
+
+
+@pytest.mark.parametrize("record", [
+    {"record": "decisions", "video_id": "v1", "delta_t_s": 0.5, "labels": []},
+    {"record": "decisions", "video_id": "v1", "delta_t_s": 0.5,
+     "labels": ["jump"]},
+    {"record": "detections", "video_id": "v1", "events": []},
+], ids=["no-decisions", "one-decision", "detections"])
+def test_slotless_video_fails_alone_with_its_cause(tmp_path, record):
+    gt, pred, out = tmp_path / "gt.jsonl", tmp_path / "p.jsonl", tmp_path / "o"
+    gt.write_text(ZERO_SLOT_GT)
+    pred.write_text(json.dumps(record) + "\n" + json.dumps(
+        {"record": "detections", "video_id": "v0", "events": []}) + "\n")
+    assert run("evaluate", "--gt", gt, "--pred", pred, "--out-dir", out) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failures"] == [{
+        "video_id": "v1",
+        "error": "line 1: delta_t 0.5 larger than duration 0.3: zero slots"}]
+    assert list(summary["per_video"]) == ["v0"]
 
 
 # A valid ground truth and prediction file, one record per line, for the

@@ -493,6 +493,14 @@ class TestThumosAdapter:
         manifest = load_thumos_gt(tmp_path, tmp_path / "durations.txt")
         assert len(manifest.by_id()["video_001"].intervals) == 2
 
+    def test_class_name_drops_one_suffix_either_way(self, tmp_path):
+        for name in ("Jump_val_test", "Jump_test_val", "Run_val", "Walk"):
+            (tmp_path / f"{name}.txt").write_text("video_001 1.0 2.0\n")
+        (tmp_path / "durations.txt").write_text("video_001 10.0\n")
+        manifest = load_thumos_gt(tmp_path, tmp_path / "durations.txt")
+        assert manifest.vocabulary.classes == ("Jump_test", "Jump_val", "Run",
+                                               "Walk")
+
 
 class TestPredictions:
     @pytest.fixture

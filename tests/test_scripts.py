@@ -78,3 +78,23 @@ def test_code_lines_counts_only_lines_that_hold_code(tmp_path):
         f"     1 {package / 'b.py'}",
         "    10 total",
     ]
+
+
+def snapshot_files(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_cli_snapshot_is_the_same_twice(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "nested" / "b"
+    for out in (a, b):
+        proc = run_script("cli_snapshot.py", out)
+        assert proc.returncode == 0, proc.stderr
+    files = snapshot_files(a)
+    assert files == snapshot_files(b)
+    # every command leaves its exit code and output, the slotless video too
+    assert files[Path("01-evaluate-worked-class-aware/exit")] == b"0\n"
+    assert files[Path("33-baseline-corrupt-pm/stderr")] == (
+        b"error: video 'tiny': delta_t 0.5 larger than duration 0.3: zero "
+        b"slots at --delta-t 0.5\n")
+    assert run_script("cli_snapshot.py", a).returncode != 0  # not empty

@@ -29,6 +29,7 @@ from oadeval.timeline import (
     PredictionStream,
     SlotGrid,
     TimeInterval,
+    check_ends,
     discretize,
     events_to_stream,
     num_slots,
@@ -332,6 +333,10 @@ class TestDiscretize:
     def test_zero_slots_is_degenerate(self, vocab):
         with pytest.raises(DegenerateInputError):
             discretize([], 1.0, 1.5, vocab)
+        # the slot count is checked before any label or end
+        for bad in (TimeInterval("walk", 0.0, 0.1), TimeInterval("jump", 0.0, 9.0)):
+            with pytest.raises(DegenerateInputError, match="zero slots$"):
+                discretize([bad], 1.0, 1.5, vocab)
 
     def test_delta_equal_to_duration_gives_one_slot(self, vocab):
         grid = discretize([TimeInterval("jump", 0.0, 1.0)], 1.0, 1.0, vocab)
@@ -433,6 +438,41 @@ def outcome(call):
     except EvaluationError as exc:
         return type(exc), str(exc)
     return None
+
+
+class TestCheckEnds:
+    LATE = TimeInterval("jump", 1.0, 20.0)
+    TEXT = "interval [1.0, 20.0) exceeds duration 10.0"
+
+    def test_one_rule_two_texts(self, vocab):
+        assert outcome(lambda: check_ends([self.LATE], 10.0)) == (
+            ValidationError, self.TEXT)
+        assert outcome(lambda: check_ends([self.LATE], 10.0, "v")) == (
+            ValidationError, f"video 'v': {self.TEXT}")
+        assert outcome(lambda: discretize([self.LATE], 10.0, 0.5, vocab)) == (
+            ValidationError, self.TEXT)
+        assert outcome(lambda: AnnotationTrack("v", 10.0, (self.LATE,))) == (
+            ValidationError, f"video 'v': {self.TEXT}")
+
+    def test_ends_are_checked_in_the_order_given(self, vocab):
+        # a track checks its input order, discretize its paint order
+        run_late = TimeInterval("run", 5.0, 12.0)
+        intervals = (run_late, self.LATE)
+        assert outcome(lambda: check_ends(intervals, 10.0)) == (
+            ValidationError, "interval [5.0, 12.0) exceeds duration 10.0")
+        assert outcome(lambda: AnnotationTrack(
+            "v", 10.0, intervals, multi_label=True)) == (
+            ValidationError,
+            "video 'v': interval [5.0, 12.0) exceeds duration 10.0")
+        assert outcome(lambda: discretize(intervals, 10.0, 0.5, vocab)) == (
+            ValidationError, self.TEXT)
+
+    def test_ends_compare_in_microseconds(self):
+        # 10.0000004 s is 10,000,000 us, the duration itself
+        assert check_ends([TimeInterval("jump", 9.0, 10.0000004)], 10.0) is None
+        assert outcome(lambda: check_ends(
+            [TimeInterval("jump", 9.0, 10.000001)], 10.0)) == (
+            ValidationError, "interval [9.0, 10.000001) exceeds duration 10.0")
 
 
 class TestSlotGrid:
@@ -567,20 +607,26 @@ def allocation_peak(call):
 
 
 HUGE_S = 1e12  # 2e12 slots at 0.5 s
-# every entry point that sizes a grid from a duration, on a huge one
+SHORT_S = 0.3  # no slot at 0.5 s
+# every entry point that sizes a grid from a duration, called on one
 SLOT_COUNT_CALLS = {
-    "num_slots": lambda vocab: num_slots(HUGE_S, 0.5),
-    "discretize": lambda vocab: discretize((), HUGE_S, 0.5, vocab),
-    "events_to_stream": lambda vocab: events_to_stream((), "v", HUGE_S, 0.5,
-                                                       vocab),
-    "maia": lambda vocab: maia([(HUGE_S, [])], 0.5),
-    "build_stream decisions": lambda vocab: build_stream(
+    "num_slots": lambda d, vocab: num_slots(d, 0.5),
+    "discretize": lambda d, vocab: discretize((), d, 0.5, vocab),
+    "events_to_stream": lambda d, vocab: events_to_stream((), "v", d, 0.5,
+                                                          vocab),
+    "maia": lambda d, vocab: maia([(d, [])], 0.5),
+    "build_stream decisions": lambda d, vocab: build_stream(
         "decisions", {"video_id": "v", "delta_t_s": 0.5, "labels": ["jump"]},
-        AnnotationTrack("v", HUGE_S), vocab, 0.5),
-    "build_stream detections": lambda vocab: build_stream(
+        AnnotationTrack("v", d), vocab, 0.5),
+    "build_stream no decisions": lambda d, vocab: build_stream(
+        "decisions", {"video_id": "v", "delta_t_s": 0.5, "labels": []},
+        AnnotationTrack("v", d), vocab, 0.5),
+    "build_stream detections": lambda d, vocab: build_stream(
         "detections", {"video_id": "v", "events": []},
-        AnnotationTrack("v", HUGE_S), vocab, 0.5),
-    "all_bg": lambda vocab: all_bg(AnnotationTrack("v", HUGE_S), 0.5, vocab),
+        AnnotationTrack("v", d), vocab, 0.5),
+    "all_bg": lambda d, vocab: all_bg(AnnotationTrack("v", d), 0.5, vocab),
+    "perfect_model": lambda d, vocab: perfect_model(
+        AnnotationTrack("v", d), 0.5, vocab, 0),
 }
 # every entry point that sizes a score matrix from a rate, at 1e9 fps
 FRAME_COUNT_CALLS = {
@@ -599,10 +645,18 @@ class TestSlotCount:
     @pytest.mark.parametrize("call", SLOT_COUNT_CALLS.values(),
                              ids=SLOT_COUNT_CALLS.keys())
     def test_slot_limit_fails_before_allocating(self, vocab, call):
-        assert outcome(lambda: call(vocab)) == (
+        assert outcome(lambda: call(HUGE_S, vocab)) == (
             ValidationError, f"2000000000000 slots exceed the limit of "
             f"{MAX_SLOTS} per video")
-        assert allocation_peak(lambda: call(vocab)) < 2 ** 20
+        assert allocation_peak(lambda: call(HUGE_S, vocab)) < 2 ** 20
+
+    @pytest.mark.parametrize("call", SLOT_COUNT_CALLS.values(),
+                             ids=SLOT_COUNT_CALLS.keys())
+    def test_zero_slots_fail_alike(self, vocab, call):
+        # a slotless video has no IA at all: maia may not average it in
+        assert outcome(lambda: call(SHORT_S, vocab)) == (
+            DegenerateInputError,
+            "delta_t 0.5 larger than duration 0.3: zero slots")
 
     @pytest.mark.parametrize("call", FRAME_COUNT_CALLS.values(),
                              ids=FRAME_COUNT_CALLS.keys())
