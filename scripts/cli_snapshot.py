@@ -4,8 +4,11 @@
 Each command runs in-process through ``oadeval.cli.main``, from inside
 ``OUT_DIR`` and on relative paths, so no message holds the location of
 the tree. ``OUT_DIR/inputs`` holds what the commands read: the fixtures
-of ``tests/data``, a seeded synthetic corpus, and a corpus of corrupt
-records (a slotless video among them). Each command then gets a folder
+of ``tests/data``, a seeded synthetic corpus, a corpus of corrupt
+records (a slotless video among them), a video shorter than one frame,
+and one video per interval fault: each fault is read once as detection
+events and once as ground truth, in a file of its own, since the first
+fault fails a whole ground-truth load. Each command then gets a folder
 ``OUT_DIR/NN-name`` with its ``exit`` code, ``stdout``, ``stderr`` and,
 under ``out/``, the files it wrote. Two versions of the package compare
 by snapshotting each and diffing the trees::
@@ -49,6 +52,55 @@ CORRUPT_PRED = """\
 {"record": "decisions", "video_id": "ghost", "delta_t_s": 0.5, "labels": ["run"]}
 {"record": "decisions", "video_id": "short", "delta_t_s": 0.5, "labels": ["run"]}
 """
+# One video per interval fault: its entries (JSON text), which the
+# ground truth of that name holds and which the detections record of the
+# video of that name carries. Each list holds a valid entry as well.
+VALID_ENTRY = '{"label": "jump", "start_s": 0.5, "end_s": 1.0}'
+INTERVAL_FAULTS = {
+    "negative-start": '{"label": "jump", "start_s": -1.0, "end_s": 1.0}',
+    "zero-length": '{"label": "jump", "start_s": 2.0, "end_s": 2.0000004}',
+    "start-2-53-us": '{"label": "jump", "start_s": 9007199254.740992, '
+                     '"end_s": 9007199255.740992}',
+    "huge-integer": '{"label": "jump", "start_s": 1.0, "end_s": 1' + "0" * 400 + "}",
+    "unknown-label": '{"label": "walk", "start_s": 2.0, "end_s": 3.0}',
+    "background-label": '{"label": "background", "start_s": 2.0, "end_s": 3.0}',
+    "past-the-end": '{"label": "run", "start_s": 3.0, "end_s": 5.0}',
+    "overlap": '{"label": "run", "start_s": 0.75, "end_s": 3.0}',
+    "empty-label": '{"label": "", "start_s": 2.0, "end_s": 3.0}',
+    "infinite-end": '{"label": "jump", "start_s": 2.0, "end_s": Infinity}',
+    "nan-start": '{"label": "jump", "start_s": NaN, "end_s": 3.0}',
+    "product-overflow": '{"label": "jump", "start_s": 2.0, "end_s": 1e305}',
+}
+VOCAB_LINE = ('{"record": "vocabulary", "classes": ["jump", "run"], '
+              '"background": "background"}\n')
+
+
+def video_line(video_id: str, entries: str, multi_label="false",
+               duration="4.0") -> str:
+    return (f'{{"record": "video", "video_id": "{video_id}", "duration_s": '
+            f'{duration}, "intervals": [{entries}], "multi_label": '
+            f'{multi_label}}}\n')
+
+
+# the videos of every fault, without intervals, then tracks whose
+# intervals overlap, unsorted, with tied starts and one past 2**53 us
+FAULT_GT = VOCAB_LINE + "".join(
+    video_line(name, "") for name in INTERVAL_FAULTS) + "".join([
+        video_line("multi", '{"label": "run", "start_s": 2.0, "end_s": 3.5}, '
+                   '{"label": "jump", "start_s": 0.25, "end_s": 2.75}, '
+                   '{"label": "jump", "start_s": 2.0, "end_s": 2.5}, '
+                   '{"label": "run", "start_s": 0.25, "end_s": 0.5}', "true"),
+        video_line("nested", '{"label": "run", "start_s": 0.0, "end_s": 4.0}, '
+                   '{"label": "jump", "start_s": 1.2, "end_s": 1.9}', "true",
+                   "4.3")])
+FAULT_PRED = "".join(
+    f'{{"record": "detections", "video_id": "{name}", "events": '
+    f'[{VALID_ENTRY}, {entry}]}}\n' for name, entry in INTERVAL_FAULTS.items())
+FRAMELESS_GT = VOCAB_LINE + video_line("v0", VALID_ENTRY) + video_line(
+    "v1", "", duration="0.7")
+# one 0.013 s slot, but 0.013 * (1 / 0.013) < 1: pm's one frame per slot
+# leaves it without a frame
+FRAMELESS_SLOT_GT = FRAMELESS_GT.replace('"duration_s": 0.7', '"duration_s": 0.013')
 THUMOS_FILES = {
     "Jump_val_test.txt": "v1 1.0 2.0\n",
     "Jump_test_val.txt": "v1 2.5 3.0\nv2 0.0 1.5\n",
@@ -77,6 +129,13 @@ def write_inputs(inputs: Path) -> None:
         for file_name, text in files.items():
             (inputs / name / file_name).write_text(text)
     (inputs / "thumos-durations.txt").write_text(THUMOS_DURATIONS)
+    (inputs / "faults.gt.jsonl").write_text(FAULT_GT)
+    (inputs / "faults.pred.jsonl").write_text(FAULT_PRED)
+    (inputs / "frameless.gt.jsonl").write_text(FRAMELESS_GT)
+    (inputs / "frameless-slot.gt.jsonl").write_text(FRAMELESS_SLOT_GT)
+    for name, entry in INTERVAL_FAULTS.items():
+        (inputs / f"fault-{name}.gt.jsonl").write_text(
+            VOCAB_LINE + video_line(name, f"{VALID_ENTRY}, {entry}"))
 
 
 def folder(n: int, name: str) -> str:
@@ -137,7 +196,28 @@ def catalogue():
         ("evaluate-bad-delta-t", [
             "evaluate", "--gt", GT["worked"], "--pred", "inputs/worked.pred.jsonl",
             "--delta-t", "nan", "--out-dir", "{out}"]),
+        ("evaluate-fault-events", [
+            "evaluate", "--gt", "inputs/faults.gt.jsonl", "--pred",
+            "inputs/faults.pred.jsonl", "--out-dir", "{out}"]),
+        ("baseline-faults-pm-2.0", [
+            "baseline", "--gt", "inputs/faults.gt.jsonl", "--kind", "pm",
+            "--fps", "2.0", "--out", "{out}/pred.jsonl"]),
     ]
+    pred = f"{folder(len(commands), commands[-1][0])}/out/pred.jsonl"
+    commands.append(("offline-map-faults-pm-2.0", [
+        "offline", "--gt", "inputs/faults.gt.jsonl", "--pred", pred,
+        "--metric", "map", "--out-dir", "{out}"]))
+    for name in INTERVAL_FAULTS:
+        commands.append((f"evaluate-fault-gt-{name}", [
+            "evaluate", "--gt", f"inputs/fault-{name}.gt.jsonl", "--pred",
+            "inputs/faults.pred.jsonl", "--out-dir", "{out}"]))
+    for kind in ("pm", "all-bg"):
+        commands.append((f"baseline-frameless-{kind}-1.0", [
+            "baseline", "--gt", "inputs/frameless.gt.jsonl", "--kind", kind,
+            "--fps", "1.0", "--out", "{out}/pred.jsonl"]))
+    commands.append(("baseline-frameless-slot-pm", [
+        "baseline", "--gt", "inputs/frameless-slot.gt.jsonl", "--kind", "pm",
+        "--delta-t", "0.013", "--out", "{out}/pred.jsonl"]))
     return commands
 
 

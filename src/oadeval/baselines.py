@@ -66,7 +66,7 @@ def perfect_model(track: AnnotationTrack, delta_t_s: float,
     """
     if not vocab.classes:
         raise ValidationError("vocabulary needs at least one action class")
-    grid = discretize(track.intervals, track.duration_s, delta_t_s, vocab)
+    grid = discretize(track.columns, track.duration_s, delta_t_s, vocab)
     stream = PredictionStream(track.video_id, delta_t_s, vocab,
                               num_slots=len(grid))
     stream.extend(grid.labels)

@@ -170,7 +170,7 @@ def cmd_evaluate(args) -> int:
         try:
             stream = build_stream(kind, obj, track, manifest.vocabulary,
                                   args.delta_t)
-            gt_grid = discretize(track.intervals, track.duration_s,
+            gt_grid = discretize(track.columns, track.duration_s,
                                  args.delta_t, manifest.vocabulary)
             rows = np.asarray(evaluate_grids(stream.as_grid(), gt_grid, mode),
                               np.float64)
@@ -265,6 +265,9 @@ def cmd_baseline(args) -> int:
     limits = [("--delta-t", args.delta_t, num_slots)]
     if args.fps is not None:
         limits.insert(0, ("--fps", args.fps, frame_count))
+    elif args.kind == "pm":  # scores at one frame per slot
+        limits.append(("--delta-t", args.delta_t,
+                       lambda duration, delta: frame_count(duration, 1 / delta)))
     for track in sorted(manifest.tracks, key=lambda t: t.video_id):
         for flag, value, count in limits:
             try:

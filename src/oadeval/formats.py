@@ -28,7 +28,12 @@ semantic problems (unknown labels, bounds, slot counts) raise
 validation errors naming the video. A list of intervals or events, a
 record's labels and its score rows are first checked as a whole, with
 one type set per column; only when that check fails are the entries
-checked one by one, which locates the fault (:func:`_parse_intervals`).
+checked one by one, which locates the fault. A valid interval list
+becomes :class:`~oadeval.timeline.IntervalColumns` straight from its
+numbers, sorted once, with no object per interval
+(:func:`_parse_intervals`); its labels, ends and overlaps are then
+checked a column at a time too, and the entries are read as
+:class:`TimeInterval` objects only to name a fault.
 A prediction record's own checks
 (:func:`build_stream`, :func:`build_scores`) leave the line to the
 caller, which knows it.
@@ -60,7 +65,9 @@ from .errors import EvaluationError, ParseError, ValidationError
 from .offline import FrameScoreMatrix, frame_count
 from .timeline import (
     DEFAULT_BACKGROUND,
+    US_PER_S,
     AnnotationTrack,
+    IntervalColumns,
     LabelVocabulary,
     PredictionStream,
     TimeInterval,
@@ -238,28 +245,38 @@ def _parse_interval(entry: Any, path=None, lineno=None,
 
 
 def _parse_intervals(raw: list, path=None, lineno=None,
-                     key="intervals") -> tuple[TimeInterval, ...]:
+                     key="intervals") -> IntervalColumns:
     """Every entry of the list ``key``, as :func:`_parse_interval` parses it.
 
-    A valid list passes a few whole-list checks at once: every entry is
-    an object, every label a ``str``, every time an ``int`` or ``float``
-    (so not a ``bool``) and finite. If any check fails or raises, the
-    entries are parsed one by one instead, so the same error names the
-    same entry.
+    The entries become :class:`~oadeval.timeline.IntervalColumns`, with
+    no :class:`TimeInterval` object per entry. A valid list passes
+    whole-column checks at once: every entry is an object, every label
+    a non-empty ``str``, every time an ``int`` or ``float`` (so not a
+    ``bool``); as float64 columns, every start is >= 0 and every end
+    times 10**6 is below 2**53 (so every time is finite, and ``np.rint``
+    of each product is the ``round`` that ``seconds_to_us`` takes), and
+    every interval's length is positive in microseconds. If any check
+    fails or raises, the entries are parsed one by one instead, so the
+    same error names the same entry.
     """
     try:
         if set(map(type, raw)) <= {dict}:
             labels = [e["label"] for e in raw]
-            starts = [e["start_s"] for e in raw]
-            ends = [e["end_s"] for e in raw]
-            if (set(map(type, labels)) <= {str}
-                    and set(map(type, starts + ends)) <= _NUMBER_TYPES
-                    and all(map(math.isfinite, starts + ends))):
-                return tuple(map(TimeInterval, labels, map(float, starts),
-                                 map(float, ends)))
+            times = [e["start_s"] for e in raw], [e["end_s"] for e in raw]
+            if (set(map(type, labels)) <= {str} and all(labels)
+                    and set(map(type, chain(*times))) <= _NUMBER_TYPES):
+                times_s = np.array(times, float)
+                # NaN and infinities fail these two checks, in Python
+                # floats, before any array arithmetic could warn of them
+                if (times_s.min(initial=0) >= 0 and
+                        float(times_s.max(initial=0)) * US_PER_S < 2 ** 53):
+                    us = np.rint(times_s * US_PER_S).astype(np.int64)
+                    if (us[1] - us[0]).min(initial=1) > 0:
+                        return IntervalColumns.sort(labels, *us, times_s)
     except (KeyError, OverflowError):  # a missing field, a huge integer
         pass
-    return tuple(_parse_interval(e, path, lineno, key) for e in raw)
+    return IntervalColumns.of(_parse_interval(e, path, lineno, key)
+                              for e in raw)
 
 
 # ---------------------------------------------------------------------------

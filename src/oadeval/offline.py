@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateInputError, ValidationError
 from .timeline import (
     MAX_SLOTS,
     AnnotationTrack,
@@ -82,7 +82,11 @@ def frame_count(duration_s: float, fps: float) -> int:
 
     A non-finite or non-positive fps, a product that overflows, and a
     count above :data:`~oadeval.timeline.MAX_SLOTS` raise
-    :class:`ValidationError` before anything is allocated.
+    :class:`ValidationError` before anything is allocated. Zero frames,
+    a video shorter than one frame, raise its subclass
+    :class:`DegenerateInputError`, as zero slots do in
+    :func:`~oadeval.timeline.num_slots`: such a video has no frame to
+    score or rank.
     """
     if not 0 < fps < math.inf:
         raise ValidationError(f"fps {fps} must be finite and > 0")
@@ -91,6 +95,9 @@ def frame_count(duration_s: float, fps: float) -> int:
         raise ValidationError(
             f"{duration_s} s at fps {fps} is not a finite frame count")
     n = math.floor(frames)
+    if n == 0:
+        raise DegenerateInputError(
+            f"{duration_s} s at fps {fps} is shorter than one frame: zero frames")
     if n > MAX_SLOTS:
         raise ValidationError(
             f"{n} frames exceed the limit of {MAX_SLOTS} per video")
@@ -105,13 +112,15 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
     ``vocab.codes`` code of the interval covering the midpoint
     ``(i - 1/2)/fps``, 0 (background) if none does, ties resolved as in
     the slot discretizer (earliest start, then label). Midpoints
-    and interval bounds are compared as floats in seconds: each
-    interval's frame range is found by ``numpy.searchsorted`` over the
-    ascending midpoints and painted by the slot discretizer's
-    :func:`~oadeval.timeline.paint_midpoints`, so ``N`` frames and ``n``
-    intervals cost O(N + n log N + F), where ``F`` counts each frame
-    once per interval covering it: overlapping intervals repaint the
-    frames they share, and without overlaps the cost is O(N + n log N).
+    and interval bounds are compared as floats in seconds: the track's
+    columns, sorted when the track was built, give every bound at once,
+    ``numpy.searchsorted`` over the ascending midpoints finds each
+    interval's frame range, and the slot discretizer's
+    :func:`~oadeval.timeline.paint_midpoints` paints them, so ``N``
+    frames and ``n`` intervals cost O(N + n log N + F), where ``F``
+    counts each frame once per interval covering it: overlapping
+    intervals repaint the frames they share, and without overlaps the
+    cost is O(N + n log N). Nothing is sorted here.
 
     Interval labels pass the slot discretizer's check
     (:func:`~oadeval.timeline.sort_action_intervals`): an unknown label
@@ -119,13 +128,11 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
     interval raises :class:`ValidationError`, so a background interval
     can never mask the action frames it overlaps.
     """
-    intervals = sort_action_intervals(track.intervals, vocab)
+    columns, codes = sort_action_intervals(track.columns, vocab)
     mids = (np.arange(1, frame_count(track.duration_s, fps) + 1) - 0.5) / fps
-    bounds = np.reshape([(iv.start_us / 1e6, iv.end_us / 1e6)
-                         for iv in intervals], (-1, 2))
-    ranges = zip(*np.searchsorted(mids, bounds).T.tolist(),
-                 [vocab.codes[iv.label] for iv in intervals])
-    return paint_midpoints(list(ranges), len(mids)).tolist()
+    lo, hi = np.searchsorted(mids, [columns.start_us / 1e6,
+                                    columns.end_us / 1e6])
+    return paint_midpoints(lo, hi, codes, len(mids)).tolist()
 
 
 def _collect(score_matrices, tracks, vocab):

@@ -9,26 +9,32 @@ always holds exactly ``floor(duration / delta_t)`` slots, and
 
 Timestamps are converted to integer microseconds before any slot
 arithmetic so boundary comparisons are exact and float noise from
-upstream parsers cannot move a midpoint across an interval edge. Each
-interval, track and grid converts its own times once, when it is
-built, into ``*_us`` fields that take no part in ``==``, ``hash`` or
-``repr``. A slot size must round to at least 1 microsecond;
-:func:`slot_us` is the one place that rule is checked, as
-:func:`check_ends` is for an interval ending within its video.
+upstream parsers cannot move a midpoint across an interval edge. A
+list of intervals is held as :class:`IntervalColumns`: read-only
+columns of microsecond bounds and label codes, sorted once, by start
+and then label, when they are built, by a parser straight from its
+numbers or from :class:`TimeInterval` objects. Each interval, list,
+track and grid converts its own times once, when it is built, into
+``*_us`` fields that take no part in ``==``, ``hash`` or ``repr``. A
+slot size must round to at least 1 microsecond; :func:`slot_us` is the
+one place that rule is checked, as :func:`check_ends` is for an
+interval ending within its video.
 
 A grid is its class codes: one read-only NumPy array with background
-0 and the classes 1..C. :func:`discretize` finds each interval's slot
-range with exact integer arithmetic and paints the ranges into that
-array. After the sort, ``K`` slots and ``n`` intervals cost
-O(K + n + S), where ``S`` counts each slot once per interval covering
-it: overlapping intervals repaint the slots they share, and a track
-without overlaps costs O(K + n). Slot labels are derived from the
-codes only when asked for.
+0 and the classes 1..C. :func:`discretize` takes each interval's slot
+range from the columns, with exact integer arithmetic and no sort of
+its own, and paints the ranges into that array: ``K`` slots and ``n``
+intervals cost O(K + n) when the ranges are disjoint, as on a track
+without overlaps, and O(K + n + S) otherwise, where ``S`` counts each
+slot once per interval covering it: overlapping intervals repaint the
+slots they share. Slot labels are derived from the codes only when
+asked for.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -150,40 +156,182 @@ class TimeInterval:
                 f"interval [{self.start_s}, {self.end_s}) for {self.label!r} "
                 "has zero or negative length")
 
+    @classmethod
+    def _checked(cls, label, start_s, end_s, start_us, end_us) -> TimeInterval:
+        """An interval whose fields were checked and converted already."""
+        interval = object.__new__(cls)
+        interval.__dict__.update(label=label, start_s=start_s, end_s=end_s,
+                                 start_us=start_us, end_us=end_us)
+        return interval
 
-@dataclass(frozen=True)
+
+class _ReadIntervals(tuple):
+    """A tuple of intervals that knows the columns it was read from, so
+    that :meth:`IntervalColumns.of` gives those back rather than sorting
+    the tuple again. The columns hold the tuple; the tuple holds them
+    weakly, so that no reference cycle keeps either alive until the
+    garbage collector runs."""
+
+    columns: weakref.ref
+
+    def __reduce__(self):
+        # a copy is a plain tuple: its columns would come back writeable
+        return tuple, (tuple(self),)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class IntervalColumns:
+    """A list of intervals held as read-only columns, sorted once.
+
+    Row ``i`` is one interval: ``labels[codes[i]]`` over
+    ``[start_us[i], end_us[i])``. ``labels`` holds each distinct label
+    once, in string order, so sorting by code sorts by label; the rows
+    are sorted by start and then label (``np.lexsort``, stable, so
+    equal keys keep their input order, as ``sorted`` does), and
+    ``order[i]`` is row ``i``'s position in the input. The microsecond
+    columns are int64, or Python ints (object dtype) when a time is past
+    the int64 range. ``times_s`` holds the start and end columns in
+    seconds, as parsed; :attr:`intervals` builds the
+    :class:`TimeInterval` tuple from them on first read, unless the
+    columns were built from such a tuple (:meth:`of`).
+    """
+
+    labels: tuple[str, ...]
+    codes: np.ndarray
+    start_us: np.ndarray
+    end_us: np.ndarray
+    order: np.ndarray
+    times_s: np.ndarray | None = None
+
+    @classmethod
+    def sort(cls, labels: list[str], start_us, end_us,
+             times_s=None) -> IntervalColumns:
+        """Columns of intervals given in input order, sorted here."""
+        table = sorted(set(labels))
+        rank = dict(zip(table, range(len(table))))
+        codes = np.array([rank[label] for label in labels], np.intp)
+        order = np.lexsort((codes, start_us))
+        columns = [codes[order], start_us[order], end_us[order], order]
+        if times_s is not None:
+            columns.append(times_s[:, order])
+        for column in columns:
+            column.flags.writeable = False
+        return cls(tuple(table), *columns)
+
+    @classmethod
+    def of(cls, intervals: Iterable[TimeInterval]) -> IntervalColumns:
+        """``intervals`` as columns, sorted here unless they were before.
+
+        Columns are returned as they are, and so are the columns a tuple
+        of :attr:`intervals` was read from.
+        """
+        if isinstance(intervals, cls):
+            return intervals
+        if isinstance(intervals, _ReadIntervals):
+            columns = intervals.columns()
+            if columns is not None:
+                return columns
+        intervals = _ReadIntervals(intervals)
+        us = [iv.start_us for iv in intervals], [iv.end_us for iv in intervals]
+        try:
+            us = np.array(us, np.int64)
+        except OverflowError:  # a time past the int64 range
+            us = np.array(us, object)
+        columns = cls.sort([iv.label for iv in intervals], *us)
+        intervals.columns = weakref.ref(columns)
+        columns.__dict__["intervals"] = intervals
+        return columns
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def intervals(self) -> tuple[TimeInterval, ...]:
+        """The intervals in input order, as a tuple that knows the columns.
+
+        Built on first read from the checked columns, without checking
+        each interval again.
+        """
+        rows = np.argsort(self.order)
+        intervals = _ReadIntervals(map(
+            TimeInterval._checked,
+            map(self.labels.__getitem__, self.codes[rows].tolist()),
+            *self.times_s[:, rows].tolist(), self.start_us[rows].tolist(),
+            self.end_us[rows].tolist()))
+        intervals.columns = weakref.ref(self)
+        return intervals
+
+    def rows(self) -> list[TimeInterval]:
+        """The intervals in row order: by start, then label."""
+        intervals = self.intervals
+        return [intervals[i] for i in self.order.tolist()]
+
+
+@dataclass(frozen=True, init=False)
 class AnnotationTrack:
     """Ground truth for one video: its duration and labeled intervals.
 
     Overlapping intervals are rejected unless the source adapter flags
     the track ``multi_label``; the discretizer then resolves each slot
     deterministically (earliest interval start, then lexicographic label).
+
+    ``intervals`` may be :class:`TimeInterval` objects or the
+    :class:`IntervalColumns` a parser built. The track keeps them as
+    ``columns``, sorted once (O(n log n) for ``n`` intervals, here or
+    in the parser) and never again: :func:`discretize` and
+    :func:`~oadeval.offline.rasterize_frames` read them in that order.
+    Its checks are whole-column comparisons, O(n): every end against
+    ``duration_us``, the one microsecond form of the duration, and each
+    start against the latest end before it. Only a failed check reads
+    ``intervals``, to name the interval at fault: the first in input
+    order for an end, in sorted order for an overlap. ``intervals`` is
+    the tuple of :class:`TimeInterval` in input order, as given or
+    built from the columns on first read; ``==``, ``hash`` and ``repr``
+    read it as the dataclass field it is.
     """
 
     video_id: str
     duration_s: float
-    intervals: tuple[TimeInterval, ...] = ()
-    multi_label: bool = False
+    # no default here: a class attribute would hide __getattr__
+    intervals: tuple[TimeInterval, ...]
+    multi_label: bool
+    columns: IntervalColumns = field(init=False, repr=False, compare=False)
     duration_us: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        if not self.video_id:
+    def __init__(self, video_id: str, duration_s: float,
+                 intervals: Iterable[TimeInterval] = (),
+                 multi_label: bool = False):
+        if not video_id:
             raise ValidationError("video_id must be non-empty")
-        if self.duration_s <= 0:
+        if duration_s <= 0:
             raise ValidationError(
-                f"video {self.video_id!r}: duration {self.duration_s} must be > 0")
-        object.__setattr__(self, "duration_us", seconds_to_us(self.duration_s))
-        check_ends(self.intervals, self.duration_s, self.video_id)
-        if not self.multi_label:
-            by_start = sorted(self.intervals, key=lambda iv: (iv.start_us, iv.label))
-            covered_until = -1
-            for iv in by_start:
-                if iv.start_us < covered_until:
-                    raise ValidationError(
-                        f"video {self.video_id!r}: interval [{iv.start_s}, {iv.end_s}) "
-                        "overlaps an earlier one but track is not multi_label")
-                covered_until = max(covered_until, iv.end_us)
+                f"video {video_id!r}: duration {duration_s} must be > 0")
+        # intervals, not stored, is read from the columns
+        self.__dict__.update(video_id=video_id, duration_s=duration_s,
+                             multi_label=multi_label,
+                             duration_us=seconds_to_us(duration_s),
+                             columns=IntervalColumns.of(intervals))
+        start_us, end_us = self.columns.start_us, self.columns.end_us
+        if np.count_nonzero(end_us > self.duration_us):
+            check_ends(self.intervals, duration_s, video_id)
+        if not multi_label:
+            late = start_us[1:] < np.maximum.accumulate(end_us[:-1])
+            if np.count_nonzero(late):
+                iv = self.columns.rows()[late.argmax() + 1]
+                raise ValidationError(
+                    f"video {video_id!r}: interval [{iv.start_s}, {iv.end_s}) "
+                    "overlaps an earlier one but track is not multi_label")
+
+    def __getattr__(self, name):
+        # only a name missing from the instance comes here
+        if name != "intervals":
+            raise AttributeError(name)
+        return self.columns.intervals
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the columns stay read-only
+        return AnnotationTrack, (self.video_id, self.duration_s,
+                                 self.intervals, self.multi_label)
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -277,35 +425,53 @@ def num_slots(duration_s: float, delta_t_s: float) -> int:
     return k
 
 
-def paint_midpoints(ranges: Sequence[tuple[int, int, int]],
-                   size: int) -> np.ndarray:
+def paint_midpoints(lo, hi, codes, size: int) -> np.ndarray:
     """Paint ``size`` midpoints with the code of the interval covering each.
 
-    ``ranges`` holds one ``(lo, hi, code)`` per interval, sorted by start
-    then label: the interval covers the midpoints ``lo`` to ``hi - 1``,
-    and a range past ``size`` is cut there, as a slice is. Midpoints no
-    interval covers hold 0 (background). Painting the
-    ranges in reverse order, one slice each, leaves the earliest start,
-    then the smallest label, on top wherever intervals overlap.
+    Interval ``i``, in the row order of :class:`IntervalColumns` (by
+    start, then label), covers the midpoints ``lo[i]`` to ``hi[i] - 1``
+    and has the code ``codes[i]``; a range past ``size`` is cut there, as
+    a slice is. Midpoints no interval covers hold 0 (background).
+    Where the ranges are disjoint, as on any track without overlaps,
+    the gaps and ranges tile ``[0, size)`` in order, and one
+    ``np.repeat`` of their codes paints all of them. Otherwise the
+    ranges are painted in reverse order, one slice each, which leaves
+    the earliest start, then the smallest label, on top wherever they
+    overlap.
     """
+    ends = np.empty(2 * len(codes) + 2, np.intp)
+    ends[0], ends[1:-1:2], ends[2:-1:2], ends[-1] = 0, lo, hi, size
+    np.minimum(ends, size, out=ends)
+    runs = ends[1:] - ends[:-1]
+    if runs.min() >= 0:
+        fill = np.zeros(len(runs), np.intp)
+        fill[1::2] = codes
+        return np.repeat(fill, runs)
     painted = np.zeros(size, np.intp)
-    for lo, hi, code in reversed(ranges):
-        painted[lo:hi] = code
+    ranges = zip(ends[1:-1:2].tolist(), ends[2:-1:2].tolist(), codes.tolist())
+    for start, stop, code in reversed(list(ranges)):
+        painted[start:stop] = code
     return painted
 
 
-def check_action_labels(intervals: Iterable[TimeInterval],
-                        vocab: LabelVocabulary) -> None:
+def check_action_labels(intervals: IntervalColumns,
+                        vocab: LabelVocabulary) -> list[int]:
     """Check that every interval label is an action class.
 
-    Labels are checked in the given order, each once: an unknown one
-    raises :class:`VocabularyError`, a background one
-    :class:`ValidationError`, since background is whatever the intervals
-    leave uncovered.
+    Returns the class code of each of ``intervals.labels``. Each
+    distinct label is looked up once; only if one is not an action class
+    are the labels read in input order, each once, to name the first
+    such: an unknown one raises :class:`VocabularyError`, a background
+    one :class:`ValidationError`, since background is whatever the
+    intervals leave uncovered.
     """
-    for label in dict.fromkeys([iv.label for iv in intervals]):
-        if not vocab.is_action(label):
-            raise ValidationError("background intervals are implicit, never stored")
+    codes = list(map(vocab.codes.get, intervals.labels))
+    if not all(codes):  # an unknown (None) or background (0) label
+        for label in dict.fromkeys([iv.label for iv in intervals.intervals]):
+            if not vocab.is_action(label):
+                raise ValidationError(
+                    "background intervals are implicit, never stored")
+    return codes
 
 
 def check_ends(intervals: Iterable[TimeInterval], duration_s: float,
@@ -315,7 +481,9 @@ def check_ends(intervals: Iterable[TimeInterval], duration_s: float,
     The one interval-end rule, exact in microseconds. Ends are checked
     in the given order: the first past the duration raises
     :class:`ValidationError`, its text prefixed with ``video 'v': ``
-    when ``video_id`` is given.
+    when ``video_id`` is given. A track and :func:`discretize` first
+    compare their whole end column with the duration, and call this
+    only when an end is past it, to name that interval.
     """
     duration_us = seconds_to_us(duration_s)
     for iv in intervals:
@@ -325,55 +493,68 @@ def check_ends(intervals: Iterable[TimeInterval], duration_s: float,
                                   f"exceeds duration {duration_s}")
 
 
-def sort_action_intervals(intervals: Iterable[TimeInterval],
-                          vocab: LabelVocabulary) -> list[TimeInterval]:
-    """Check the labels (:func:`check_action_labels`), then sort them.
+def sort_action_intervals(intervals: Iterable[TimeInterval] | IntervalColumns,
+                          vocab: LabelVocabulary,
+                          ) -> tuple[IntervalColumns, np.ndarray]:
+    """The intervals as sorted columns, and each row's class code.
 
-    The order, by start and then label, is the one whose ranges
-    :func:`paint_midpoints` expects; both rasterizers (slots here, frames in
-    :mod:`oadeval.offline`) start from it.
+    Columns are sorted when they are built, so a track's or a parsed
+    list's are taken as they are and only a plain iterable of
+    :class:`TimeInterval` is sorted here (:meth:`IntervalColumns.of`).
+    :func:`check_action_labels` then looks each distinct label up once,
+    and the codes are gathered per row, so ``n`` intervals with ``L``
+    distinct labels cost O(n + L) after the sort. The rows are in the
+    order whose ranges :func:`paint_midpoints` expects; both rasterizers
+    (slots here, frames in :mod:`oadeval.offline`) start from it.
     """
-    intervals = tuple(intervals)
-    check_action_labels(intervals, vocab)
-    return sorted(intervals, key=lambda iv: (iv.start_us, iv.label))
+    columns = IntervalColumns.of(intervals)
+    codes = check_action_labels(columns, vocab)
+    return columns, np.array(codes, np.intp)[columns.codes]
 
 
-def discretize(intervals: Iterable[TimeInterval], duration_s: float,
-               delta_t_s: float, vocab: LabelVocabulary) -> SlotGrid:
+def discretize(intervals: Iterable[TimeInterval] | IntervalColumns,
+               duration_s: float, delta_t_s: float,
+               vocab: LabelVocabulary) -> SlotGrid:
     """Rasterize intervals onto a slot grid using the midpoint rule.
 
     Slot ``j`` takes the code of the interval covering its midpoint
     ``(j - 1/2) * delta_t``; background if none does. When several
     intervals cover the midpoint the earliest start wins, then the
-    lexicographically smallest label.
+    lexicographically smallest label. ``intervals`` may be
+    :class:`TimeInterval` objects, which are sorted here, once, or
+    :class:`IntervalColumns`, such as a track's ``columns``, which were
+    sorted when they were built and are not sorted again.
 
     The midpoints below a time ``t`` are counted exactly in integer
     microseconds: slot ``j`` has its midpoint below ``t`` when
     ``(2j - 1) * delta < 2t``, so ``ceil((2t - delta) / (2 delta))``
-    slots do, capped at ``K``. Python integers never overflow, so this
-    holds for any time a :class:`TimeInterval` accepts, and half-slot
-    offsets stay exact for odd microsecond slot sizes. Each interval's
-    range is then one slice of a ``K``-slot code array
-    (:func:`paint_midpoints`), so painting ``n`` intervals costs
-    O(K + n + S), where ``S`` counts each slot once per interval
-    covering it: overlapping intervals repaint the slots they share,
-    and without overlaps the cost is O(K + n).
+    slots do, capped at ``K``. That is computed on a whole column at
+    once, in int64 when ``2 * duration + delta`` is at most ``2**63``
+    microseconds, which bounds every term, and otherwise in Python
+    integers, which never overflow; half-slot offsets stay exact for odd
+    microsecond slot sizes. :func:`paint_midpoints` then paints the
+    ranges into a ``K``-slot code array: ``n`` intervals cost O(K + n)
+    when their ranges are disjoint, and O(K + n + S) otherwise, where
+    ``S`` counts each slot once per interval covering it.
     The duration, slot size and slot count are checked first, by
     :func:`num_slots`, then the labels by :func:`sort_action_intervals`
     and the ends, in that sorted order, by :func:`check_ends`.
     """
     k = num_slots(duration_s, delta_t_s)
-    delta_us = slot_us(delta_t_s)
-    intervals = sort_action_intervals(intervals, vocab)
-    check_ends(intervals, duration_s)
+    delta_us, duration_us = slot_us(delta_t_s), seconds_to_us(duration_s)
+    columns, codes = sort_action_intervals(intervals, vocab)
+    start_us, end_us = columns.start_us, columns.end_us
+    if np.count_nonzero(end_us > duration_us):
+        check_ends(columns.rows(), duration_s)
 
     # ceil((2t - delta) / (2 delta)) == (2t + delta - 1) // (2 delta); every
     # end is within the duration, so no range passes slot k + 1
-    step, half, codes = 2 * delta_us, delta_us - 1, vocab.codes
-    ranges = [((2 * iv.start_us + half) // step,
-               (2 * iv.end_us + half) // step, codes[iv.label])
-              for iv in intervals]
-    return SlotGrid._of_codes(delta_t_s, paint_midpoints(ranges, k), vocab)
+    if 2 * duration_us + delta_us > 2 ** 63:
+        start_us, end_us = start_us.astype(object), end_us.astype(object)
+    step, half = 2 * delta_us, delta_us - 1
+    return SlotGrid._of_codes(delta_t_s, paint_midpoints(
+        (2 * start_us + half) // step, (2 * end_us + half) // step, codes, k),
+        vocab)
 
 
 class PredictionStream:
@@ -452,12 +633,14 @@ class PredictionStream:
         return SlotGrid._of_codes(self.delta_t_s, self._codes, self.vocab)
 
 
-def events_to_stream(detections: Sequence[TimeInterval], video_id: str,
-                     duration_s: float, delta_t_s: float,
+def events_to_stream(detections: Sequence[TimeInterval] | IntervalColumns,
+                     video_id: str, duration_s: float, delta_t_s: float,
                      vocab: LabelVocabulary) -> PredictionStream:
     """Discretize timed detection events into a complete stream.
 
-    The stream takes the grid's codes as they are: no label is mapped.
+    ``detections`` are :class:`TimeInterval` objects or the columns a
+    parser built (:func:`discretize`). The stream takes the grid's codes
+    as they are: no label is mapped.
     """
     grid = discretize(detections, duration_s, delta_t_s, vocab)
     stream = PredictionStream(video_id, delta_t_s, vocab, num_slots=len(grid))

@@ -661,6 +661,37 @@ class TestBaseline:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["pm", "all-bg"])
+    def test_frameless_video_names_the_video_and_the_flag(
+            self, tmp_path, capsys, kind):
+        # one 0.5 s slot, but 0.7 s at 1 fps holds no frame to score
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(ZERO_SLOT_GT.replace('"duration_s": 0.3',
+                                           '"duration_s": 0.7'))
+        out = tmp_path / "p.jsonl"
+        assert run("baseline", "--gt", gt, "--kind", kind, "--fps", "1.0",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: video 'v1': 0.7 s at fps 1.0 is shorter than one frame: "
+            "zero frames at --fps 1.0\n")
+        assert not out.exists()
+
+    def test_frameless_slot_of_pm_names_the_video_and_the_flag(
+            self, tmp_path, capsys):
+        # one 0.013 s slot, but 0.013 * (1 / 0.013) floors to 0 frames
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(ZERO_SLOT_GT.replace('"duration_s": 0.3',
+                                           '"duration_s": 0.013'))
+        out = tmp_path / "p.jsonl"
+        assert run("baseline", "--gt", gt, "--kind", "pm", "--delta-t",
+                   "0.013", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: video 'v1': 0.013 s at fps 76.92307692307692 is shorter "
+            "than one frame: zero frames at --delta-t 0.013\n")
+        assert not out.exists()
+        assert run("baseline", "--gt", gt, "--kind", "all-bg", "--delta-t",
+                   "0.013", "--out", out) == 0  # all-bg writes no scores
+
+    @pytest.mark.parametrize("kind", ["pm", "all-bg"])
     @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "0", "-1"])
     def test_bad_fps_is_one_error_before_any_input(self, tmp_path, capsys,
                                                    kind, fps):

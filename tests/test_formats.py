@@ -1,8 +1,10 @@
 """Canonical file formats, dataset adapters, prediction loading."""
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 import re
 import struct
 import sys
@@ -16,7 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oadeval import formats
-from oadeval.errors import ParseError, ValidationError, VocabularyError
+from oadeval.errors import (
+    EvaluationError,
+    ParseError,
+    ValidationError,
+    VocabularyError,
+)
 from oadeval.formats import (
     CorpusManifest,
     build_scores,
@@ -33,6 +40,7 @@ from oadeval.baselines import all_bg, perfect_model
 from oadeval.offline import FrameScoreMatrix
 from oadeval.timeline import (
     AnnotationTrack,
+    IntervalColumns,
     LabelVocabulary,
     PredictionStream,
     TimeInterval,
@@ -76,7 +84,11 @@ def manifests():
 @st.composite
 def interval_entries(draw):
     """A valid interval entry, its times ints or floats."""
-    start = draw(st.one_of(st.integers(0, 10 ** 6), st.floats(0.0, 1e6)))
+    # half-microsecond products, where round() and np.rint() both round
+    # half to even, and float noise (0.1 + 0.2) besides the drawn times
+    start = draw(st.one_of(st.integers(0, 10 ** 6), st.floats(0.0, 1e6),
+                           st.sampled_from([5e-7, 1.5e-6, 2.5e-6, 0.1 + 0.2,
+                                            1.0000005, -0.0])))
     length = draw(st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3)))
     return {"label": draw(st.sampled_from(["a", "walk", "bg"])),
             "start_s": start, "end_s": start + length}
@@ -119,6 +131,97 @@ def score_matrices(draw):
     if layout == "strided":
         return np.repeat(matrix, 2, axis=0)[::2]
     return matrix
+
+
+# One interval fault per list, with what load_canonical_gt (its file is
+# PATH) and build_stream (a detections record against a 4 s track) raise:
+# the class name and the full text, as the entry loop words them. Where a
+# list holds two faults, the load names the first in input order and
+# build_stream the first in sorted order (labels: input order in both).
+FAULT_VOCAB = {"record": "vocabulary", "classes": ["a", "b"],
+               "background": "bg"}
+VALID_ENTRY = {"label": "a", "start_s": 0.5, "end_s": 1.0}
+INTERVAL_FAULTS = {
+    "negative start": (
+        [VALID_ENTRY, {"label": "a", "start_s": -1.0, "end_s": 1.0}],
+        ("ValidationError", "PATH, line 2: interval start -1.0 < 0"),
+        ("ValidationError", "interval start -1.0 < 0")),
+    "zero length after rounding": (
+        [VALID_ENTRY, {"label": "a", "start_s": 2.0, "end_s": 2.0000004}],
+        ("ValidationError", "PATH, line 2: interval [2.0, 2.0000004) for 'a' "
+         "has zero or negative length"),
+        ("ValidationError",
+         "interval [2.0, 2.0000004) for 'a' has zero or negative length")),
+    "start of 2**53 us": (
+        [VALID_ENTRY, {"label": "a", "start_s": 2 ** 53 / 1e6,
+                       "end_s": 2 ** 53 / 1e6 + 1}],
+        ("ValidationError", "PATH, line 2: video 'v': interval "
+         "[9007199254.740992, 9007199255.740992) exceeds duration 4.0"),
+        ("ValidationError", "interval [9007199254.740992, 9007199255.740992) "
+         "exceeds duration 4.0")),
+    "10**400": (
+        [VALID_ENTRY, {"label": "a", "start_s": 1.0, "end_s": 10 ** 400}],
+        ("ParseError", "PATH, line 2, field 'end_s': expected a finite number "
+         f"but got {'1' + '0' * 36}..."),
+        ("ParseError",
+         f"field 'end_s': expected a finite number but got {'1' + '0' * 36}...")),
+    "unknown label": (
+        [{"label": "zz", "start_s": 3.0, "end_s": 3.5},
+         {"label": "yy", "start_s": 1.0, "end_s": 1.5}],
+        ("VocabularyError", "PATH, line 2: unknown label 'zz'"),
+        ("VocabularyError", "unknown label 'zz'")),
+    "background label": (
+        [VALID_ENTRY, {"label": "bg", "start_s": 2.0, "end_s": 3.0}],
+        ("ValidationError",
+         "PATH, line 2: background intervals are implicit, never stored"),
+        ("ValidationError", "background intervals are implicit, never stored")),
+    "end past the duration": (
+        [{"label": "a", "start_s": 3.0, "end_s": 5.0},
+         {"label": "b", "start_s": 1.0, "end_s": 4.5}],
+        ("ValidationError",
+         "PATH, line 2: video 'v': interval [3.0, 5.0) exceeds duration 4.0"),
+        ("ValidationError", "interval [1.0, 4.5) exceeds duration 4.0")),
+    # detections may overlap: the stream holds b, then a from 1.0 s on
+    "overlap": (
+        [{"label": "b", "start_s": 2.0, "end_s": 3.0},
+         {"label": "a", "start_s": 1.0, "end_s": 2.5}],
+        ("ValidationError", "PATH, line 2: video 'v': interval [2.0, 3.0) "
+         "overlaps an earlier one but track is not multi_label"),
+        ("stream", "bbaaabbb")),
+    "empty label": (
+        [VALID_ENTRY, {"label": "", "start_s": 2.0, "end_s": 3.0}],
+        ("ValidationError", "PATH, line 2: interval label must be non-empty"),
+        ("ValidationError", "interval label must be non-empty")),
+    # non-finite times, which no array arithmetic may warn of
+    "infinite end": (
+        [VALID_ENTRY, {"label": "a", "start_s": 2.0, "end_s": math.inf}],
+        ("ParseError", "PATH, line 2, field 'end_s': expected a finite number "
+         "but got inf"),
+        ("ParseError", "field 'end_s': expected a finite number but got inf")),
+    "nan start": (
+        [VALID_ENTRY, {"label": "a", "start_s": math.nan, "end_s": 3.0}],
+        ("ParseError", "PATH, line 2, field 'start_s': expected a finite "
+         "number but got nan"),
+        ("ParseError",
+         "field 'start_s': expected a finite number but got nan")),
+    "product past the float range": (
+        [VALID_ENTRY, {"label": "a", "start_s": 2.0, "end_s": 1e305}],
+        ("ValidationError", "PATH, line 2: time 1e+305 s is not a finite "
+         "number of microseconds"),
+        ("ValidationError",
+         "time 1e+305 s is not a finite number of microseconds")),
+}
+
+
+def fault_outcome(call):
+    """The error's class name and text, or a stream's decision initials."""
+    try:
+        stream = call()
+    except EvaluationError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(stream, PredictionStream):
+        return "stream", "".join(label[0] for label in stream.decisions)
+    return None
 
 
 class TestCanonicalGt:
@@ -276,11 +379,94 @@ class TestCanonicalGt:
             bulk = formats._parse_intervals(entries, "gt.jsonl", 2, key)
         one_by_one = tuple(formats._parse_interval(e, "gt.jsonl", 2, key)
                            for e in entries)
-        assert bulk == one_by_one
+        assert bulk.intervals == one_by_one
         assert [(type(iv.start_s), type(iv.end_s), iv.start_us, iv.end_us)
-                for iv in bulk] == [
+                for iv in bulk.intervals] == [
             (type(iv.start_s), type(iv.end_s), iv.start_us, iv.end_us)
             for iv in one_by_one]
+        # the columns hold the entries sorted as sorted() sorts the objects
+        rows = sorted(range(len(entries)), key=lambda i: (
+            one_by_one[i].start_us, one_by_one[i].label))
+        assert bulk.order.tolist() == rows
+        assert bulk.labels == tuple(sorted({iv.label for iv in one_by_one}))
+        assert [bulk.labels[c] for c in bulk.codes.tolist()] == [
+            one_by_one[i].label for i in rows]
+        assert bulk.start_us.tolist() == [one_by_one[i].start_us for i in rows]
+        assert bulk.end_us.tolist() == [one_by_one[i].end_us for i in rows]
+        assert (bulk.start_us.dtype, bulk.end_us.dtype) == (np.int64, np.int64)
+        assert bulk.codes.dtype == np.intp
+        assert bulk.rows() == [one_by_one[i] for i in rows]
+        for column in (bulk.codes, bulk.start_us, bulk.end_us, bulk.order):
+            assert not column.flags.writeable
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entries,load,stream", INTERVAL_FAULTS.values(),
+                             ids=INTERVAL_FAULTS.keys())
+    def test_interval_faults_fail_as_the_entry_loop_does(self, tmp_path,
+                                                         entries, load,
+                                                         stream):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps(FAULT_VOCAB) + "\n" + json.dumps(
+            {"record": "video", "video_id": "v", "duration_s": 4.0,
+             "intervals": entries}) + "\n")
+        load = (load[0], load[1].replace("PATH", str(path)))
+        assert fault_outcome(lambda: load_canonical_gt(path)) == load
+        vocab = LabelVocabulary(classes=("a", "b"), background="bg")
+        record = {"record": "detections", "video_id": "v", "events": entries}
+        assert fault_outcome(lambda: build_stream(
+            "detections", record, AnnotationTrack("v", 4.0), vocab, 0.5)
+        ) == stream
+
+    @pytest.mark.filterwarnings("error")  # no cast past the int64 range
+    def test_huge_times_load_through_the_entry_loop(self, tmp_path):
+        # starts of 2**53 us and more, within a long enough video, are valid:
+        # the entry loop parses them and the columns hold them exactly
+        path = tmp_path / "gt.jsonl"
+        intervals = [{"label": "a", "start_s": 1e13, "end_s": 1e13 + 1},
+                     {"label": "a", "start_s": 2 ** 53 / 1e6, "end_s": 1e10}]
+        path.write_text(json.dumps(FAULT_VOCAB) + "\n" + json.dumps(
+            {"record": "video", "video_id": "v", "duration_s": 1e14,
+             "intervals": intervals}) + "\n")
+        track = load_canonical_gt(path).tracks[0]
+        expected = tuple(TimeInterval(e["label"], e["start_s"], e["end_s"])
+                         for e in intervals)
+        assert track.intervals == expected
+        assert track.columns.start_us.tolist() == [
+            expected[1].start_us, expected[0].start_us]
+        assert track.columns.end_us.tolist() == [
+            expected[1].end_us, expected[0].end_us]
+        assert track.columns.end_us.dtype == object  # past int64's 9.2e18
+
+    def test_track_intervals_built_on_first_read_match_given_ones(self,
+                                                                  tmp_path):
+        entries = [{"label": "b", "start_s": 2, "end_s": 3.5},
+                   {"label": "a", "start_s": 0.1 + 0.2, "end_s": 1.0},
+                   {"label": "a", "start_s": 2.0, "end_s": 3.0}]
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps(FAULT_VOCAB) + "\n" + json.dumps(
+            {"record": "video", "video_id": "v", "duration_s": 4.0,
+             "intervals": entries, "multi_label": True}) + "\n")
+        parsed = load_canonical_gt(path).tracks[0]
+        assert "intervals" not in parsed.columns.__dict__  # not built yet
+        given = AnnotationTrack("v", 4.0, tuple(
+            TimeInterval(e["label"], float(e["start_s"]), float(e["end_s"]))
+            for e in entries), multi_label=True)
+        assert parsed.intervals == given.intervals
+        assert [iv.start_s for iv in parsed.intervals] == [2.0, 0.1 + 0.2, 2.0]
+        assert parsed == given and hash(parsed) == hash(given)
+        assert repr(parsed) == repr(given) == (
+            "AnnotationTrack(video_id='v', duration_s=4.0, intervals=("
+            "TimeInterval(label='b', start_s=2.0, end_s=3.5), "
+            "TimeInterval(label='a', start_s=0.30000000000000004, end_s=1.0), "
+            "TimeInterval(label='a', start_s=2.0, end_s=3.0)), multi_label=True)")
+        assert parsed.intervals is parsed.intervals  # built once
+        # the tuple leads back to its columns; a copy is a plain tuple
+        assert IntervalColumns.of(parsed.intervals) is parsed.columns
+        for copied in (copy.copy(parsed.intervals),
+                       pickle.loads(pickle.dumps(parsed.intervals))):
+            assert type(copied) is tuple and copied == given.intervals
+        assert parsed != AnnotationTrack("v", 4.0, given.intervals[::-1],
+                                         multi_label=True)
 
     def test_unknown_interval_label_rejected(self, tmp_path):
         path = tmp_path / "gt.jsonl"

@@ -3,13 +3,14 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oadeval.errors import ValidationError, VocabularyError
+from oadeval.errors import DegenerateInputError, ValidationError, VocabularyError
 from oadeval.ia import evaluate_grids
 from oadeval.offline import (
     FrameScoreMatrix,
@@ -137,6 +138,15 @@ class TestRasterize:
         # the product overflows to inf before anything is allocated
         with pytest.raises(ValidationError, match="fps 1e"):
             frame_count(10.0, 1e308)
+
+    def test_zero_frames_is_degenerate(self, vocab):
+        # as zero slots are for num_slots: nothing to score or rank
+        assert frame_count(1.0, 1.0) == 1
+        with pytest.raises(DegenerateInputError, match=re.escape(
+                "0.7 s at fps 1.0 is shorter than one frame: zero frames")):
+            frame_count(0.7, 1.0)
+        with pytest.raises(DegenerateInputError, match="zero frames$"):
+            rasterize_frames(AnnotationTrack("v", 0.7), 1.0, vocab)
 
     @pytest.mark.parametrize("fps", [0.0, -2.0, math.nan, math.inf, -math.inf])
     def test_bad_fps_rejected(self, vocab, worked_track, fps):

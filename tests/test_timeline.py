@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from oadeval.offline import frame_count, rasterize_frames
 from oadeval.timeline import (
     MAX_SLOTS,
     AnnotationTrack,
+    IntervalColumns,
     LabelVocabulary,
     PredictionStream,
     SlotGrid,
@@ -145,8 +148,10 @@ def odd_microsecond_frame_cases(draw):
     fps = 1e6 / frame_us
     duration_us = (draw(st.integers(1, 30)) * frame_us
                    + draw(st.integers(0, frame_us - 1)))
+    # floor(duration * fps) in floats, as frame_count takes it: one frame
+    # of exactly frame_us can fall just short of 1 and hold no frame
     mids = [seconds_to_us((i - 0.5) / fps)
-            for i in range(1, frame_count(duration_us / 1e6, fps) + 1)]
+            for i in range(1, math.floor(duration_us / 1e6 * fps) + 1)]
     near = [t + e for t in mids for e in (-1, 0, 1)] + [0, duration_us]
     points = (st.sampled_from([t for t in near if 0 <= t <= duration_us])
               | st.integers(0, duration_us))
@@ -283,6 +288,66 @@ class TestAnnotationTrack:
                                            TimeInterval("run", 2.0, 4.0)))
         assert len(track.intervals) == 2
 
+    @given(st.lists(st.tuples(st.sampled_from(["run", "jump", "Jump"]),
+                              st.integers(0, 12), st.integers(1, 4)),
+                    max_size=8), st.booleans())
+    @settings(max_examples=300)
+    def test_column_checks_match_the_object_loop(self, drawn, multi_label):
+        # the checks as loops over the objects: every end in input order,
+        # then each start against the latest end before it, by (start, label)
+        intervals = tuple(TimeInterval(label, start / 2, (start + length) / 2)
+                          for label, start, length in drawn)
+
+        def loop():
+            check_ends(intervals, 6.0, "v")
+            covered_until = -1
+            for iv in sorted(intervals, key=lambda iv: (iv.start_us, iv.label)):
+                if not multi_label and iv.start_us < covered_until:
+                    raise ValidationError(
+                        f"video 'v': interval [{iv.start_s}, {iv.end_s}) "
+                        "overlaps an earlier one but track is not multi_label")
+                covered_until = max(covered_until, iv.end_us)
+
+        expected = outcome(loop)
+        assert outcome(lambda: AnnotationTrack(
+            "v", 6.0, intervals, multi_label)) == expected
+        if expected is None:
+            track = AnnotationTrack("v", 6.0, intervals, multi_label)
+            assert track.columns.rows() == sorted(
+                intervals, key=lambda iv: (iv.start_us, iv.label))
+            assert track.intervals == intervals
+            # the track's own tuple gives its columns back, unsorted again
+            assert IntervalColumns.of(track.intervals) is track.columns
+
+    def test_tracks_free_without_the_cycle_collector(self):
+        # columns and the tuple read from them form no reference cycle
+        gc.disable()
+        try:
+            def parsed(_):  # columns built as a parser builds them
+                return IntervalColumns.sort(
+                    ["run"], np.array([2_000_000]), np.array([4_000_000]),
+                    np.array([[2.0], [4.0]]))
+
+            for given in (tuple, IntervalColumns.of, parsed):
+                track = AnnotationTrack(
+                    "v", 5.0, given([TimeInterval("run", 2.0, 4.0)]))
+                read = track.intervals
+                assert IntervalColumns.of(read) is track.columns
+                columns = weakref.ref(track.columns)
+                del track
+                assert columns() is None  # freed with the track
+                assert IntervalColumns.of(read).intervals == read  # sorted anew
+        finally:
+            gc.enable()
+
+    def test_pickled_track_keeps_read_only_columns(self):
+        track = AnnotationTrack("v", 5.0, (TimeInterval("run", 2.0, 4.0),
+                                           TimeInterval("jump", 0.0, 2.0)))
+        for copied in (pickle.loads(pickle.dumps(track)), copy.deepcopy(track),
+                       copy.copy(track)):
+            assert copied == track and repr(copied) == repr(track)
+            assert not copied.columns.start_us.flags.writeable
+
 
 class TestDiscretize:
     def test_empty_annotation_all_background(self, vocab):
@@ -389,6 +454,29 @@ class TestDiscretize:
         assert np.flatnonzero(grid.codes).tolist() == list(range(92_000, 99_000))
         assert grid.labels.count("a") == 7_000
 
+    def test_range_terms_past_int64_are_exact(self):
+        # every end in microseconds fits int64 (5e18 < 9.22e18), but twice
+        # it does not: midpoints (j - 1/2) * 1e8 s from j = 40,001 to 50,000
+        vocab = LabelVocabulary(classes=("a",))
+        grid = discretize([TimeInterval("a", 4e12, 5e12)], 6e12, 1e8, vocab)
+        assert np.flatnonzero(grid.codes).tolist() == list(range(40_000, 50_000))
+
+    def test_int64_ranges_only_where_every_term_fits(self):
+        # 2 * duration_us + delta_us crosses 2**63 between these durations:
+        # int64 below, Python integers above, each slot as the oracle has it
+        vocab = LabelVocabulary(classes=("a",))
+        delta_s = 2 ** 61 / 1e6
+        edge_s = (2 ** 63 - slot_us(delta_s)) / 2e6
+        sides = set()
+        for steps in range(-3, 4):
+            duration_s = edge_s + steps * math.ulp(edge_s)
+            sides.add(2 * seconds_to_us(duration_s) + slot_us(delta_s) > 2 ** 63)
+            intervals = [TimeInterval("a", delta_s / 4, duration_s)]
+            grid = discretize(intervals, duration_s, delta_s, vocab)
+            assert list(grid.labels) == brute_force_slot_labels(
+                intervals, duration_s, delta_s) == ["a"]
+        assert sides == {False, True}
+
     @given(odd_microsecond_slot_cases())
     @settings(max_examples=300)
     def test_painted_codes_match_brute_force_at_odd_microseconds(self, case):
@@ -405,6 +493,10 @@ class TestDiscretize:
     def test_painted_frames_match_brute_force_at_odd_microseconds(self, case):
         track, fps = case
         vocab = LabelVocabulary(classes=("jump", "run", "walk"))
+        if math.floor(track.duration_s * fps) == 0:
+            with pytest.raises(DegenerateInputError, match="zero frames$"):
+                rasterize_frames(track, fps, vocab)
+            return
         assert rasterize_frames(track, fps, vocab) == [
             vocab.codes[lab] for lab in brute_force_frame_labels(track, fps)]
 
