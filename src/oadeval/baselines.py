@@ -54,15 +54,14 @@ def all_bg(track: AnnotationTrack, delta_t_s: float, vocab: LabelVocabulary,
 
 
 def perfect_model(track: AnnotationTrack, delta_t_s: float,
-                  vocab: LabelVocabulary, seed: int,
-                  fps: float | None = None,
+                  vocab: LabelVocabulary, seed: int, fps: float,
                   ) -> tuple[PredictionStream, FrameScoreMatrix]:
     """Ceiling probe: ground-truth slot decisions plus one-hot frame scores.
 
-    ``fps`` defaults to one frame per slot. Scores are one-hot on the
-    true class for action frames and on a uniformly random action class
-    for background frames: one draw from the per-video seeded generator
-    per background frame, in frame order.
+    The scores, ``fps`` frames per second, are one-hot on the true class
+    for action frames and on a uniformly random action class for
+    background frames: one draw from the per-video seeded generator per
+    background frame, in frame order.
     """
     if not vocab.classes:
         raise ValidationError("vocabulary needs at least one action class")
@@ -71,8 +70,6 @@ def perfect_model(track: AnnotationTrack, delta_t_s: float,
                               num_slots=len(grid))
     stream.extend(grid.labels)
 
-    if fps is None:
-        fps = 1.0 / delta_t_s
     rng = video_rng(seed, track.video_id)
     cols = np.array(rasterize_frames(track, fps, vocab), dtype=np.intp) - 1
     background = cols < 0

@@ -262,21 +262,22 @@ def cmd_baseline(args) -> int:
     baseline = (all_bg if args.kind == "all-bg"
                 else functools.partial(perfect_model, seed=args.seed))
     streams, matrices = [], []
-    limits = [("--delta-t", args.delta_t, num_slots)]
-    if args.fps is not None:
-        limits.insert(0, ("--fps", args.fps, frame_count))
+    fps = args.fps
+    limits = [(num_slots, args.delta_t, f"--delta-t {args.delta_t}")]
+    if fps is not None:
+        limits.insert(0, (frame_count, fps, f"--fps {fps}"))
     elif args.kind == "pm":  # scores at one frame per slot
-        limits.append(("--delta-t", args.delta_t,
-                       lambda duration, delta: frame_count(duration, 1 / delta)))
+        fps = 1.0 / args.delta_t
+        limits.append((frame_count, fps, f"--delta-t {args.delta_t}"))
     for track in sorted(manifest.tracks, key=lambda t: t.video_id):
-        for flag, value, count in limits:
+        for count, value, flag in limits:
             try:
                 count(track.duration_s, value)
             except ValidationError as exc:
-                raise EvaluationError(f"video {track.video_id!r}: {exc} "
-                                      f"at {flag} {value}") from None
+                raise EvaluationError(
+                    f"video {track.video_id!r}: {exc} at {flag}") from None
         stream, matrix = baseline(track, args.delta_t, manifest.vocabulary,
-                                  fps=args.fps)
+                                  fps=fps)
         streams.append(stream)
         if matrix is not None:
             matrices.append(matrix)

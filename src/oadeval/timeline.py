@@ -15,26 +15,24 @@ columns of microsecond bounds and label codes, sorted once, by start
 and then label, when they are built, by a parser straight from its
 numbers or from :class:`TimeInterval` objects. Each interval, list,
 track and grid converts its own times once, when it is built, into
-``*_us`` fields that take no part in ``==``, ``hash`` or ``repr``. A
-slot size must round to at least 1 microsecond; :func:`slot_us` is the
-one place that rule is checked, as :func:`check_ends` is for an
-interval ending within its video.
+``*_us`` fields or columns that take no part in ``==``, ``hash`` or
+``repr``. A slot size must round to at least 1 microsecond;
+:func:`slot_us` is the one place that rule is checked, as
+:func:`check_ends` is for an interval ending within its video.
 
 A grid is its class codes: one read-only NumPy array with background
 0 and the classes 1..C. :func:`discretize` takes each interval's slot
 range from the columns, with exact integer arithmetic and no sort of
-its own, and paints the ranges into that array: ``K`` slots and ``n``
-intervals cost O(K + n) when the ranges are disjoint, as on a track
-without overlaps, and O(K + n + S) otherwise, where ``S`` counts each
-slot once per interval covering it: overlapping intervals repaint the
-slots they share. Slot labels are derived from the codes only when
-asked for.
+its own, and paints the ranges into that array. ``K`` slots and ``n``
+intervals cost O(K + n + S), where ``S`` counts each slot once per
+interval covering it: overlapping intervals repaint the slots they
+share, and a track without overlaps costs O(K + n). Slot labels are
+derived from the codes only when asked for.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -156,28 +154,6 @@ class TimeInterval:
                 f"interval [{self.start_s}, {self.end_s}) for {self.label!r} "
                 "has zero or negative length")
 
-    @classmethod
-    def _checked(cls, label, start_s, end_s, start_us, end_us) -> TimeInterval:
-        """An interval whose fields were checked and converted already."""
-        interval = object.__new__(cls)
-        interval.__dict__.update(label=label, start_s=start_s, end_s=end_s,
-                                 start_us=start_us, end_us=end_us)
-        return interval
-
-
-class _ReadIntervals(tuple):
-    """A tuple of intervals that knows the columns it was read from, so
-    that :meth:`IntervalColumns.of` gives those back rather than sorting
-    the tuple again. The columns hold the tuple; the tuple holds them
-    weakly, so that no reference cycle keeps either alive until the
-    garbage collector runs."""
-
-    columns: weakref.ref
-
-    def __reduce__(self):
-        # a copy is a plain tuple: its columns would come back writeable
-        return tuple, (tuple(self),)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class IntervalColumns:
@@ -220,25 +196,16 @@ class IntervalColumns:
 
     @classmethod
     def of(cls, intervals: Iterable[TimeInterval]) -> IntervalColumns:
-        """``intervals`` as columns, sorted here unless they were before.
-
-        Columns are returned as they are, and so are the columns a tuple
-        of :attr:`intervals` was read from.
-        """
+        """``intervals`` as columns: columns as they are, objects sorted here."""
         if isinstance(intervals, cls):
             return intervals
-        if isinstance(intervals, _ReadIntervals):
-            columns = intervals.columns()
-            if columns is not None:
-                return columns
-        intervals = _ReadIntervals(intervals)
+        intervals = tuple(intervals)
         us = [iv.start_us for iv in intervals], [iv.end_us for iv in intervals]
         try:
             us = np.array(us, np.int64)
         except OverflowError:  # a time past the int64 range
             us = np.array(us, object)
         columns = cls.sort([iv.label for iv in intervals], *us)
-        intervals.columns = weakref.ref(columns)
         columns.__dict__["intervals"] = intervals
         return columns
 
@@ -247,19 +214,11 @@ class IntervalColumns:
 
     @cached_property
     def intervals(self) -> tuple[TimeInterval, ...]:
-        """The intervals in input order, as a tuple that knows the columns.
-
-        Built on first read from the checked columns, without checking
-        each interval again.
-        """
+        """The intervals in input order, built from the columns on first read."""
         rows = np.argsort(self.order)
-        intervals = _ReadIntervals(map(
-            TimeInterval._checked,
-            map(self.labels.__getitem__, self.codes[rows].tolist()),
-            *self.times_s[:, rows].tolist(), self.start_us[rows].tolist(),
-            self.end_us[rows].tolist()))
-        intervals.columns = weakref.ref(self)
-        return intervals
+        return tuple(map(TimeInterval, map(self.labels.__getitem__,
+                                           self.codes[rows].tolist()),
+                         *self.times_s[:, rows].tolist()))
 
     def rows(self) -> list[TimeInterval]:
         """The intervals in row order: by start, then label."""
@@ -431,24 +390,13 @@ def paint_midpoints(lo, hi, codes, size: int) -> np.ndarray:
     Interval ``i``, in the row order of :class:`IntervalColumns` (by
     start, then label), covers the midpoints ``lo[i]`` to ``hi[i] - 1``
     and has the code ``codes[i]``; a range past ``size`` is cut there, as
-    a slice is. Midpoints no interval covers hold 0 (background).
-    Where the ranges are disjoint, as on any track without overlaps,
-    the gaps and ranges tile ``[0, size)`` in order, and one
-    ``np.repeat`` of their codes paints all of them. Otherwise the
+    a slice is. Midpoints no interval covers hold 0 (background). The
     ranges are painted in reverse order, one slice each, which leaves
     the earliest start, then the smallest label, on top wherever they
     overlap.
     """
-    ends = np.empty(2 * len(codes) + 2, np.intp)
-    ends[0], ends[1:-1:2], ends[2:-1:2], ends[-1] = 0, lo, hi, size
-    np.minimum(ends, size, out=ends)
-    runs = ends[1:] - ends[:-1]
-    if runs.min() >= 0:
-        fill = np.zeros(len(runs), np.intp)
-        fill[1::2] = codes
-        return np.repeat(fill, runs)
     painted = np.zeros(size, np.intp)
-    ranges = zip(ends[1:-1:2].tolist(), ends[2:-1:2].tolist(), codes.tolist())
+    ranges = zip(lo.tolist(), hi.tolist(), codes.tolist())
     for start, stop, code in reversed(list(ranges)):
         painted[start:stop] = code
     return painted
@@ -533,9 +481,9 @@ def discretize(intervals: Iterable[TimeInterval] | IntervalColumns,
     microseconds, which bounds every term, and otherwise in Python
     integers, which never overflow; half-slot offsets stay exact for odd
     microsecond slot sizes. :func:`paint_midpoints` then paints the
-    ranges into a ``K``-slot code array: ``n`` intervals cost O(K + n)
-    when their ranges are disjoint, and O(K + n + S) otherwise, where
-    ``S`` counts each slot once per interval covering it.
+    ranges into a ``K``-slot code array: ``n`` intervals cost
+    O(K + n + S), where ``S`` counts each slot once per interval
+    covering it, so O(K + n) without overlaps.
     The duration, slot size and slot count are checked first, by
     :func:`num_slots`, then the labels by :func:`sort_action_intervals`
     and the ends, in that sorted order, by :func:`check_ends`.

@@ -92,12 +92,12 @@ class TestAllBg:
 class TestPerfectModel:
     def test_stream_replays_ground_truth(self, vocab, worked_track,
                                          worked_gt_grid):
-        stream, _ = perfect_model(worked_track, 0.5, vocab, seed=0)
+        stream, _ = perfect_model(worked_track, 0.5, vocab, seed=0, fps=2.0)
         assert stream.decisions == worked_gt_grid.labels
 
     def test_saturates_both_metrics_at_every_instant(self, vocab, worked_track,
                                                      worked_gt_grid):
-        stream, _ = perfect_model(worked_track, 0.5, vocab, seed=3)
+        stream, _ = perfect_model(worked_track, 0.5, vocab, seed=3, fps=2.0)
         trace = evaluate_grids(stream.as_grid(), worked_gt_grid)
         assert all(p.ia == 1.0 and p.wia == 1.0 for p in trace)
 
@@ -160,7 +160,7 @@ class TestPerfectModel:
     def test_empty_vocabulary_rejected(self, worked_track):
         vocab = LabelVocabulary(classes=())
         with pytest.raises(ValidationError):
-            perfect_model(worked_track, 0.5, vocab, seed=0)
+            perfect_model(worked_track, 0.5, vocab, seed=0, fps=2.0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):

@@ -2,11 +2,9 @@
 
 import copy
 import dataclasses
-import gc
 import math
 import pickle
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -316,29 +314,6 @@ class TestAnnotationTrack:
             assert track.columns.rows() == sorted(
                 intervals, key=lambda iv: (iv.start_us, iv.label))
             assert track.intervals == intervals
-            # the track's own tuple gives its columns back, unsorted again
-            assert IntervalColumns.of(track.intervals) is track.columns
-
-    def test_tracks_free_without_the_cycle_collector(self):
-        # columns and the tuple read from them form no reference cycle
-        gc.disable()
-        try:
-            def parsed(_):  # columns built as a parser builds them
-                return IntervalColumns.sort(
-                    ["run"], np.array([2_000_000]), np.array([4_000_000]),
-                    np.array([[2.0], [4.0]]))
-
-            for given in (tuple, IntervalColumns.of, parsed):
-                track = AnnotationTrack(
-                    "v", 5.0, given([TimeInterval("run", 2.0, 4.0)]))
-                read = track.intervals
-                assert IntervalColumns.of(read) is track.columns
-                columns = weakref.ref(track.columns)
-                del track
-                assert columns() is None  # freed with the track
-                assert IntervalColumns.of(read).intervals == read  # sorted anew
-        finally:
-            gc.enable()
 
     def test_pickled_track_keeps_read_only_columns(self):
         track = AnnotationTrack("v", 5.0, (TimeInterval("run", 2.0, 4.0),
@@ -718,7 +693,7 @@ SLOT_COUNT_CALLS = {
         AnnotationTrack("v", d), vocab, 0.5),
     "all_bg": lambda d, vocab: all_bg(AnnotationTrack("v", d), 0.5, vocab),
     "perfect_model": lambda d, vocab: perfect_model(
-        AnnotationTrack("v", d), 0.5, vocab, 0),
+        AnnotationTrack("v", d), 0.5, vocab, 0, fps=2.0),
 }
 # every entry point that sizes a score matrix from a rate, at 1e9 fps
 FRAME_COUNT_CALLS = {
