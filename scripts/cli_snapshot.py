@@ -10,7 +10,10 @@ and one video per interval fault: each fault is read once as detection
 events and once as ground truth, in a file of its own, since the first
 fault fails a whole ground-truth load. Each command then gets a folder
 ``OUT_DIR/NN-name`` with its ``exit`` code, ``stdout``, ``stderr`` and,
-under ``out/``, the files it wrote. Two versions of the package compare
+under ``out/``, the files it wrote. The last commands come in pairs
+whose second command (``rerun-...``) writes over the longer outputs of
+the first, in the first one's ``out/``, so the snapshot also holds files
+rewritten in place. Two versions of the package compare
 by snapshotting each and diffing the trees::
 
     PYTHONPATH=src python3 scripts/cli_snapshot.py /tmp/snap-new
@@ -144,7 +147,8 @@ def folder(n: int, name: str) -> str:
 
 def catalogue():
     """``(name, argv)`` per command, in order; ``{out}`` stands for the
-    command's own ``out`` folder."""
+    command's own ``out`` folder and ``{prev}`` for that of the command
+    before it."""
     commands = []
     for mode in ("class-aware", "binary"):
         commands.append((f"evaluate-worked-{mode}", [
@@ -218,6 +222,39 @@ def catalogue():
     commands.append(("baseline-frameless-slot-pm", [
         "baseline", "--gt", "inputs/frameless-slot.gt.jsonl", "--kind", "pm",
         "--delta-t", "0.013", "--out", "{out}/pred.jsonl"]))
+    # pairs of commands: the second rewrites the longer outputs of the
+    # first, in its folder
+    worked = ["--gt", GT["worked"], "--pred", "inputs/worked.pred.jsonl"]
+    synthetic = ["baseline", "--gt", GT["synthetic"], "--seed", "3"]
+    done = {name: folder(n, name) for n, (name, _) in enumerate(commands, 1)}
+    scores = f"{done['baseline-synthetic-pm-2.0']}/out/pred.jsonl"
+    worked_scores = f"{done['baseline-worked-pm-2.0']}/out/pred.jsonl"
+    for first, rerun in [
+            (("evaluate-worked-quarter-slots-again", [
+                "evaluate", *worked, "--delta-t", "0.25", "--out-dir", "{out}"]),
+             ("rerun-evaluate-worked-binary", [
+                 "evaluate", *worked, "--delta-t", "0.5", "--mode", "binary",
+                 "--out-dir", "{prev}"])),
+            (("baseline-synthetic-all-bg-4.0-again", [
+                *synthetic, "--kind", "all-bg", "--fps", "4.0",
+                "--out", "{out}/pred.jsonl"]),
+             ("rerun-baseline-synthetic-pm-2.0", [
+                 *synthetic, "--kind", "pm", "--fps", "2.0",
+                 "--out", "{prev}/pred.jsonl"])),
+            (("convert-thumos-suffixes-again", [
+                "convert", "--format", "thumos", "--in", "inputs/thumos-suffixes",
+                "--durations", "inputs/thumos-durations.txt",
+                "--out", "{out}/gt.jsonl"]),
+             ("rerun-convert-activitynet", [
+                 "convert", "--format", "activitynet", "--in",
+                 "inputs/activitynet.json", "--out", "{prev}/gt.jsonl"])),
+            (("offline-map-synthetic-pm-2.0-again", [
+                "offline", "--gt", GT["synthetic"], "--pred", scores,
+                "--metric", "map", "--out-dir", "{out}"]),
+             ("rerun-offline-map-worked-pm-2.0", [
+                 "offline", "--gt", GT["worked"], "--pred", worked_scores,
+                 "--metric", "map", "--out-dir", "{prev}"]))]:
+        commands += [first, rerun]
     return commands
 
 
@@ -247,7 +284,8 @@ def main():
     for n, (name, argv) in enumerate(commands, start=1):
         here = Path(folder(n, name))
         (here / "out").mkdir(parents=True)
-        argv = [a.replace("{out}", f"{here}/out") for a in argv]
+        argv = [a.replace("{out}", f"{here}/out").replace(
+            "{prev}", f"{folder(n - 1, commands[n - 2][0])}/out") for a in argv]
         code, out, err = run(argv)
         (here / "argv").write_text(" ".join(argv) + "\n")
         (here / "exit").write_text(f"{code}\n")

@@ -25,6 +25,7 @@ from .formats import (
     load_canonical_gt,
     load_scores,
     load_thumos_gt,
+    open_output,
     read_predictions,
     write_canonical_gt,
     write_predictions,
@@ -110,23 +111,18 @@ def _format_rows(rows: np.ndarray) -> bytes:
 
 def _write_trace(path: Path, trace) -> None:
     # an IATrace, its rows or a list of points alike, in fixed-size
-    # blocks so that the formatting buffers do not grow with the trace;
-    # a write that fails removes the file it began
+    # blocks so that the formatting buffers do not grow with the trace
     rows = np.asarray(trace, np.float64).reshape(-1, 4)
-    out = open(path, "wb")
-    try:
-        with out:
-            out.write(f"{TRACE_HEADER}\n".encode())
-            for start in range(0, len(rows), _BLOCK_ROWS):
-                out.write(_format_rows(rows[start:start + _BLOCK_ROWS]))
-    except BaseException:
-        path.unlink()
-        raise
+    with open_output(path) as out:
+        out.write(f"{TRACE_HEADER}\n".encode())
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            out.write(_format_rows(rows[start:start + _BLOCK_ROWS]))
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    with open_output(path) as out:
+        out.write(json.dumps(payload, sort_keys=True, indent=2).encode()
+                  + b"\n")
 
 
 def _check_delta_t(delta_t_s: float) -> None:

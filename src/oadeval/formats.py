@@ -42,7 +42,9 @@ to which video, and reports unknown, duplicate and missing records per
 video with their line. :func:`write_predictions` writes each record as
 ``json.dumps(..., sort_keys=True)`` does, byte for byte; a score matrix
 goes out a block of rows at a time, each block's cells gathered from a
-table that holds the text of each distinct value once. Adapters for
+table that holds the text of each distinct value once. Every file the
+toolkit writes goes through :func:`open_output`, which rewrites it in
+place and removes it if the write fails. Adapters for
 ActivityNet-style JSON and Thumos-style per-class text files convert
 external ground truth into the canonical model; durations for Thumos
 come from a sidecar table because its annotation files carry none.
@@ -50,10 +52,13 @@ come from a sidecar table because its annotation files carry none.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -337,24 +342,50 @@ def load_canonical_gt(path: str | Path) -> CorpusManifest:
                           source=f"canonical:{_digest(data)}")
 
 
+# an existing output is opened as it is, not cut to zero bytes: on ext4
+# that cut makes closing the file start writing its data back at once
+_OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+@contextlib.contextmanager
+def open_output(path: str | Path) -> Iterator:
+    """A binary file to write an output to, rewritten in place.
+
+    The new bytes go over the old ones from the start of the file, and a
+    regular file is then cut to the length written, so it holds exactly
+    the new bytes, in the same inode and with the same mode (as a
+    truncating ``open(path, "wb")`` leaves them). If the block raises,
+    a regular file is removed and the error goes on. A FIFO or a device
+    is only written: it is neither cut nor removed.
+    """
+    out = open(os.open(path, _OUTPUT_FLAGS, 0o666), "wb")
+    regular = False
+    try:
+        with out:
+            regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+            yield out
+            if regular:
+                out.truncate()
+    except BaseException:
+        if regular:
+            os.unlink(path)
+        raise
+
+
 def write_canonical_gt(manifest: CorpusManifest, path: str | Path) -> None:
-    lines = [json.dumps({
-        "record": "vocabulary",
-        "classes": list(manifest.vocabulary.classes),
-        "background": manifest.vocabulary.background,
-    }, sort_keys=True)]
-    for track in manifest.tracks:
-        lines.append(json.dumps({
-            "record": "video",
-            "video_id": track.video_id,
-            "duration_s": track.duration_s,
-            "intervals": [
-                {"label": iv.label, "start_s": iv.start_s, "end_s": iv.end_s}
-                for iv in track.intervals
-            ],
-            "multi_label": track.multi_label,
-        }, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vocab = manifest.vocabulary
+    records = chain([{"record": "vocabulary", "classes": list(vocab.classes),
+                      "background": vocab.background}], ({
+        "record": "video",
+        "video_id": track.video_id,
+        "duration_s": track.duration_s,
+        "intervals": [{"label": iv.label, "start_s": iv.start_s,
+                       "end_s": iv.end_s} for iv in track.intervals],
+        "multi_label": track.multi_label,
+    } for track in manifest.tracks))
+    with open_output(path) as out:
+        for record in records:
+            out.write(json.dumps(record, sort_keys=True).encode() + b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +766,7 @@ def write_predictions(path: str | Path, streams=(), score_matrices=()) -> None:
     """
     streams = sorted(streams, key=lambda s: s.video_id)
     matrices = sorted(score_matrices, key=lambda m: m.video_id)
-    with open(path, "wb") as out:
+    with open_output(path) as out:
         if not streams and not matrices:
             out.write(b"\n")  # a file of no records is one empty line
         for stream in streams:

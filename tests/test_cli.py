@@ -1,30 +1,36 @@
 """End-to-end CLI runs: exit codes, output files, determinism."""
 
 import copy
+import errno
 import io
 import json
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oadeval import cli
+from oadeval import cli, formats
 from oadeval.cli import _write_trace, main
 from oadeval.formats import (
     CorpusManifest,
     load_canonical_gt,
     write_canonical_gt,
+    write_predictions,
 )
 from oadeval.ia import IATrace, IATracePoint
+from oadeval.offline import FrameScoreMatrix
 from oadeval.timeline import (
     MAX_SLOTS,
     AnnotationTrack,
@@ -1187,3 +1193,160 @@ class TestConvert:
         assert run("convert", "--format", "thumos",
                    "--in", DATA / "thumos_fixture",
                    "--out", tmp_path / "c.jsonl") == 1
+
+
+DISK_FULL = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+def fails_after(real, calls):
+    """``real`` for its first ``calls`` calls, then a full disk."""
+    made = []
+
+    def formatter(*args, **kwargs):
+        made.append(None)
+        if len(made) > calls:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(*args, **kwargs)
+    return formatter
+
+
+def json_with_failing_dumps(calls):
+    """The ``json`` module as a module's global, its ``dumps`` failing
+    after ``calls`` calls."""
+    return SimpleNamespace(**{**vars(json),
+                              "dumps": fails_after(json.dumps, calls)})
+
+
+def read_fifo(path):
+    """A started thread that reads ``path`` to its end, and the list it
+    appends the bytes to."""
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()),
+                              daemon=True)
+    reader.start()
+    return reader, got
+
+
+WORKED_GT = DATA / "worked_example.gt.jsonl"
+PM_ARGV = ("baseline", "--gt", WORKED_GT, "--kind", "pm", "--fps", "2.0",
+           "--out")
+
+
+def pm_scores(tmp_path):
+    assert run(*PM_ARGV, tmp_path / "pm.jsonl") == 0
+    return tmp_path / "pm.jsonl"
+
+
+# each writer's command line in a folder, the output it writes there,
+# and the formatter that fails after its first block (cli's json.dumps
+# fails at once, as cli formats each file in one block)
+FAILING_WRITES = {
+    "predictions": (lambda tmp: (*PM_ARGV, tmp / "p.jsonl"), "p.jsonl",
+                    formats, "_json_rows",
+                    lambda: fails_after(formats._json_rows, 1)),
+    "ground truth": (lambda tmp: (
+        "convert", "--format", "activitynet", "--in",
+        DATA / "activitynet_fixture.json", "--out", tmp / "gt.jsonl"),
+        "gt.jsonl", formats, "json", lambda: json_with_failing_dumps(1)),
+    "summary": (lambda tmp: (
+        "evaluate", "--gt", WORKED_GT, "--pred",
+        DATA / "worked_example.pred.jsonl", "--out-dir", tmp),
+        "summary.json", cli, "json", lambda: json_with_failing_dumps(0)),
+    "offline": (lambda tmp: (
+        "offline", "--gt", WORKED_GT, "--pred", pm_scores(tmp),
+        "--out-dir", tmp),
+        "offline_map.json", cli, "json", lambda: json_with_failing_dumps(0)),
+}
+# each writer, writing a fixed output to a path
+WRITERS = {
+    "trace": lambda path: _write_trace(path, [[0.5, 1.0, 1.0, 0.25]] * 3),
+    "json": lambda path: cli._write_json(path, {"maia": 0.5, "failures": []}),
+    "predictions": lambda path: write_predictions(path, score_matrices=[
+        FrameScoreMatrix("v", 2.0, [[0.5, 0.25], [0.0, 1.0]])]),
+    "ground truth": lambda path: write_canonical_gt(
+        load_canonical_gt(DATA / "worked_example.gt.jsonl"), path),
+}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("old", [None, b"\xff" * 50_000],
+                             ids=["new", "rewrite"])
+    @pytest.mark.parametrize("case", FAILING_WRITES.values(),
+                             ids=FAILING_WRITES)
+    def test_failed_write_removes_its_output(self, tmp_path, monkeypatch,
+                                             capsys, case, old):
+        argv, name, module, formatter, failing = case
+        argv, target = argv(tmp_path), tmp_path / name
+        if old is not None:
+            target.write_bytes(old)
+        monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(module, formatter, failing())
+        capsys.readouterr()
+        assert run(*argv) == 2
+        # after convert's warnings, if any
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"i/o error: {DISK_FULL}"
+        assert "Traceback" not in err
+        assert not target.exists()
+
+    def test_failed_trace_rewrite_removes_the_old_trace(
+            self, tmp_path, monkeypatch, worked_gt, worked_pred):
+        # test_trace_write_failing_midway_leaves_no_file covers a new trace
+        trace = tmp_path / "worked-example.trace.csv"
+        trace.write_bytes(b"\xff" * 50_000)
+        monkeypatch.setattr(cli, "_format_rows",
+                            fails_after(cli._format_rows, 0))
+        assert run("evaluate", "--gt", worked_gt, "--pred", worked_pred,
+                   "--out-dir", tmp_path) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["failures"] == [{
+            "video_id": "worked-example",
+            "error": "line 1: cannot write worked-example.trace.csv: "
+                     f"{os.strerror(errno.ENOSPC)}"}]
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, writer):
+        fresh, path = tmp_path / "fresh", tmp_path / "out"
+        writer(fresh)
+        expected = fresh.read_bytes()
+        path.write_bytes(b"\xff" * (2 * len(expected) + 8192))
+        path.chmod(0o640)
+        os.link(path, tmp_path / "hard")
+        (tmp_path / "soft").symlink_to(path)
+        before = path.stat()
+        writer(path)
+        assert path.read_bytes() == expected
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert (tmp_path / "hard").read_bytes() == expected
+        path.write_bytes(b"\xff" * (len(expected) + 1))
+        writer(tmp_path / "soft")  # writes through the link, as "wb" does
+        assert (tmp_path / "soft").is_symlink()
+        assert path.read_bytes() == expected
+        assert path.stat().st_ino == before.st_ino
+
+    def test_fifo_out_is_only_written(self, tmp_path):
+        regular, fifo = tmp_path / "p.jsonl", tmp_path / "fifo"
+        assert run(*PM_ARGV, regular) == 0
+        os.mkfifo(fifo)
+        reader, got = read_fifo(fifo)
+        assert run(*PM_ARGV, fifo) == 0
+        reader.join(timeout=60)
+        assert got == [regular.read_bytes()]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+    def test_failed_write_into_a_fifo_leaves_it(self, tmp_path, monkeypatch,
+                                                capsys):
+        regular, fifo = tmp_path / "p.jsonl", tmp_path / "fifo"
+        assert run(*PM_ARGV, regular) == 0
+        os.mkfifo(fifo)
+        reader, got = read_fifo(fifo)
+        monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(formats, "_json_rows",
+                            fails_after(formats._json_rows, 1))
+        assert run(*PM_ARGV, fifo) == 2
+        assert capsys.readouterr().err == f"i/o error: {DISK_FULL}\n"
+        reader.join(timeout=60)
+        assert len(got) == 1 and regular.read_bytes().startswith(got[0])
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
