@@ -44,7 +44,7 @@ video with their line. :func:`write_predictions` writes each record as
 goes out a block of rows at a time, each block's cells gathered from a
 table that holds the text of each distinct value once. Every file the
 toolkit writes goes through :func:`open_output`, which rewrites it in
-place and removes it if the write fails. Adapters for
+place, and empties and removes it if the write fails. Adapters for
 ActivityNet-style JSON and Thumos-style per-class text files convert
 external ground truth into the canonical model; durations for Thumos
 come from a sidecar table because its annotation files carry none.
@@ -76,7 +76,6 @@ from .timeline import (
     LabelVocabulary,
     PredictionStream,
     TimeInterval,
-    check_action_labels,
     check_ends,
     events_to_stream,
     num_slots,
@@ -90,7 +89,8 @@ class CorpusManifest:
     """A vocabulary plus the tracks loaded from one source.
 
     Construction checks only that video ids are unique. Interval labels
-    are checked against the vocabulary where they are read: with their
+    are checked against the vocabulary where they are read, by one rule
+    (:meth:`~oadeval.timeline.IntervalColumns.class_codes`): with their
     line by :func:`load_canonical_gt`, and by the rasterizers
     (:func:`~oadeval.timeline.discretize`,
     :func:`~oadeval.offline.rasterize_frames`) when a track is used.
@@ -329,7 +329,7 @@ def load_canonical_gt(path: str | Path) -> CorpusManifest:
                     raise ParseError("expected a boolean", path=path,
                                      line=lineno, field="multi_label")
                 intervals = _parse_intervals(raw, path, lineno)
-                check_action_labels(intervals, vocab)
+                intervals.class_codes(vocab)  # checked here, with the line
                 tracks.append(AnnotationTrack(
                     video_id=video_id, duration_s=float(duration),
                     intervals=intervals, multi_label=multi))
@@ -355,8 +355,11 @@ def open_output(path: str | Path) -> Iterator:
     regular file is then cut to the length written, so it holds exactly
     the new bytes, in the same inode and with the same mode (as a
     truncating ``open(path, "wb")`` leaves them). If the block raises,
-    a regular file is removed and the error goes on. A FIFO or a device
-    is only written: it is neither cut nor removed.
+    a regular file is cut to zero bytes (after the close, which flushes
+    the buffer) and removed, and the error goes on: another hard link,
+    or the file a symlink named, is left empty, never holding a mix of
+    two runs. A FIFO or a device is only written: it is neither cut nor
+    removed.
     """
     out = open(os.open(path, _OUTPUT_FLAGS, 0o666), "wb")
     regular = False
@@ -368,6 +371,7 @@ def open_output(path: str | Path) -> Iterator:
                 out.truncate()
     except BaseException:
         if regular:
+            os.truncate(path, 0)
             os.unlink(path)
         raise
 

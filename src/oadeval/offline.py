@@ -28,7 +28,6 @@ from .timeline import (
     AnnotationTrack,
     LabelVocabulary,
     paint_midpoints,
-    sort_action_intervals,
 )
 
 
@@ -122,16 +121,17 @@ def rasterize_frames(track: AnnotationTrack, fps: float,
     intervals repaint the frames they share, and without overlaps the
     cost is O(N + n log N). Nothing is sorted here.
 
-    Interval labels pass the slot discretizer's check
-    (:func:`~oadeval.timeline.sort_action_intervals`): an unknown label
-    raises :class:`~oadeval.errors.VocabularyError` and a background
-    interval raises :class:`ValidationError`, so a background interval
-    can never mask the action frames it overlaps.
+    Interval labels are checked first, before the frame count, by the
+    slot discretizer's rule
+    (:meth:`~oadeval.timeline.IntervalColumns.class_codes`): an unknown
+    label raises :class:`~oadeval.errors.VocabularyError` and a
+    background interval raises :class:`ValidationError`, so a background
+    interval can never mask the action frames it overlaps.
     """
-    columns, codes = sort_action_intervals(track.columns, vocab)
+    codes = track.columns.class_codes(vocab)
     mids = (np.arange(1, frame_count(track.duration_s, fps) + 1) - 0.5) / fps
-    lo, hi = np.searchsorted(mids, [columns.start_us / 1e6,
-                                    columns.end_us / 1e6])
+    lo, hi = np.searchsorted(mids, [track.columns.start_us / 1e6,
+                                    track.columns.end_us / 1e6])
     return paint_midpoints(lo, hi, codes, len(mids)).tolist()
 
 

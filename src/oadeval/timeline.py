@@ -169,7 +169,9 @@ class IntervalColumns:
     the int64 range. ``times_s`` holds the start and end columns in
     seconds, as parsed; :attr:`intervals` builds the
     :class:`TimeInterval` tuple from them on first read, unless the
-    columns were built from such a tuple (:meth:`of`).
+    columns were built from such a tuple (:meth:`of`). The rows' class
+    codes in a vocabulary come from :meth:`class_codes`, which also
+    checks the labels.
     """
 
     labels: tuple[str, ...]
@@ -224,6 +226,26 @@ class IntervalColumns:
         """The intervals in row order: by start, then label."""
         intervals = self.intervals
         return [intervals[i] for i in self.order.tolist()]
+
+    def class_codes(self, vocab: LabelVocabulary) -> np.ndarray:
+        """Each row's class code in ``vocab``, an ``intp`` array in row order.
+
+        The one interval-label rule, which both rasterizers and the
+        ground-truth reader share. Each distinct label is looked up once,
+        so ``n`` rows with ``L`` distinct labels cost O(n + L); only if
+        one is not an action class are the labels read in input order,
+        each once, to name the first such: an unknown one raises
+        :class:`VocabularyError`, a background one
+        :class:`ValidationError`, since background is whatever the
+        intervals leave uncovered.
+        """
+        codes = list(map(vocab.codes.get, self.labels))
+        if not all(codes):  # an unknown (None) or background (0) label
+            for label in dict.fromkeys([iv.label for iv in self.intervals]):
+                if not vocab.is_action(label):
+                    raise ValidationError(
+                        "background intervals are implicit, never stored")
+        return np.array(codes, np.intp)[self.codes]
 
 
 @dataclass(frozen=True, init=False)
@@ -402,26 +424,6 @@ def paint_midpoints(lo, hi, codes, size: int) -> np.ndarray:
     return painted
 
 
-def check_action_labels(intervals: IntervalColumns,
-                        vocab: LabelVocabulary) -> list[int]:
-    """Check that every interval label is an action class.
-
-    Returns the class code of each of ``intervals.labels``. Each
-    distinct label is looked up once; only if one is not an action class
-    are the labels read in input order, each once, to name the first
-    such: an unknown one raises :class:`VocabularyError`, a background
-    one :class:`ValidationError`, since background is whatever the
-    intervals leave uncovered.
-    """
-    codes = list(map(vocab.codes.get, intervals.labels))
-    if not all(codes):  # an unknown (None) or background (0) label
-        for label in dict.fromkeys([iv.label for iv in intervals.intervals]):
-            if not vocab.is_action(label):
-                raise ValidationError(
-                    "background intervals are implicit, never stored")
-    return codes
-
-
 def check_ends(intervals: Iterable[TimeInterval], duration_s: float,
                video_id: str | None = None) -> None:
     """Check that every interval ends within its video, ``duration_s``.
@@ -439,25 +441,6 @@ def check_ends(intervals: Iterable[TimeInterval], duration_s: float,
             where = "" if video_id is None else f"video {video_id!r}: "
             raise ValidationError(f"{where}interval [{iv.start_s}, {iv.end_s}) "
                                   f"exceeds duration {duration_s}")
-
-
-def sort_action_intervals(intervals: Iterable[TimeInterval] | IntervalColumns,
-                          vocab: LabelVocabulary,
-                          ) -> tuple[IntervalColumns, np.ndarray]:
-    """The intervals as sorted columns, and each row's class code.
-
-    Columns are sorted when they are built, so a track's or a parsed
-    list's are taken as they are and only a plain iterable of
-    :class:`TimeInterval` is sorted here (:meth:`IntervalColumns.of`).
-    :func:`check_action_labels` then looks each distinct label up once,
-    and the codes are gathered per row, so ``n`` intervals with ``L``
-    distinct labels cost O(n + L) after the sort. The rows are in the
-    order whose ranges :func:`paint_midpoints` expects; both rasterizers
-    (slots here, frames in :mod:`oadeval.offline`) start from it.
-    """
-    columns = IntervalColumns.of(intervals)
-    codes = check_action_labels(columns, vocab)
-    return columns, np.array(codes, np.intp)[columns.codes]
 
 
 def discretize(intervals: Iterable[TimeInterval] | IntervalColumns,
@@ -485,12 +468,14 @@ def discretize(intervals: Iterable[TimeInterval] | IntervalColumns,
     O(K + n + S), where ``S`` counts each slot once per interval
     covering it, so O(K + n) without overlaps.
     The duration, slot size and slot count are checked first, by
-    :func:`num_slots`, then the labels by :func:`sort_action_intervals`
-    and the ends, in that sorted order, by :func:`check_ends`.
+    :func:`num_slots`, then the labels by
+    :meth:`IntervalColumns.class_codes` and the ends, in sorted order,
+    by :func:`check_ends`.
     """
     k = num_slots(duration_s, delta_t_s)
     delta_us, duration_us = slot_us(delta_t_s), seconds_to_us(duration_s)
-    columns, codes = sort_action_intervals(intervals, vocab)
+    columns = IntervalColumns.of(intervals)
+    codes = columns.class_codes(vocab)
     start_us, end_us = columns.start_us, columns.end_us
     if np.count_nonzero(end_us > duration_us):
         check_ends(columns.rows(), duration_s)

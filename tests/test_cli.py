@@ -1269,16 +1269,22 @@ WRITERS = {
 
 
 class TestOutputs:
-    @pytest.mark.parametrize("old", [None, b"\xff" * 50_000],
-                             ids=["new", "rewrite"])
+    @pytest.mark.parametrize("old", ["new", "rewrite", "symlink", "hardlink"])
     @pytest.mark.parametrize("case", FAILING_WRITES.values(),
                              ids=FAILING_WRITES)
     def test_failed_write_removes_its_output(self, tmp_path, monkeypatch,
                                              capsys, case, old):
         argv, name, module, formatter, failing = case
         argv, target = argv(tmp_path), tmp_path / name
-        if old is not None:
-            target.write_bytes(old)
+        other = tmp_path / "other"  # the file a link names
+        if old == "rewrite":
+            target.write_bytes(b"\xff" * 50_000)
+        elif old != "new":
+            other.write_bytes(b"\xff" * 50_000)
+            if old == "symlink":
+                target.symlink_to(other)
+            else:
+                target.hardlink_to(other)
         monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
         monkeypatch.setattr(module, formatter, failing())
         capsys.readouterr()
@@ -1287,7 +1293,10 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"i/o error: {DISK_FULL}"
         assert "Traceback" not in err
-        assert not target.exists()
+        assert not os.path.lexists(target)
+        if old in ("symlink", "hardlink"):
+            # left empty, not holding the new bytes over the old ones
+            assert other.read_bytes() == b""
 
     def test_failed_trace_rewrite_removes_the_old_trace(
             self, tmp_path, monkeypatch, worked_gt, worked_pred):

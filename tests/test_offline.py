@@ -1,6 +1,7 @@
 """Frame-level mAP / cAP against a brute-force ranking oracle."""
 
 import copy
+import json
 import math
 import pickle
 import re
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oadeval import formats
 from oadeval.errors import DegenerateInputError, ValidationError, VocabularyError
+from oadeval.formats import load_canonical_gt
 from oadeval.ia import evaluate_grids
 from oadeval.offline import (
     FrameScoreMatrix,
@@ -21,9 +24,11 @@ from oadeval.offline import (
 )
 from oadeval.timeline import (
     AnnotationTrack,
+    IntervalColumns,
     LabelVocabulary,
     TimeInterval,
     discretize,
+    events_to_stream,
     seconds_to_us,
 )
 
@@ -131,6 +136,68 @@ class TestRasterize:
         walk = AnnotationTrack("w", 4.0, (TimeInterval("walk", 0.0, 2.0),))
         with pytest.raises(VocabularyError, match="unknown label 'walk'"):
             rasterize_frames(walk, 2.0, vocab)
+
+    @pytest.mark.parametrize("entries, error", [
+        ((("zz", 3.0), ("bg", 1.0)), (VocabularyError, "unknown label 'zz'")),
+        ((("bg", 3.0), ("zz", 1.0)),
+         (ValidationError, "background intervals are implicit, never stored")),
+    ], ids=["unknown-first", "background-first"])
+    def test_label_checks_name_the_same_interval(self, tmp_path, entries,
+                                                 error):
+        # the first bad label as given, not as sorted, names the error of
+        # the reader and of both rasterizers
+        raw = [{"label": label, "start_s": start, "end_s": start + 1.0}
+               for label, start in entries]
+        vocab = LabelVocabulary(classes=("jump",), background="bg")
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps({"record": "vocabulary", "classes": ["jump"],
+                                  "background": "bg"}) + "\n"
+                      + json.dumps({"record": "video", "video_id": "v",
+                                    "duration_s": 10.0, "intervals": raw}))
+        with pytest.raises(ValidationError) as excinfo:
+            load_canonical_gt(gt)
+        assert (type(excinfo.value), str(excinfo.value)) == (
+            error[0], f"{gt}, line 2: {error[1]}")
+        objects = [TimeInterval(e["label"], e["start_s"], e["end_s"])
+                   for e in raw]
+        for intervals in (formats._parse_intervals(raw), objects):
+            track = AnnotationTrack("v", 10.0, intervals)
+            for check in (lambda: discretize(track.columns, 10.0, 0.5, vocab),
+                          lambda: rasterize_frames(track, 2.0, vocab)):
+                with pytest.raises(ValidationError) as excinfo:
+                    check()
+                assert (type(excinfo.value), str(excinfo.value)) == error
+
+    def test_columns_are_not_sorted_again(self, tmp_path, monkeypatch):
+        # a track's and a parsed list's columns were sorted when built;
+        # no rasterizer sorts them again
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps({"record": "vocabulary",
+                                  "classes": ["jump", "run"],
+                                  "background": "background"}) + "\n"
+                      + json.dumps({"record": "video", "video_id": "v",
+                                    "duration_s": 10.0, "multi_label": True,
+                                    "intervals": [
+            {"label": "run", "start_s": 6.0, "end_s": 9.0},
+            {"label": "jump", "start_s": 1.0, "end_s": 7.0},
+            {"label": "run", "start_s": 1.0, "end_s": 2.5}]}))
+        manifest = load_canonical_gt(gt)
+        vocab, (track,) = manifest.vocabulary, manifest.tracks
+        parsed = formats._parse_intervals([
+            {"label": "jump", "start_s": 4.0, "end_s": 5.0},
+            {"label": "run", "start_s": 0.5, "end_s": 3.0}], key="events")
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("columns sorted again")
+        monkeypatch.setattr(IntervalColumns, "sort", classmethod(no_sort))
+        grid = discretize(track.columns, 10.0, 0.5, vocab)
+        frames = rasterize_frames(track, 2.0, vocab)
+        stream = events_to_stream(parsed, "v", 10.0, 0.5, vocab)
+        bg = ("background",)
+        assert grid.labels == bg * 2 + ("jump",) * 12 + ("run",) * 4 + bg * 2
+        assert frames == grid.codes.tolist()
+        assert stream.decisions == (bg + ("run",) * 5 + bg * 2
+                                    + ("jump",) * 2 + bg * 10)
 
     def test_frame_count(self):
         assert frame_count(10.0, 4.0) == 40
