@@ -73,6 +73,7 @@ INTERVAL_FAULTS = {
     "infinite-end": '{"label": "jump", "start_s": 2.0, "end_s": Infinity}',
     "nan-start": '{"label": "jump", "start_s": NaN, "end_s": 3.0}',
     "product-overflow": '{"label": "jump", "start_s": 2.0, "end_s": 1e305}',
+    "past-int64": '{"label": "jump", "start_s": 2.0, "end_s": 1e13}',
 }
 VOCAB_LINE = ('{"record": "vocabulary", "classes": ["jump", "run"], '
               '"background": "background"}\n')

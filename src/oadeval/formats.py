@@ -254,15 +254,17 @@ def _parse_intervals(raw: list, path=None, lineno=None,
     """Every entry of the list ``key``, as :func:`_parse_interval` parses it.
 
     The entries become :class:`~oadeval.timeline.IntervalColumns`, with
-    no :class:`TimeInterval` object per entry. A valid list passes
+    no :class:`TimeInterval` object per entry. A list passes
     whole-column checks at once: every entry is an object, every label
     a non-empty ``str``, every time an ``int`` or ``float`` (so not a
     ``bool``); as float64 columns, every start is >= 0 and every end
-    times 10**6 is below 2**53 (so every time is finite, and ``np.rint``
-    of each product is the ``round`` that ``seconds_to_us`` takes), and
-    every interval's length is positive in microseconds. If any check
-    fails or raises, the entries are parsed one by one instead, so the
-    same error names the same entry.
+    times 10**6 is below 2**63, the bound of ``seconds_to_us`` (so every
+    time is finite, and ``np.rint`` of each product is the ``round``
+    that ``seconds_to_us`` takes, since products of 2**52 and more are
+    integers already), and every interval's length is positive in
+    microseconds. Every valid list passes them; if any check fails or
+    raises, the entries are parsed one by one instead, so the same error
+    names the same entry.
     """
     try:
         if set(map(type, raw)) <= {dict}:
@@ -274,7 +276,7 @@ def _parse_intervals(raw: list, path=None, lineno=None,
                 # NaN and infinities fail these two checks, in Python
                 # floats, before any array arithmetic could warn of them
                 if (times_s.min(initial=0) >= 0 and
-                        float(times_s.max(initial=0)) * US_PER_S < 2 ** 53):
+                        float(times_s.max(initial=0)) * US_PER_S < 2 ** 63):
                     us = np.rint(times_s * US_PER_S).astype(np.int64)
                     if (us[1] - us[0]).min(initial=1) > 0:
                         return IntervalColumns.sort(labels, *us, times_s)
@@ -399,7 +401,8 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
                         ) -> tuple[CorpusManifest, LoadReport]:
     """Convert an ActivityNet-style structured annotation file.
 
-    Keeps only videos of the requested subset. Videos without a duration
+    Keeps only videos of the requested subset. Videos without a valid
+    duration, a number of seconds above 0 and below 2**63 microseconds,
     are skipped with a warning; segments reaching past the stated
     duration are clamped (such annotations exist in the wild), segments
     left empty by clamping are dropped.
@@ -425,7 +428,8 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
         if entry.get("subset") != subset:
             continue
         duration = entry.get("duration")
-        if not _is_number(duration) or duration <= 0:
+        # a duration past seconds_to_us's range is invalid too
+        if not _is_number(duration) or not 0 < duration * US_PER_S < 2 ** 63:
             report.warn(f"video {video_id!r}: missing or invalid duration; skipped")
             report.videos_skipped += 1
             continue
@@ -456,7 +460,8 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
                 report.warn(f"video {video_id!r}: segment end {end} clamped "
                             f"to duration {duration}")
                 end = float(duration)
-            if seconds_to_us(end) <= seconds_to_us(start):
+            # a start past the clamped end is never converted
+            if end <= start or seconds_to_us(end) <= seconds_to_us(start):
                 report.warn(f"video {video_id!r}: segment [{segment[0]}, "
                             f"{segment[1]}] empty after clamping; dropped")
                 continue
@@ -506,9 +511,10 @@ def _read_duration_table(path: str | Path, text: str) -> dict[str, float]:
         except ValueError as exc:
             raise ParseError(f"bad duration {parts[1]!r}",
                              path=str(path), line=lineno) from exc
-        if duration <= 0:
-            raise ParseError(f"video {parts[0]!r}: duration {duration} "
-                             "must be > 0", path=str(path), line=lineno)
+        if not 0 < duration * US_PER_S < 2 ** 63:  # seconds_to_us's range
+            raise ParseError(f"video {parts[0]!r}: duration {duration} must "
+                             "be > 0 and below 2**63 microseconds",
+                             path=str(path), line=lineno)
         durations[parts[0]] = duration
     return durations
 
@@ -522,8 +528,10 @@ def load_thumos_gt(dir_path: str | Path,
     ``video_id start_s end_s``, and each must end within its video
     (:func:`~oadeval.timeline.check_ends`). Overlapping rows are kept
     as-is (tracks are multi-label; the discretizer resolves them).
-    Durations come from the sidecar table; rows naming a video absent
-    from it are an error, and so is a video id the sidecar repeats.
+    Durations come from the sidecar table, each above 0 and below 2**63
+    microseconds; rows naming a video absent from it are an error, which
+    names each such video with its first row, and so is a video id the
+    sidecar repeats.
     """
     dir_path = Path(dir_path)
     raw, text = _read_text(durations_path)
@@ -536,6 +544,7 @@ def load_thumos_gt(dir_path: str | Path,
                          path=str(dir_path))
 
     intervals_by_video: dict[str, list[TimeInterval]] = {}
+    first_rows: dict[str, str] = {}
     classes = []
     for class_file in class_files:
         cls = re.sub(r"_(val|test)\Z", "", class_file.stem)
@@ -565,11 +574,14 @@ def load_thumos_gt(dir_path: str | Path,
                 raise ParseError(str(exc), path=str(class_file),
                                  line=lineno) from exc
             intervals_by_video.setdefault(vid, []).append(interval)
+            first_rows.setdefault(vid, f"{class_file}, line {lineno}")
 
     unknown = sorted(set(intervals_by_video) - set(durations))
     if unknown:
         raise ValidationError(
-            f"videos missing from the duration table: {unknown}")
+            f"videos missing from the duration table {durations_path}: "
+            + ", ".join(f"{vid!r} (first at {first_rows[vid]})"
+                        for vid in unknown))
 
     tracks = tuple(
         AnnotationTrack(video_id=vid, duration_s=durations[vid],

@@ -9,14 +9,15 @@ always holds exactly ``floor(duration / delta_t)`` slots, and
 
 Timestamps are converted to integer microseconds before any slot
 arithmetic so boundary comparisons are exact and float noise from
-upstream parsers cannot move a midpoint across an interval edge. A
-list of intervals is held as :class:`IntervalColumns`: read-only
-columns of microsecond bounds and label codes, sorted once, by start
-and then label, when they are built, by a parser straight from its
-numbers or from :class:`TimeInterval` objects. Each interval, list,
-track and grid converts its own times once, when it is built, into
-``*_us`` fields or columns that take no part in ``==``, ``hash`` or
-``repr``. A slot size must round to at least 1 microsecond;
+upstream parsers cannot move a midpoint across an interval edge; each
+must be below 2**63 microseconds, so it fits int64
+(:func:`seconds_to_us`). A list of intervals is held as
+:class:`IntervalColumns`: read-only int64 columns of microsecond bounds
+and label codes, sorted once, by start and then label, when they are
+built, by a parser straight from its numbers or from
+:class:`TimeInterval` objects. Each interval, list, track and grid
+converts its own times once, when it is built, into ``*_us`` fields or
+columns that take no part in ``==``, ``hash`` or ``repr``. A slot size must round to at least 1 microsecond;
 :func:`slot_us` is the one place that rule is checked, as
 :func:`check_ends` is for an interval ending within its video.
 
@@ -56,14 +57,15 @@ DEFAULT_BACKGROUND = "background"
 def seconds_to_us(seconds: float) -> int:
     """Convert seconds to integer microseconds (round half to even).
 
-    NaN and infinite times, including products that overflow to
-    infinity, raise :class:`ValidationError`.
+    The one time rule: every time is a finite number of microseconds
+    below 2**63 in magnitude, so it fits an int64 column. Other times,
+    NaN and infinities among them, raise :class:`ValidationError`.
     """
-    try:
-        return round(seconds * US_PER_S)
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(
-            f"time {seconds} s is not a finite number of microseconds") from exc
+    us = seconds * US_PER_S
+    if not abs(us) < 2 ** 63:
+        raise ValidationError(f"time {seconds} s is not a finite number of "
+                              "microseconds below 2**63")
+    return round(us)
 
 
 def slot_us(delta_t_s: float) -> int:
@@ -165,13 +167,12 @@ class IntervalColumns:
     are sorted by start and then label (``np.lexsort``, stable, so
     equal keys keep their input order, as ``sorted`` does), and
     ``order[i]`` is row ``i``'s position in the input. The microsecond
-    columns are int64, or Python ints (object dtype) when a time is past
-    the int64 range. ``times_s`` holds the start and end columns in
-    seconds, as parsed; :attr:`intervals` builds the
-    :class:`TimeInterval` tuple from them on first read, unless the
-    columns were built from such a tuple (:meth:`of`). The rows' class
-    codes in a vocabulary come from :meth:`class_codes`, which also
-    checks the labels.
+    columns are int64, which holds every time :func:`seconds_to_us`
+    accepts. ``times_s`` holds the start and end columns in seconds, as
+    parsed; :attr:`intervals` builds the :class:`TimeInterval` tuple
+    from them on first read, unless the columns were built from such a
+    tuple (:meth:`of`). The rows' class codes in a vocabulary come from
+    :meth:`class_codes`, which also checks the labels.
     """
 
     labels: tuple[str, ...]
@@ -203,11 +204,8 @@ class IntervalColumns:
             return intervals
         intervals = tuple(intervals)
         us = [iv.start_us for iv in intervals], [iv.end_us for iv in intervals]
-        try:
-            us = np.array(us, np.int64)
-        except OverflowError:  # a time past the int64 range
-            us = np.array(us, object)
-        columns = cls.sort([iv.label for iv in intervals], *us)
+        columns = cls.sort([iv.label for iv in intervals],
+                           *np.array(us, np.int64))
         columns.__dict__["intervals"] = intervals
         return columns
 
@@ -458,13 +456,12 @@ def discretize(intervals: Iterable[TimeInterval] | IntervalColumns,
 
     The midpoints below a time ``t`` are counted exactly in integer
     microseconds: slot ``j`` has its midpoint below ``t`` when
-    ``(2j - 1) * delta < 2t``, so ``ceil((2t - delta) / (2 delta))``
-    slots do, capped at ``K``. That is computed on a whole column at
-    once, in int64 when ``2 * duration + delta`` is at most ``2**63``
-    microseconds, which bounds every term, and otherwise in Python
-    integers, which never overflow; half-slot offsets stay exact for odd
-    microsecond slot sizes. :func:`paint_midpoints` then paints the
-    ranges into a ``K``-slot code array: ``n`` intervals cost
+    ``(2j - 1) * delta < 2t``, so ``t // delta`` slots do, and one more
+    when ``t % delta > delta // 2``, capped at ``K``. That is computed
+    on a whole column at once in int64, where no term is larger than
+    ``t``, so it holds for every time and stays exact at half-slot
+    offsets of odd microsecond slot sizes. :func:`paint_midpoints` then
+    paints the ranges into a ``K``-slot code array: ``n`` intervals cost
     O(K + n + S), where ``S`` counts each slot once per interval
     covering it, so O(K + n) without overlaps.
     The duration, slot size and slot count are checked first, by
@@ -476,18 +473,14 @@ def discretize(intervals: Iterable[TimeInterval] | IntervalColumns,
     delta_us, duration_us = slot_us(delta_t_s), seconds_to_us(duration_s)
     columns = IntervalColumns.of(intervals)
     codes = columns.class_codes(vocab)
-    start_us, end_us = columns.start_us, columns.end_us
-    if np.count_nonzero(end_us > duration_us):
+    if np.count_nonzero(columns.end_us > duration_us):
         check_ends(columns.rows(), duration_s)
 
-    # ceil((2t - delta) / (2 delta)) == (2t + delta - 1) // (2 delta); every
-    # end is within the duration, so no range passes slot k + 1
-    if 2 * duration_us + delta_us > 2 ** 63:
-        start_us, end_us = start_us.astype(object), end_us.astype(object)
-    step, half = 2 * delta_us, delta_us - 1
-    return SlotGrid._of_codes(delta_t_s, paint_midpoints(
-        (2 * start_us + half) // step, (2 * end_us + half) // step, codes, k),
-        vocab)
+    # every end is within the duration, so no range passes slot k + 1
+    slots, rest = np.divmod((columns.start_us, columns.end_us), delta_us)
+    lo, hi = slots + (rest > delta_us // 2)
+    return SlotGrid._of_codes(delta_t_s, paint_midpoints(lo, hi, codes, k),
+                              vocab)
 
 
 class PredictionStream:

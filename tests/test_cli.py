@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oadeval import cli, formats
@@ -858,32 +858,41 @@ def mutated_files(draw, records, mutations=MUTATIONS, shortest=0):
     elif mutation == "unknown kind":
         record["record"] = draw(st.sampled_from(["mystery", "scores ", ""]))
     else:
-        # the whole record last: sampled_from favours early elements
-        paths = list(_json_paths(record))[1:] + [()]
-        if mutation == "missing field":
-            paths = [p for p in paths if p and isinstance(p[-1], str)]
-        path = draw(st.sampled_from(paths))
-        parent = record
-        for key in path[:-1]:
-            parent = parent[key]
-        if mutation == "missing field":
-            del parent[path[-1]]
-        else:
-            old = parent[path[-1]] if path else record
-            if mutation == "wrong type":
-                new = draw(st.sampled_from(["text", 7, [], {}, None]).filter(
-                    lambda v: _json_kind(v) is not _json_kind(old)))
-            else:
-                new = draw(st.sampled_from({
-                    "non-finite": [float("nan"), float("inf"), -float("inf")],
-                    "bool": [True, False],
-                    "huge": [1e308, -1e308, 10 ** 400]}[mutation]))
-            if path:
-                parent[path[-1]] = new
-            else:
-                record = new
+        record = _mutated_json(draw, record, mutation)
     lines[index] = json.dumps(record)
     return index, lines
+
+
+def _mutated_json(draw, value, mutation):
+    """``value`` with one position mutated: a field missing, or a value
+    replaced by :func:`_mutated_value`; changes ``value`` in place."""
+    # the whole value last: sampled_from favours early elements
+    paths = list(_json_paths(value))[1:] + [()]
+    if mutation == "missing field":
+        paths = [p for p in paths if p and isinstance(p[-1], str)]
+    path = draw(st.sampled_from(paths))
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "missing field":
+        del parent[path[-1]]
+        return value
+    new = _mutated_value(draw, mutation, parent[path[-1]] if path else value)
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return value
+
+
+def _mutated_value(draw, mutation, old):
+    """A JSON value to put in place of ``old``, of the ``mutation`` kind."""
+    if mutation == "wrong type":
+        return draw(st.sampled_from(["text", 7, [], {}, None]).filter(
+            lambda v: _json_kind(v) is not _json_kind(old)))
+    return draw(st.sampled_from({
+        "non-finite": [float("nan"), float("inf"), -float("inf")],
+        "bool": [True, False],
+        "huge": [1e308, -1e308, 10 ** 400]}[mutation]))
 
 
 def _write_lines(path, lines):
@@ -891,11 +900,16 @@ def _write_lines(path, lines):
     return path
 
 
-def _evaluate_in_process(gt, pred, out):
+def _run_in_process(*argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = run("evaluate", "--gt", gt, "--pred", pred, "--out-dir", out)
+        code = run(*argv)
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _evaluate_in_process(gt, pred, out):
+    return _run_in_process("evaluate", "--gt", gt, "--pred", pred,
+                           "--out-dir", out)
 
 
 @pytest.fixture(scope="module")
@@ -984,6 +998,80 @@ def test_one_mutated_ground_truth_record_fails_alone(fuzz_clean_run, case):
         check_fails_alone(_evaluate_in_process(gt, pred, out), out,
                           clean_traces, FUZZ_GT_RECORDS[index].get("video_id"),
                           gt, index + 1)
+
+
+# convert's inputs: an ActivityNet document whose first segment runs to the
+# end of its video, and a Thumos directory that holds its sidecar
+FUZZ_ACTIVITYNET = {"database": {
+    "v1": {"subset": "validation", "duration": 5.0,
+           "annotations": [{"label": "jump", "segment": [1.0, 5.0]}]},
+    "v2": {"subset": "validation", "duration": 4.0,
+           "annotations": [{"label": "run", "segment": [0.5, 2.0]}]}}}
+FUZZ_THUMOS = {"Jump_test.txt": "v1 1.0 5.0\nv2 0.5 2.0\n",
+               "Run_val.txt": "v2 1.0 4.0\n",
+               "durations.txt": "v1 5.0\nv2 4.0\n"}
+
+
+@st.composite
+def mutated_convert_inputs(draw):
+    """``(format, files, name)``: convert's inputs in one format, with the
+    file ``name`` mutated once, in one field or one line."""
+    mutation = draw(st.sampled_from(
+        [m for m in MUTATIONS if m != "unknown kind"]))
+    if draw(st.booleans()):
+        text = json.dumps(FUZZ_ACTIVITYNET)
+        if mutation == "truncated line":
+            text = text[:draw(st.integers(0, len(text) - 1))]
+        else:
+            text = json.dumps(_mutated_json(
+                draw, copy.deepcopy(FUZZ_ACTIVITYNET), mutation))
+        return "activitynet", {"anet.json": text}, "anet.json"
+    files = dict(FUZZ_THUMOS)
+    name = draw(st.sampled_from(sorted(files)))
+    lines = files[name].splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if mutation == "truncated line":
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+    else:
+        tokens = lines[i].split()
+        j = draw(st.integers(0, len(tokens) - 1))
+        if mutation == "missing field":
+            del tokens[j]
+        else:  # the value as JSON spells it: "NaN", "1e+308", "null", ...
+            old = float(tokens[j]) if j else tokens[j]
+            tokens[j] = json.dumps(_mutated_value(draw, mutation, old))
+        lines[i] = " ".join(tokens)
+    files[name] = "\n".join(lines) + "\n"
+    return "thumos", files, name
+
+
+# a duration past int64's range in microseconds, in each format, besides
+# what the fuzz draws: each reader must locate it or skip its video
+@example(("activitynet", {"anet.json": json.dumps(FUZZ_ACTIVITYNET).replace(
+    '"duration": 5.0', '"duration": 1e+308')}, "anet.json"))
+@example(("thumos", dict(FUZZ_THUMOS, **{
+    "durations.txt": "v1 1e+308\nv2 4.0\n"}), "durations.txt"))
+@given(mutated_convert_inputs())
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_one_mutated_convert_input_fails_located(case):
+    # exit 0, or exit 1 with one error line that names the mutated file
+    fmt, files, name = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for file_name, text in files.items():
+            (root / file_name).write_text(text)
+        inputs = (["--in", root / "anet.json"] if fmt == "activitynet" else
+                  ["--in", root, "--durations", root / "durations.txt"])
+        out = root / "out.jsonl"
+        code, stdout, stderr = _run_in_process(
+            "convert", "--format", fmt, *inputs, "--out", out)
+        assert code in (0, 1)
+        assert "Traceback" not in stdout + stderr
+        if code == 1:
+            assert stderr.startswith("error: ") and stdout == ""
+            assert stderr.count("\n") == 1
+            assert str(root / name) in stderr
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("delta_t", [1e308, -1e308, 0])

@@ -38,6 +38,7 @@ from oadeval.baselines import all_bg, perfect_model
 from oadeval.offline import FrameScoreMatrix
 from oadeval.timeline import (
     AnnotationTrack,
+    IntervalColumns,
     LabelVocabulary,
     PredictionStream,
     TimeInterval,
@@ -82,11 +83,15 @@ def manifests():
 def interval_entries(draw):
     """A valid interval entry, its times ints or floats."""
     # half-microsecond products, where round() and np.rint() both round
-    # half to even, and float noise (0.1 + 0.2) besides the drawn times
+    # half to even, and float noise (0.1 + 0.2) besides the drawn times;
+    # starts from 2**53 us up to int64's range take whole-second lengths,
+    # since a float there is coarser than 1 ms
     start = draw(st.one_of(st.integers(0, 10 ** 6), st.floats(0.0, 1e6),
                            st.sampled_from([5e-7, 1.5e-6, 2.5e-6, 0.1 + 0.2,
-                                            1.0000005, -0.0])))
-    length = draw(st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3)))
+                                            1.0000005, -0.0]),
+                           st.floats(2 ** 53 / 1e6, 9.2e12)))
+    length = draw(st.integers(1, 1000) if start > 1e6 else
+                  st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3)))
     return {"label": draw(st.sampled_from(["a", "walk", "bg"])),
             "start_s": start, "end_s": start + length}
 
@@ -204,9 +209,15 @@ INTERVAL_FAULTS = {
     "product past the float range": (
         [VALID_ENTRY, {"label": "a", "start_s": 2.0, "end_s": 1e305}],
         ("ValidationError", "PATH, line 2: time 1e+305 s is not a finite "
-         "number of microseconds"),
+         "number of microseconds below 2**63"),
         ("ValidationError",
-         "time 1e+305 s is not a finite number of microseconds")),
+         "time 1e+305 s is not a finite number of microseconds below 2**63")),
+    "product past int64": (
+        [VALID_ENTRY, {"label": "a", "start_s": 2.0, "end_s": 1e13}],
+        ("ValidationError", "PATH, line 2: time 10000000000000.0 s is not a "
+         "finite number of microseconds below 2**63"),
+        ("ValidationError", "time 10000000000000.0 s is not a finite number "
+         "of microseconds below 2**63")),
 }
 
 
@@ -415,24 +426,37 @@ class TestCanonicalGt:
         ) == stream
 
     @pytest.mark.filterwarnings("error")  # no cast past the int64 range
-    def test_huge_times_load_through_the_entry_loop(self, tmp_path):
+    def test_times_below_2_63_us_load_as_int64_and_past_it_fail(self,
+                                                                tmp_path):
         # starts of 2**53 us and more, within a long enough video, are valid:
-        # the entry loop parses them and the columns hold them exactly
+        # the columns, from the reader or from objects, hold them as int64
         path = tmp_path / "gt.jsonl"
-        intervals = [{"label": "a", "start_s": 1e13, "end_s": 1e13 + 1},
+        intervals = [{"label": "a", "start_s": 9e12, "end_s": 9.2e12},
                      {"label": "a", "start_s": 2 ** 53 / 1e6, "end_s": 1e10}]
-        path.write_text(json.dumps(FAULT_VOCAB) + "\n" + json.dumps(
-            {"record": "video", "video_id": "v", "duration_s": 1e14,
-             "intervals": intervals}) + "\n")
+        video = {"record": "video", "video_id": "v", "duration_s": 9.2e12,
+                 "intervals": intervals}
+        path.write_text(json.dumps(FAULT_VOCAB) + "\n" + json.dumps(video)
+                        + "\n")
         track = load_canonical_gt(path).tracks[0]
+        assert "intervals" not in track.columns.__dict__  # no entry loop
         expected = tuple(TimeInterval(e["label"], e["start_s"], e["end_s"])
                          for e in intervals)
         assert track.intervals == expected
-        assert track.columns.start_us.tolist() == [
-            expected[1].start_us, expected[0].start_us]
-        assert track.columns.end_us.tolist() == [
-            expected[1].end_us, expected[0].end_us]
-        assert track.columns.end_us.dtype == object  # past int64's 9.2e18
+        for columns in (track.columns, IntervalColumns.of(expected)):
+            assert columns.start_us.tolist() == [
+                expected[1].start_us, expected[0].start_us]
+            assert columns.end_us.tolist() == [
+                expected[1].end_us, expected[0].end_us]
+            assert (columns.start_us.dtype, columns.end_us.dtype) == (
+                np.int64, np.int64)
+        # 1e13 s is 1e19 us, past int64's 9.22e18
+        intervals[0]["end_s"] = 1e13
+        path.write_text(json.dumps(FAULT_VOCAB) + "\n" + json.dumps(video)
+                        + "\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}, line 2: time 10000000000000.0 s is not a finite "
+                "number of microseconds below 2**63")):
+            load_canonical_gt(path)
 
     def test_track_intervals_built_on_first_read_match_given_ones(self,
                                                                   tmp_path):
@@ -604,6 +628,9 @@ class TestActivityNetAdapter:
         ([-3.0, -1.0], ["video 'v1': segment start -3.0 clamped to 0"]),
         ([6.0, 7.0], ["video 'v1': segment end 7.0 clamped to duration 5.0"]),
         ([5.0, 9.0], ["video 'v1': segment end 9.0 clamped to duration 5.0"]),
+        # a start past int64's range in microseconds is never converted
+        ([1e305, 1e306],
+         ["video 'v1': segment end 1e+306 clamped to duration 5.0"]),
     ])
     def test_segment_empty_after_clamping_dropped(self, tmp_path, segment,
                                                   warnings):
@@ -613,6 +640,21 @@ class TestActivityNetAdapter:
         assert track.intervals == (TimeInterval("jump", 1.0, 2.0),)
         assert report.warnings == sorted(warnings + [
             f"video 'v1': segment {segment} empty after clamping; dropped"])
+
+    @pytest.mark.parametrize("duration", [1e13, 1e305])
+    def test_duration_past_int64_skipped(self, tmp_path, duration):
+        # 1e13 s is 1e19 us, past int64's 9.22e18: an invalid duration
+        path = tmp_path / "anet.json"
+        path.write_text(json.dumps({"database": {
+            "v1": {"subset": "validation", "duration": duration,
+                   "annotations": [{"label": "jump",
+                                    "segment": [1.0, duration]}]},
+            "v2": {"subset": "validation", "duration": 5.0}}}))
+        manifest, report = load_activitynet_gt(path)
+        assert [track.video_id for track in manifest.tracks] == ["v2"]
+        assert report.videos_skipped == 1
+        assert report.warnings == [
+            "video 'v1': missing or invalid duration; skipped"]
 
 
 class TestThumosAdapter:
@@ -648,6 +690,33 @@ class TestThumosAdapter:
         (tmp_path / "durations.txt").write_text("video_001 10.0\n")
         with pytest.raises(ValidationError, match="video_xyz"):
             load_thumos_gt(tmp_path, tmp_path / "durations.txt")
+
+    def test_missing_duration_names_the_table_and_first_rows(self, tmp_path):
+        (tmp_path / "Jump_test.txt").write_text(
+            "video_001 1.0 2.0\nvideo_xyz 3.0 4.0\nvideo_abc 1.0 2.0\n")
+        (tmp_path / "Run_test.txt").write_text("video_xyz 1.0 2.0\n")
+        durations = tmp_path / "durations.txt"
+        durations.write_text("video_001 10.0\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"videos missing from the duration table {durations}: "
+                f"'video_abc' (first at {tmp_path / 'Jump_test.txt'}, line 3), "
+                f"'video_xyz' (first at {tmp_path / 'Jump_test.txt'}, line 2)"
+        )):
+            load_thumos_gt(tmp_path, durations)
+
+    @pytest.mark.parametrize("duration", ["1e13", "1e305"])
+    def test_duration_past_int64_rejected_at_its_line(self, tmp_path,
+                                                      duration):
+        # 1e13 s is 1e19 us, past int64's 9.22e18; the class row within it
+        # is not blamed
+        (tmp_path / "Jump_test.txt").write_text("video_001 1.0 2.0\n")
+        durations = tmp_path / "durations.txt"
+        durations.write_text(f"video_000 5.0\nvideo_001 {duration}\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{durations}, line 2: video 'video_001': duration "
+                f"{float(duration)} must be > 0 and below 2**63 "
+                "microseconds")):
+            load_thumos_gt(tmp_path, durations)
 
     @pytest.mark.parametrize("row", ["video_001", "video_001 10.0 s"])
     def test_duration_row_without_two_fields_rejected(self, tmp_path, row):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,22 @@ class TestTimeInterval:
         with pytest.raises(ValidationError):
             TimeInterval("jump", seconds, 2.0)
 
+    def test_times_fit_int64_in_microseconds(self):
+        # the largest float whose product with 10**6 is below 2**63, and
+        # the next one up; ints likewise, on either side of the bound
+        below = math.nextafter(2 ** 63 / 1e6, 0)
+        while below * 1e6 >= 2 ** 63:
+            below = math.nextafter(below, 0)
+        above = math.nextafter(below, math.inf)
+        for seconds in (below, -below, 2 ** 63 // 10 ** 6):
+            assert abs(seconds_to_us(seconds)) < 2 ** 63
+        assert seconds_to_us(below) == round(below * 1e6)
+        for seconds in (above, -above, 2 ** 63 // 10 ** 6 + 1, 10 ** 400):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"time {seconds} s is not a finite number of "
+                    "microseconds below 2**63")):
+                seconds_to_us(seconds)
+
 
 class TestAnnotationTrack:
     def test_interval_beyond_duration_rejected(self):
@@ -420,14 +437,16 @@ class TestDiscretize:
         b = discretize(list(reversed(intervals)), 10.0, 0.5, vocab)
         assert a == b
 
-    def test_slot_ranges_stay_exact_past_int64(self):
-        # twice the end in microseconds, 1.98e19, is past int64's 9.22e18;
-        # midpoints (j - 1/2) * 1e8 s from j = 92,001 to 99,000 are covered
+    def test_times_past_int64_are_rejected(self):
+        # 9.9e12 s is 9.9e18 us, past int64's 9.22e18: neither an interval
+        # nor a duration that long reaches the slot arithmetic
         vocab = LabelVocabulary(classes=("a",))
-        grid = discretize([TimeInterval("a", 9.2e12, 9.9e12)], 1e13, 1e8, vocab)
-        assert len(grid) == 100_000
-        assert np.flatnonzero(grid.codes).tolist() == list(range(92_000, 99_000))
-        assert grid.labels.count("a") == 7_000
+        with pytest.raises(ValidationError, match=re.escape(
+                "time 9900000000000.0 s is not a finite number of "
+                "microseconds below 2**63")):
+            TimeInterval("a", 9.2e12, 9.9e12)
+        with pytest.raises(ValidationError, match="below 2"):
+            discretize([], 1e13, 1e8, vocab)
 
     def test_range_terms_past_int64_are_exact(self):
         # every end in microseconds fits int64 (5e18 < 9.22e18), but twice
@@ -437,8 +456,9 @@ class TestDiscretize:
         assert np.flatnonzero(grid.codes).tolist() == list(range(40_000, 50_000))
 
     def test_int64_ranges_only_where_every_term_fits(self):
-        # 2 * duration_us + delta_us crosses 2**63 between these durations:
-        # int64 below, Python integers above, each slot as the oracle has it
+        # 2 * duration_us + delta_us crosses 2**63 between these durations,
+        # which no term of the slot ranges reaches: each slot on either
+        # side as the oracle has it
         vocab = LabelVocabulary(classes=("a",))
         delta_s = 2 ** 61 / 1e6
         edge_s = (2 ** 63 - slot_us(delta_s)) / 2e6
