@@ -8,7 +8,10 @@ of ``tests/data``, a seeded synthetic corpus, a corpus of corrupt
 records (a slotless video among them), a video shorter than one frame,
 and one video per interval fault: each fault is read once as detection
 events and once as ground truth, in a file of its own, since the first
-fault fails a whole ground-truth load. Each command then gets a folder
+fault fails a whole ground-truth load. A list with two intervals past
+the video's end is read both ways too, and so are a Thumos class file
+whose name leaves an empty class and an ActivityNet file that repeats a
+video id. Each command then gets a folder
 ``OUT_DIR/NN-name`` with its ``exit`` code, ``stdout``, ``stderr`` and,
 under ``out/``, the files it wrote. The last commands come in pairs
 whose second command (``rerun-...``) writes over the longer outputs of
@@ -112,6 +115,18 @@ THUMOS_FILES = {
 }
 THUMOS_DURATIONS = "v1 5.0\nv2 4.0\n"
 THUMOS_PAST_END = {"Jump_test.txt": "v1 1.0 2.0\nv1 3.0 9.0\n"}
+# a class file name that leaves an empty class, with rows and without
+THUMOS_EMPTY_CLASS = {"Jump_test.txt": "v1 1.0 2.0\n",
+                      "_test.txt": "v1 2.5 3.0\n"}
+THUMOS_EMPTY_CLASS_NO_ROWS = {"Jump_test.txt": "v1 1.0 2.0\n", "_val.txt": ""}
+# two intervals past the 4 s end, the later-starting one first: read as
+# ground truth and as detection events
+TWO_PAST_END = ('{"label": "run", "start_s": 3.0, "end_s": 5.0}, '
+                '{"label": "jump", "start_s": 1.0, "end_s": 4.5}')
+ACTIVITYNET_REPEATED_ID = (
+    '{"database": {"a": {"subset": "validation", "duration": 5.0, '
+    '"annotations": [{"label": "x", "segment": [1.0, 2.0]}]}, '
+    '"a": {"subset": "validation", "duration": 5.0}}}')
 
 GT = {"worked": "inputs/worked.gt.jsonl", "synthetic": "inputs/synthetic.gt.jsonl",
       "corrupt": "inputs/corrupt.gt.jsonl"}
@@ -128,7 +143,10 @@ def write_inputs(inputs: Path) -> None:
     (inputs / "corrupt.gt.jsonl").write_text(CORRUPT_GT)
     (inputs / "corrupt.pred.jsonl").write_text(CORRUPT_PRED)
     for name, files in (("thumos-suffixes", THUMOS_FILES),
-                        ("thumos-past-end", THUMOS_PAST_END)):
+                        ("thumos-past-end", THUMOS_PAST_END),
+                        ("thumos-empty-class", THUMOS_EMPTY_CLASS),
+                        ("thumos-empty-class-no-rows",
+                         THUMOS_EMPTY_CLASS_NO_ROWS)):
         (inputs / name).mkdir()
         for file_name, text in files.items():
             (inputs / name / file_name).write_text(text)
@@ -140,6 +158,15 @@ def write_inputs(inputs: Path) -> None:
     for name, entry in INTERVAL_FAULTS.items():
         (inputs / f"fault-{name}.gt.jsonl").write_text(
             VOCAB_LINE + video_line(name, f"{VALID_ENTRY}, {entry}"))
+    (inputs / "two-past-end.gt.jsonl").write_text(
+        VOCAB_LINE + video_line("two-past-end", TWO_PAST_END, "true"))
+    (inputs / "two-past-end-events.gt.jsonl").write_text(
+        VOCAB_LINE + video_line("two-past-end", ""))
+    (inputs / "two-past-end.pred.jsonl").write_text(
+        '{"record": "detections", "video_id": "two-past-end", "events": '
+        f'[{TWO_PAST_END}]}}\n')
+    (inputs / "activitynet-repeated-id.json").write_text(
+        ACTIVITYNET_REPEATED_ID)
 
 
 def folder(n: int, name: str) -> str:
@@ -256,6 +283,18 @@ def catalogue():
                  "offline", "--gt", GT["worked"], "--pred", worked_scores,
                  "--metric", "map", "--out-dir", "{prev}"]))]:
         commands += [first, rerun]
+    for gt in ("two-past-end", "two-past-end-events"):
+        commands.append((f"evaluate-{gt}", [
+            "evaluate", "--gt", f"inputs/{gt}.gt.jsonl", "--pred",
+            "inputs/two-past-end.pred.jsonl", "--out-dir", "{out}"]))
+    for name in ("thumos-empty-class", "thumos-empty-class-no-rows"):
+        commands.append((f"convert-{name}", [
+            "convert", "--format", "thumos", "--in", f"inputs/{name}",
+            "--durations", "inputs/thumos-durations.txt",
+            "--out", "{out}/gt.jsonl"]))
+    commands.append(("convert-activitynet-repeated-id", [
+        "convert", "--format", "activitynet", "--in",
+        "inputs/activitynet-repeated-id.json", "--out", "{out}/gt.jsonl"]))
     return commands
 
 

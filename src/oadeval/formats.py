@@ -59,6 +59,7 @@ import math
 import os
 import re
 import stat
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -76,7 +77,6 @@ from .timeline import (
     LabelVocabulary,
     PredictionStream,
     TimeInterval,
-    check_ends,
     events_to_stream,
     num_slots,
     seconds_to_us,
@@ -405,12 +405,22 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
     duration, a number of seconds above 0 and below 2**63 microseconds,
     are skipped with a warning; segments reaching past the stated
     duration are clamped (such annotations exist in the wild), segments
-    left empty by clamping are dropped.
+    left empty by clamping are dropped. A key repeated in one object,
+    such as a video id, is an error naming the file and the key (the
+    most repeated, the first of those), where ``json`` would keep only
+    its last value.
     """
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = Counter(key for key, _ in pairs).most_common(1)[0][0]
+            raise ParseError(f"duplicate key {key!r}", path=str(path))
+        return obj
+
     report = LoadReport()
     raw, text = _read_text(path)
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path),
                          line=exc.lineno) from exc
@@ -526,7 +536,9 @@ def load_thumos_gt(dir_path: str | Path,
     Every ``*.txt`` file in the directory contributes one class (named
     after the file, minus one trailing ``_val`` or ``_test``); rows are
     ``video_id start_s end_s``, and each must end within its video
-    (:func:`~oadeval.timeline.check_ends`). Overlapping rows are kept
+    (:meth:`~oadeval.timeline.TimeInterval.check_end`). A file whose
+    name leaves an empty class (``_test.txt``) or the background label
+    is an error naming that file. Overlapping rows are kept
     as-is (tracks are multi-label; the discretizer resolves them).
     Durations come from the sidecar table, each above 0 and below 2**63
     microseconds; rows naming a video absent from it are an error, which
@@ -548,6 +560,8 @@ def load_thumos_gt(dir_path: str | Path,
     classes = []
     for class_file in class_files:
         cls = re.sub(r"_(val|test)\Z", "", class_file.stem)
+        if not cls:
+            raise ParseError("the class name is empty", path=str(class_file))
         if cls == DEFAULT_BACKGROUND:
             raise ParseError(f"class {cls!r} is the background label, "
                              "not an action class", path=str(class_file))
@@ -569,7 +583,7 @@ def load_thumos_gt(dir_path: str | Path,
             try:
                 interval = TimeInterval(label=cls, start_s=start, end_s=end)
                 if vid in durations:
-                    check_ends((interval,), durations[vid], vid)
+                    interval.check_end(durations[vid], vid)
             except ValidationError as exc:
                 raise ParseError(str(exc), path=str(class_file),
                                  line=lineno) from exc

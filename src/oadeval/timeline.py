@@ -18,8 +18,10 @@ built, by a parser straight from its numbers or from
 :class:`TimeInterval` objects. Each interval, list, track and grid
 converts its own times once, when it is built, into ``*_us`` fields or
 columns that take no part in ``==``, ``hash`` or ``repr``. A slot size must round to at least 1 microsecond;
-:func:`slot_us` is the one place that rule is checked, as
-:func:`check_ends` is for an interval ending within its video.
+:func:`slot_us` is the one place that rule is checked. An interval must
+end within its video: that rule is :meth:`TimeInterval.check_end` for
+one interval and :meth:`IntervalColumns.check_ends` for a whole list,
+which names the first late interval in input order through it.
 
 A grid is its class codes: one read-only NumPy array with background
 0 and the classes 1..C. :func:`discretize` takes each interval's slot
@@ -156,6 +158,19 @@ class TimeInterval:
                 f"interval [{self.start_s}, {self.end_s}) for {self.label!r} "
                 "has zero or negative length")
 
+    def check_end(self, duration_s: float, video_id: str | None = None):
+        """Check that the interval ends within its video, ``duration_s``.
+
+        The one interval-end rule, exact in microseconds, in its entry
+        form; :meth:`IntervalColumns.check_ends` is its column form. An
+        end past the duration raises :class:`ValidationError`, its text
+        prefixed with ``video 'v': `` when ``video_id`` is given.
+        """
+        if self.end_us > seconds_to_us(duration_s):
+            where = "" if video_id is None else f"video {video_id!r}: "
+            raise ValidationError(f"{where}interval [{self.start_s}, "
+                                  f"{self.end_s}) exceeds duration {duration_s}")
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class IntervalColumns:
@@ -172,7 +187,9 @@ class IntervalColumns:
     parsed; :attr:`intervals` builds the :class:`TimeInterval` tuple
     from them on first read, unless the columns were built from such a
     tuple (:meth:`of`). The rows' class codes in a vocabulary come from
-    :meth:`class_codes`, which also checks the labels.
+    :meth:`class_codes`, which also checks the labels, and
+    :meth:`check_ends` checks the ends; both name a fault in input
+    order, through :attr:`intervals`.
     """
 
     labels: tuple[str, ...]
@@ -220,10 +237,18 @@ class IntervalColumns:
                                            self.codes[rows].tolist()),
                          *self.times_s[:, rows].tolist()))
 
-    def rows(self) -> list[TimeInterval]:
-        """The intervals in row order: by start, then label."""
-        intervals = self.intervals
-        return [intervals[i] for i in self.order.tolist()]
+    def check_ends(self, duration_s: float, video_id: str | None = None):
+        """Check that every interval ends within its video, ``duration_s``.
+
+        The column form of :meth:`TimeInterval.check_end`: one
+        comparison of the whole end column, O(n). If an end is past the
+        duration, the first such interval in input order is named, by
+        the entry form, whatever the row order.
+        """
+        late = self.end_us > seconds_to_us(duration_s)
+        if np.count_nonzero(late):
+            self.intervals[self.order[late].min()].check_end(duration_s,
+                                                             video_id)
 
     def class_codes(self, vocab: LabelVocabulary) -> np.ndarray:
         """Each row's class code in ``vocab``, an ``intp`` array in row order.
@@ -260,8 +285,9 @@ class AnnotationTrack:
     in the parser) and never again: :func:`discretize` and
     :func:`~oadeval.offline.rasterize_frames` read them in that order.
     Its checks are whole-column comparisons, O(n): every end against
-    ``duration_us``, the one microsecond form of the duration, and each
-    start against the latest end before it. Only a failed check reads
+    the duration in microseconds, ``duration_us``
+    (:meth:`IntervalColumns.check_ends`), and each start against the
+    latest end before it. Only a failed check reads
     ``intervals``, to name the interval at fault: the first in input
     order for an end, in sorted order for an overlap. ``intervals`` is
     the tuple of :class:`TimeInterval` in input order, as given or
@@ -290,13 +316,12 @@ class AnnotationTrack:
                              multi_label=multi_label,
                              duration_us=seconds_to_us(duration_s),
                              columns=IntervalColumns.of(intervals))
+        self.columns.check_ends(duration_s, video_id)
         start_us, end_us = self.columns.start_us, self.columns.end_us
-        if np.count_nonzero(end_us > self.duration_us):
-            check_ends(self.intervals, duration_s, video_id)
         if not multi_label:
             late = start_us[1:] < np.maximum.accumulate(end_us[:-1])
             if np.count_nonzero(late):
-                iv = self.columns.rows()[late.argmax() + 1]
+                iv = self.intervals[self.columns.order[late.argmax() + 1]]
                 raise ValidationError(
                     f"video {video_id!r}: interval [{iv.start_s}, {iv.end_s}) "
                     "overlaps an earlier one but track is not multi_label")
@@ -422,25 +447,6 @@ def paint_midpoints(lo, hi, codes, size: int) -> np.ndarray:
     return painted
 
 
-def check_ends(intervals: Iterable[TimeInterval], duration_s: float,
-               video_id: str | None = None) -> None:
-    """Check that every interval ends within its video, ``duration_s``.
-
-    The one interval-end rule, exact in microseconds. Ends are checked
-    in the given order: the first past the duration raises
-    :class:`ValidationError`, its text prefixed with ``video 'v': ``
-    when ``video_id`` is given. A track and :func:`discretize` first
-    compare their whole end column with the duration, and call this
-    only when an end is past it, to name that interval.
-    """
-    duration_us = seconds_to_us(duration_s)
-    for iv in intervals:
-        if iv.end_us > duration_us:
-            where = "" if video_id is None else f"video {video_id!r}: "
-            raise ValidationError(f"{where}interval [{iv.start_s}, {iv.end_s}) "
-                                  f"exceeds duration {duration_s}")
-
-
 def discretize(intervals: Iterable[TimeInterval] | IntervalColumns,
                duration_s: float, delta_t_s: float,
                vocab: LabelVocabulary) -> SlotGrid:
@@ -466,15 +472,15 @@ def discretize(intervals: Iterable[TimeInterval] | IntervalColumns,
     covering it, so O(K + n) without overlaps.
     The duration, slot size and slot count are checked first, by
     :func:`num_slots`, then the labels by
-    :meth:`IntervalColumns.class_codes` and the ends, in sorted order,
-    by :func:`check_ends`.
+    :meth:`IntervalColumns.class_codes` and the ends by
+    :meth:`IntervalColumns.check_ends`, each naming the first fault in
+    the order the intervals were given.
     """
     k = num_slots(duration_s, delta_t_s)
-    delta_us, duration_us = slot_us(delta_t_s), seconds_to_us(duration_s)
+    delta_us = slot_us(delta_t_s)
     columns = IntervalColumns.of(intervals)
     codes = columns.class_codes(vocab)
-    if np.count_nonzero(columns.end_us > duration_us):
-        check_ends(columns.rows(), duration_s)
+    columns.check_ends(duration_s)
 
     # every end is within the duration, so no range passes slot k + 1
     slots, rest = np.divmod((columns.start_us, columns.end_us), delta_us)

@@ -1238,6 +1238,36 @@ class TestConvert:
         assert "Traceback" not in err
         assert not (tmp_path / "c.jsonl").exists()
 
+    @pytest.mark.parametrize("name,rows", [
+        ("_test.txt", "video_001 3.0 4.0\n"), ("_val.txt", "")])
+    def test_thumos_empty_class_name_is_a_located_error(self, tmp_path, capsys,
+                                                        name, rows):
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "Jump_test.txt").write_text("video_001 1.0 2.0\n")
+        (ann / name).write_text(rows)
+        durations = tmp_path / "durations.txt"
+        durations.write_text("video_001 9.0\n")
+        assert run("convert", "--format", "thumos", "--in", ann,
+                   "--durations", durations,
+                   "--out", tmp_path / "c.jsonl") == 1
+        assert capsys.readouterr().err == (
+            f"error: {ann / name}: the class name is empty\n")
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_activitynet_repeated_video_id_is_an_error(self, tmp_path,
+                                                       capsys):
+        # json.loads alone keeps the last entry and drops the first's
+        anet = tmp_path / "anet.json"
+        anet.write_text(
+            '{"database": {"a": {"subset": "validation", "duration": 5.0,'
+            ' "annotations": [{"label": "x", "segment": [1.0, 2.0]}]},'
+            ' "a": {"subset": "validation", "duration": 5.0}}}')
+        assert run("convert", "--format", "activitynet", "--in", anet,
+                   "--out", tmp_path / "c.jsonl") == 1
+        assert capsys.readouterr().err == f"error: {anet}: duplicate key 'a'\n"
+        assert not (tmp_path / "c.jsonl").exists()
+
     @pytest.mark.parametrize("name,data,line,message", [
         ("anet.json", b"\xff{}", 1, "invalid start byte 0xff"),
         ("anet.json", b'{"database":\r\n {"v": "\xc3"}}', 2,

@@ -138,8 +138,7 @@ def score_matrices(draw):
 # One interval fault per list, with what load_canonical_gt (its file is
 # PATH) and build_stream (a detections record against a 4 s track) raise:
 # the class name and the full text, as the entry loop words them. Where a
-# list holds two faults, the load names the first in input order and
-# build_stream the first in sorted order (labels: input order in both).
+# list holds two faults, both name the first in input order.
 FAULT_VOCAB = {"record": "vocabulary", "classes": ["a", "b"],
                "background": "bg"}
 VALID_ENTRY = {"label": "a", "start_s": 0.5, "end_s": 1.0}
@@ -182,7 +181,7 @@ INTERVAL_FAULTS = {
          {"label": "b", "start_s": 1.0, "end_s": 4.5}],
         ("ValidationError",
          "PATH, line 2: video 'v': interval [3.0, 5.0) exceeds duration 4.0"),
-        ("ValidationError", "interval [1.0, 4.5) exceeds duration 4.0")),
+        ("ValidationError", "interval [3.0, 5.0) exceeds duration 4.0")),
     # detections may overlap: the stream holds b, then a from 1.0 s on
     "overlap": (
         [{"label": "b", "start_s": 2.0, "end_s": 3.0},
@@ -403,7 +402,8 @@ class TestCanonicalGt:
         assert bulk.end_us.tolist() == [one_by_one[i].end_us for i in rows]
         assert (bulk.start_us.dtype, bulk.end_us.dtype) == (np.int64, np.int64)
         assert bulk.codes.dtype == np.intp
-        assert bulk.rows() == [one_by_one[i] for i in rows]
+        assert [bulk.intervals[i] for i in bulk.order] == [
+            one_by_one[i] for i in rows]
         for column in (bulk.codes, bulk.start_us, bulk.end_us, bulk.order):
             assert not column.flags.writeable
 
@@ -424,6 +424,9 @@ class TestCanonicalGt:
         assert fault_outcome(lambda: build_stream(
             "detections", record, AnnotationTrack("v", 4.0), vocab, 0.5)
         ) == stream
+        if stream[0] != "stream":  # ground truth may not overlap, events may
+            located = rf"\A{re.escape(str(path))}, line 2(: |, )(video 'v': )?"
+            assert (load[0], re.sub(located, "", load[1])) == stream
 
     @pytest.mark.filterwarnings("error")  # no cast past the int64 range
     def test_times_below_2_63_us_load_as_int64_and_past_it_fail(self,
@@ -482,7 +485,8 @@ class TestCanonicalGt:
             "TimeInterval(label='a', start_s=2.0, end_s=3.0)), multi_label=True)")
         assert parsed.intervals is parsed.intervals  # built once
         assert type(parsed.intervals) is tuple
-        assert [(iv.start_us, iv.end_us) for iv in parsed.columns.rows()] == [
+        assert [(parsed.intervals[i].start_us, parsed.intervals[i].end_us)
+                for i in parsed.columns.order] == [
             (300_000, 1_000_000), (2_000_000, 3_000_000), (2_000_000, 3_500_000)]
         assert parsed != AnnotationTrack("v", 4.0, given.intervals[::-1],
                                          multi_label=True)
@@ -641,6 +645,25 @@ class TestActivityNetAdapter:
         assert report.warnings == sorted(warnings + [
             f"video 'v1': segment {segment} empty after clamping; dropped"])
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"database": {"a": {"subset": "validation", "duration": 5.0}, '
+         '"b": {}, "a": {"subset": "validation", "duration": 6.0}}}', "a"),
+        ('{"database": {"a": {"subset": "validation", "duration": 5.0, '
+         '"annotations": [{"label": "x", "segment": [1.0, 2.0], '
+         '"label": "y"}]}}}', "label"),
+        ('{"database": {}, "database": {}}', "database"),
+        # the most repeated key is named, the first of those
+        ('{"database": {"b": {}, "a": {}, "b": {}, "a": {}, "a": {}}}', "a"),
+        ('{"database": {"b": {}, "a": {}, "a": {}, "b": {}}}', "b"),
+    ], ids=["video-id", "annotation-field", "top-level", "most-repeated",
+            "first-of-the-most-repeated"])
+    def test_repeated_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "anet.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: duplicate key {key!r}")):
+            load_activitynet_gt(path)
+
     @pytest.mark.parametrize("duration", [1e13, 1e305])
     def test_duration_past_int64_skipped(self, tmp_path, duration):
         # 1e13 s is 1e19 us, past int64's 9.22e18: an invalid duration
@@ -742,6 +765,16 @@ class TestThumosAdapter:
         (tmp_path / "durations.txt").write_text("video_001 10.0\n")
         manifest = load_thumos_gt(tmp_path, tmp_path / "durations.txt")
         assert len(manifest.by_id()["video_001"].intervals) == 2
+
+    @pytest.mark.parametrize("name,rows", [
+        ("_test.txt", "video_001 1.0 2.0\n"), ("_val.txt", "")])
+    def test_empty_class_name_rejected_at_its_file(self, tmp_path, name, rows):
+        (tmp_path / "Jump_test.txt").write_text("video_001 1.0 2.0\n")
+        (tmp_path / name).write_text(rows)
+        (tmp_path / "durations.txt").write_text("video_001 10.0\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{tmp_path / name}: the class name is empty")):
+            load_thumos_gt(tmp_path, tmp_path / "durations.txt")
 
     def test_class_name_drops_one_suffix_either_way(self, tmp_path):
         for name in ("Jump_val_test", "Jump_test_val", "Run_val", "Walk"):

@@ -31,7 +31,6 @@ from oadeval.timeline import (
     PredictionStream,
     SlotGrid,
     TimeInterval,
-    check_ends,
     discretize,
     events_to_stream,
     num_slots,
@@ -314,7 +313,8 @@ class TestAnnotationTrack:
                           for label, start, length in drawn)
 
         def loop():
-            check_ends(intervals, 6.0, "v")
+            for iv in intervals:
+                iv.check_end(6.0, "v")
             covered_until = -1
             for iv in sorted(intervals, key=lambda iv: (iv.start_us, iv.label)):
                 if not multi_label and iv.start_us < covered_until:
@@ -328,7 +328,7 @@ class TestAnnotationTrack:
             "v", 6.0, intervals, multi_label)) == expected
         if expected is None:
             track = AnnotationTrack("v", 6.0, intervals, multi_label)
-            assert track.columns.rows() == sorted(
+            assert [intervals[i] for i in track.columns.order] == sorted(
                 intervals, key=lambda iv: (iv.start_us, iv.label))
             assert track.intervals == intervals
 
@@ -531,35 +531,48 @@ class TestCheckEnds:
     LATE = TimeInterval("jump", 1.0, 20.0)
     TEXT = "interval [1.0, 20.0) exceeds duration 10.0"
 
+    @staticmethod
+    def forms(intervals):
+        """The entry form over ``intervals`` in turn, and the column form."""
+        def entries(duration_s, video_id=None):
+            for iv in intervals:
+                iv.check_end(duration_s, video_id)
+        return entries, IntervalColumns.of(intervals).check_ends
+
     def test_one_rule_two_texts(self, vocab):
-        assert outcome(lambda: check_ends([self.LATE], 10.0)) == (
-            ValidationError, self.TEXT)
-        assert outcome(lambda: check_ends([self.LATE], 10.0, "v")) == (
-            ValidationError, f"video 'v': {self.TEXT}")
+        for check in self.forms([self.LATE]):
+            assert outcome(lambda: check(10.0)) == (ValidationError, self.TEXT)
+            assert outcome(lambda: check(10.0, "v")) == (
+                ValidationError, f"video 'v': {self.TEXT}")
         assert outcome(lambda: discretize([self.LATE], 10.0, 0.5, vocab)) == (
             ValidationError, self.TEXT)
         assert outcome(lambda: AnnotationTrack("v", 10.0, (self.LATE,))) == (
             ValidationError, f"video 'v': {self.TEXT}")
 
     def test_ends_are_checked_in_the_order_given(self, vocab):
-        # a track checks its input order, discretize its paint order
+        # every form names the first late interval in input order, not
+        # the first in row order (by start), whichever that is
         run_late = TimeInterval("run", 5.0, 12.0)
-        intervals = (run_late, self.LATE)
-        assert outcome(lambda: check_ends(intervals, 10.0)) == (
-            ValidationError, "interval [5.0, 12.0) exceeds duration 10.0")
-        assert outcome(lambda: AnnotationTrack(
-            "v", 10.0, intervals, multi_label=True)) == (
-            ValidationError,
-            "video 'v': interval [5.0, 12.0) exceeds duration 10.0")
-        assert outcome(lambda: discretize(intervals, 10.0, 0.5, vocab)) == (
-            ValidationError, self.TEXT)
+        text = "interval [5.0, 12.0) exceeds duration 10.0"
+        for intervals in ((run_late, self.LATE),
+                          (run_late, TimeInterval("jump", 0.0, 1.0),
+                           self.LATE)):
+            for check in self.forms(intervals):
+                assert outcome(lambda: check(10.0)) == (ValidationError, text)
+            assert outcome(lambda: AnnotationTrack(
+                "v", 10.0, intervals, multi_label=True)) == (
+                ValidationError, f"video 'v': {text}")
+            assert outcome(lambda: discretize(
+                intervals, 10.0, 0.5, vocab)) == (ValidationError, text)
 
     def test_ends_compare_in_microseconds(self):
         # 10.0000004 s is 10,000,000 us, the duration itself
-        assert check_ends([TimeInterval("jump", 9.0, 10.0000004)], 10.0) is None
-        assert outcome(lambda: check_ends(
-            [TimeInterval("jump", 9.0, 10.000001)], 10.0)) == (
-            ValidationError, "interval [9.0, 10.000001) exceeds duration 10.0")
+        for check in self.forms([TimeInterval("jump", 9.0, 10.0000004)]):
+            assert check(10.0) is None
+        for check in self.forms([TimeInterval("jump", 9.0, 10.000001)]):
+            assert outcome(lambda: check(10.0)) == (
+                ValidationError,
+                "interval [9.0, 10.000001) exceeds duration 10.0")
 
 
 class TestSlotGrid:
