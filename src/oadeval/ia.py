@@ -17,10 +17,11 @@ Both engines score the vocabulary's small-int class codes (background 0,
 classes 1..C), which are what a :class:`~oadeval.timeline.SlotGrid` is:
 ``grid.codes`` is one read-only NumPy array, and its labels are derived
 only when asked for. :class:`StreamingEvaluator` takes the ground truth's
-codes once, as Python ints; each decision then costs one dict lookup and
-a few integer adds, O(1) per slot. :func:`evaluate_grids` scores
-two completed grids at once: the counters are prefix sums over both code
-arrays, one NumPy ``cumsum`` of their stacked flags. Every value is one
+codes once, as Python ints; each decision then costs one list index
+(which is also the check that slots remain), one dict lookup and a few
+integer adds on slotted attributes, O(1) per slot. :func:`evaluate_grids`
+scores two completed grids at once: the counters are prefix sums over
+both code arrays, one NumPy ``cumsum`` of their stacked flags. Every value is one
 float division of two exact integers, so the prefix sums match the
 streaming engine bit for bit up to
 :data:`EXACT_PREFIX_SLOTS` slots; longer grids are replayed through
@@ -55,10 +56,17 @@ class MatchingMode(enum.Enum):
 
     CLASS_AWARE requires the exact class; BINARY credits any action
     class on an action slot. Background is matched literally either way.
+    Every engine takes its mode through ``MatchingMode(mode)``, so a
+    member or its value (``"binary"``) selects the same mode, and any
+    other value raises :class:`ValidationError` naming it.
     """
 
     CLASS_AWARE = "class-aware"
     BINARY = "binary"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"unknown matching mode {value!r}")
 
 
 class MetricState(NamedTuple):
@@ -144,13 +152,20 @@ class StreamingEvaluator:
     Ground truth for the video is fixed up front as its grid's class
     codes; predictions arrive causally and each :meth:`consume`
     yields the trace point for the slot just decided. :attr:`state` reads
-    and assigns the counters as a :class:`MetricState`.
+    and assigns the counters as a :class:`MetricState`; :attr:`grid_gt`
+    and :attr:`mode` are read-only. The class is slotted: an instance
+    has no ``__dict__`` and takes no other attribute, while weak
+    references, ``pickle`` and ``copy.deepcopy`` work, so a live
+    evaluation can be checkpointed and carried on.
     """
+
+    __slots__ = ("_grid_gt", "_mode", "_codes", "_truth", "_delta_t_s",
+                 "_k", "_tp", "_tn", "_p", "trace", "__weakref__")
 
     def __init__(self, grid_gt: SlotGrid,
                  mode: MatchingMode = MatchingMode.CLASS_AWARE):
         self._grid_gt = grid_gt
-        self.mode = mode
+        self._mode = MatchingMode(mode)
         self._codes = grid_gt.vocab.codes
         # Python ints: indexing the array would make a NumPy scalar per slot
         self._truth = grid_gt.codes.tolist()
@@ -164,6 +179,11 @@ class StreamingEvaluator:
     def grid_gt(self) -> SlotGrid:
         """The ground truth, read-only: its codes are taken once."""
         return self._grid_gt
+
+    @property
+    def mode(self) -> MatchingMode:
+        """The matching mode, read-only: it is checked once, when given."""
+        return self._mode
 
     @property
     def state(self) -> MetricState:
@@ -192,18 +212,20 @@ class StreamingEvaluator:
 
     def consume(self, predicted: str) -> IATracePoint:
         k = self._k
-        truth = self._truth
-        if k >= len(truth):
-            raise ValidationError(f"all {len(truth)} slots already evaluated")
+        # the truth lookup is the completion check: k never drops below 0
+        try:
+            t = self._truth[k]
+        except IndexError:
+            raise ValidationError(f"all {len(self._truth)} slots already "
+                                  "evaluated") from None
         pred = self._codes.get(predicted)
         if pred is None:
             raise VocabularyError(f"unknown label {predicted!r}")
-        t = truth[k]
         self._k = k = k + 1
         tp, tn, p = self._tp, self._tn, self._p
         if t:
             self._p = p = p + 1
-            if pred == t or (pred and self.mode is MatchingMode.BINARY):
+            if pred == t or (pred and self._mode is MatchingMode.BINARY):
                 self._tp = tp = tp + 1
         elif not pred:
             self._tn = tn = tn + 1
@@ -280,6 +302,7 @@ def evaluate_grids(grid_pred: SlotGrid, grid_gt: SlotGrid,
     ``trace`` list point for point; its ``rows`` columns are what batch
     writers and :func:`maia` read.
     """
+    mode = MatchingMode(mode)
     _check_grids(grid_pred, grid_gt)
     if len(grid_gt) <= EXACT_PREFIX_SLOTS:
         return _prefix_sum_trace(grid_pred, grid_gt, mode)
@@ -372,8 +395,8 @@ def oracle_ia(grid_pred: SlotGrid, grid_gt: SlotGrid,
     and no state carried between instants. Results must match
     :func:`evaluate_grids` bit for bit.
     """
+    class_aware = MatchingMode(mode) is MatchingMode.CLASS_AWARE
     _check_grids(grid_pred, grid_gt)
-    class_aware = mode is MatchingMode.CLASS_AWARE
     is_action = grid_gt.vocab.is_action
     tp_flags, tn_flags, truth_action = bytearray(), bytearray(), bytearray()
     for pr, t in zip(grid_pred.labels, grid_gt.labels):

@@ -1,7 +1,10 @@
 """Instantaneous-accuracy engine: examples, invariants, oracle equivalence."""
 
+import copy
 import itertools
+import pickle
 import re
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -437,6 +440,87 @@ class TestStreamingEvaluator:
             evaluator.grid_gt = make_grid(["run"], vocab)
         assert evaluator.grid_gt is gt
 
+    def test_mode_is_read_only(self, vocab):
+        evaluator = StreamingEvaluator(make_grid(["run"], vocab), "binary")
+        with pytest.raises(AttributeError):
+            evaluator.mode = MatchingMode.CLASS_AWARE
+        assert evaluator.mode is MatchingMode.BINARY
+        assert evaluator.consume("jump").ia == 1.0
+
+    def test_slotted_instances_take_weak_references_only(self, vocab):
+        evaluator = StreamingEvaluator(make_grid(["jump"], vocab))
+        assert weakref.ref(evaluator)() is evaluator
+        assert not hasattr(evaluator, "__dict__")
+        with pytest.raises(AttributeError):
+            evaluator.checkpoint = 1
+        assert evaluator.consume("jump") == IATracePoint(0.5, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("mode", list(MatchingMode))
+    @pytest.mark.parametrize("checkpoint", [
+        lambda evaluator: pickle.loads(pickle.dumps(evaluator)),
+        copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_checkpoint_halfway_carries_on(self, vocab, mode, checkpoint):
+        gt = make_grid(["background", "jump", "jump", "run", "run",
+                        "background", "jump", "background"], vocab)
+        pred = make_grid(["background", "jump", "run", "run", "jump",
+                          "jump", "background", "background"], vocab)
+        evaluator = StreamingEvaluator(gt, mode)
+        for label in pred.labels[:4]:
+            evaluator.consume(label)
+        state, trace = evaluator.state, bits(evaluator.trace)
+        copied = checkpoint(evaluator)
+        assert type(copied) is StreamingEvaluator
+        assert copied.mode is mode and copied.grid_gt == gt
+        assert copied.state == state and bits(copied.trace) == trace
+        for label in pred.labels[4:]:
+            copied.consume(label)
+        assert evaluator.state == state and bits(evaluator.trace) == trace
+        for label in pred.labels[4:]:
+            evaluator.consume(label)
+        expected = bits(oracle_ia(pred, gt, mode))
+        assert bits(copied.trace) == bits(evaluator.trace) == expected
+        with pytest.raises(ValidationError, match="^all 8 slots already "):
+            copied.consume("jump")
+
+    @given(grid_pairs(max_k=12), st.sampled_from(list(MatchingMode)),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_failed_calls_under_random_interleavings_change_nothing(
+            self, pair, mode, data):
+        # each extra call is made before the decision for slot `at`
+        # (after the last one when at == K): an unknown label before the
+        # end, and any label, known or not, past it
+        pred, gt = pair
+        k = len(gt)
+        unknown = st.sampled_from(["swim", "", "Jump", "background ", None])
+        extra = data.draw(st.lists(st.integers(0, k).flatmap(
+            lambda at: st.tuples(st.just(at), unknown if at < k else
+                                 st.one_of(unknown, st.sampled_from(
+                                     pred.labels)))), max_size=2 * k + 2))
+        before = {}
+        for at, label in extra:
+            before.setdefault(at, []).append(label)
+        expected = oracle_ia(pred, gt, mode)
+        evaluator = StreamingEvaluator(gt, mode)
+        for at in range(k + 1):
+            for label in before.get(at, ()):
+                state, trace = evaluator.state, bits(evaluator.trace)
+                with pytest.raises(ValidationError) as exc:
+                    evaluator.consume(label)
+                if at == k:
+                    assert type(exc.value) is ValidationError
+                    assert str(exc.value) == f"all {k} slots already evaluated"
+                else:
+                    assert type(exc.value) is VocabularyError
+                    assert str(exc.value) == f"unknown label {label!r}"
+                assert evaluator.state == state
+                assert bits(evaluator.trace) == trace
+            if at < k:
+                point = evaluator.consume(pred.labels[at])
+                assert bits([point]) == bits(expected[at:at + 1])
+        assert bits(evaluator.trace) == bits(expected)
+
     @given(grid_pairs(), st.sampled_from(list(MatchingMode)))
     @settings(max_examples=300, deadline=None)
     def test_consume_equals_oracle_bit_for_bit(self, pair, mode):
@@ -457,6 +541,35 @@ class TestStreamingEvaluator:
                 actions, len(seen) - actions)
         assert ([tuple(map(float.hex, p)) for p in evaluator.trace]
                 == [tuple(map(float.hex, p)) for p in expected])
+
+
+
+class TestModeByValue:
+    """Every engine and the oracle take a mode's value as the member."""
+
+    @pytest.mark.parametrize("mode", list(MatchingMode))
+    def test_value_scores_as_the_member(self, vocab, mode):
+        gt = make_grid(["jump", "jump"], vocab)
+        pred = make_grid(["run", "run"], vocab)
+        expected = oracle_ia(pred, gt, mode)
+        assert expected[-1].ia == (mode is MatchingMode.BINARY)
+        expected = bits(expected)
+        assert bits(oracle_ia(pred, gt, mode.value)) == expected
+        assert bits(evaluate_grids(pred, gt, mode.value)) == expected
+        assert bits(replay(pred, gt, mode.value)) == expected
+        assert StreamingEvaluator(gt, mode.value).mode is mode
+
+    @pytest.mark.parametrize("value", ["bogus", "BINARY", None, 1,
+                                       ["binary"]])
+    def test_other_values_are_rejected_naming_them(self, vocab, value):
+        gt = make_grid(["jump", "jump"], vocab)
+        message = "^" + re.escape(f"unknown matching mode {value!r}") + "$"
+        for call in (MatchingMode,
+                     lambda mode: StreamingEvaluator(gt, mode),
+                     lambda mode: evaluate_grids(gt, gt, mode),
+                     lambda mode: oracle_ia(gt, gt, mode)):
+            with pytest.raises(ValidationError, match=message):
+                call(value)
 
 
 def replay(pred, gt, mode=MatchingMode.CLASS_AWARE):
