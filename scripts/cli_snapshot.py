@@ -16,8 +16,9 @@ video id. Each command then gets a folder
 under ``out/``, the files it wrote. The last commands come in pairs
 whose second command (``rerun-...``) writes over the longer outputs of
 the first, in the first one's ``out/``, so the snapshot also holds files
-rewritten in place. Two versions of the package compare
-by snapshotting each and diffing the trees::
+rewritten in place. Two ``offline`` commands with a bad ``--fps`` come
+last, one of them on a missing prediction file. Two versions of the
+package compare by snapshotting each and diffing the trees::
 
     PYTHONPATH=src python3 scripts/cli_snapshot.py /tmp/snap-new
     PYTHONPATH=../old/src python3 scripts/cli_snapshot.py /tmp/snap-old
@@ -295,6 +296,12 @@ def catalogue():
     commands.append(("convert-activitynet-repeated-id", [
         "convert", "--format", "activitynet", "--in",
         "inputs/activitynet-repeated-id.json", "--out", "{out}/gt.jsonl"]))
+    # a bad --fps, with a prediction file that is missing and one that is not
+    for fps, pred in (("nan", "inputs/missing.pred.jsonl"),
+                      ("-1", worked_scores)):
+        commands.append((f"offline-bad-fps-{fps}", [
+            "offline", "--gt", GT["worked"], "--pred", pred, "--fps", fps,
+            "--out-dir", "{out}"]))
     return commands
 
 

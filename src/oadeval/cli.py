@@ -219,6 +219,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_offline(args) -> int:
+    _check_fps(args.fps)
     manifest = load_canonical_gt(args.gt)
     scores = load_scores(args.pred, manifest)
     if args.fps is not None:

@@ -47,7 +47,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError, VocabularyError
+from .errors import DegenerateInputError, ValidationError
 from .timeline import SlotGrid, num_slots, seconds_to_us
 
 
@@ -211,16 +211,25 @@ class StreamingEvaluator:
         self._k, self._tp, self._tn, self._p = k, tp, tn, p
 
     def consume(self, predicted: str) -> IATracePoint:
+        """Score the decision ``predicted`` for the next slot.
+
+        Returns the trace point of that slot and appends it to
+        :attr:`trace`. Once every slot is scored, a call raises
+        :class:`ValidationError`; before that, a ``predicted`` that is
+        not a label of the vocabulary raises :class:`VocabularyError`,
+        through :meth:`~oadeval.timeline.LabelVocabulary.code`. A call
+        that raises changes nothing: neither the counters nor the trace.
+        """
         k = self._k
         # the truth lookup is the completion check: k never drops below 0
         try:
             t = self._truth[k]
+            pred = self._codes[predicted]
         except IndexError:
             raise ValidationError(f"all {len(self._truth)} slots already "
                                   "evaluated") from None
-        pred = self._codes.get(predicted)
-        if pred is None:
-            raise VocabularyError(f"unknown label {predicted!r}")
+        except (KeyError, TypeError):
+            pred = self._grid_gt.vocab.code(predicted)  # raises: not a label
         self._k = k = k + 1
         tp, tn, p = self._tp, self._tn, self._p
         if t:

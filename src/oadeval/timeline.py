@@ -15,9 +15,10 @@ must be below 2**63 microseconds, so it fits int64
 :class:`IntervalColumns`: read-only int64 columns of microsecond bounds
 and label codes, sorted once, by start and then label, when they are
 built, by a parser straight from its numbers or from
-:class:`TimeInterval` objects. Each interval, list, track and grid
-converts its own times once, when it is built, into ``*_us`` fields or
-columns that take no part in ``==``, ``hash`` or ``repr``. A slot size must round to at least 1 microsecond;
+:class:`TimeInterval` objects. Each interval, list and grid converts
+its own times once, when it is built, into ``*_us`` fields or columns
+that take no part in ``==``, ``hash`` or ``repr``; a track keeps its
+duration in seconds. A slot size must round to at least 1 microsecond;
 :func:`slot_us` is the one place that rule is checked. An interval must
 end within its video: that rule is :meth:`TimeInterval.check_end` for
 one interval and :meth:`IntervalColumns.check_ends` for a whole list,
@@ -89,12 +90,14 @@ def slot_us(delta_t_s: float) -> int:
 class LabelVocabulary:
     """Closed set of action classes plus one distinguished background label.
 
-    Immutable after construction; class names must be unique, non-empty
-    and must not collide with the background label. ``labels`` holds
-    every label in code order: background first, then the classes in
-    declared order. ``codes`` maps each label to its index there: background
-    to 0, the classes to 1..C. It is the only membership structure:
-    ``in``, :meth:`is_action` and :meth:`require` all read it.
+    Immutable after construction; the background label and the class
+    names must be non-empty strings, and the class names unique and
+    distinct from the background label. ``labels`` holds every label in
+    code order: background first, then the classes in declared order.
+    ``codes`` maps each label to its index there: background to 0, the
+    classes to 1..C. :meth:`code` is the one lookup that turns a label
+    into its code or refuses it; :meth:`is_action` and every slot label
+    of a grid, stream or evaluator go through it.
     """
 
     classes: tuple[str, ...]
@@ -103,7 +106,12 @@ class LabelVocabulary:
     codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        classes = tuple(self.classes)
+        labels = (self.background, *self.classes)
+        if isinstance(self.classes, str) or not all(
+                isinstance(label, str) for label in labels):
+            raise ValidationError("labels must be strings, classes a collection:"
+                                  f" {self.classes!r}, {self.background!r}")
+        classes = labels[1:]
         if not self.background:
             raise ValidationError("background label must be non-empty")
         if any(not c for c in classes):
@@ -113,23 +121,26 @@ class LabelVocabulary:
         if self.background in classes:
             raise ValidationError(
                 f"background label {self.background!r} must not be an action class")
-        labels = (self.background, *classes)
         self.__dict__.update(classes=classes, labels=labels,
                              codes={c: i for i, c in enumerate(labels)})
 
     def __contains__(self, label: str) -> bool:
         return label in self.codes
 
+    def code(self, label: str) -> int:
+        """The class code of ``label``: 0 for background, 1..C for a class.
+
+        Any other value, unhashable ones among them, raises
+        :class:`VocabularyError` (``unknown label 'walk'``).
+        """
+        try:
+            return self.codes[label]
+        except (KeyError, TypeError):
+            raise VocabularyError(f"unknown label {label!r}") from None
+
     def is_action(self, label: str) -> bool:
         """True for an action class, False for background, error otherwise."""
-        code = self.codes.get(label)
-        if code is None:
-            raise VocabularyError(f"unknown label {label!r}")
-        return code > 0
-
-    def require(self, label: str) -> str:
-        self.is_action(label)  # raises on an unknown label
-        return label
+        return self.code(label) > 0
 
 
 @dataclass(frozen=True)
@@ -147,6 +158,8 @@ class TimeInterval:
     end_us: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValidationError(f"interval label {self.label!r} is not a string")
         if not self.label:
             raise ValidationError("interval label must be non-empty")
         if self.start_s < 0:
@@ -285,9 +298,8 @@ class AnnotationTrack:
     in the parser) and never again: :func:`discretize` and
     :func:`~oadeval.offline.rasterize_frames` read them in that order.
     Its checks are whole-column comparisons, O(n): every end against
-    the duration in microseconds, ``duration_us``
-    (:meth:`IntervalColumns.check_ends`), and each start against the
-    latest end before it. Only a failed check reads
+    the duration (:meth:`IntervalColumns.check_ends`), and each start
+    against the latest end before it. Only a failed check reads
     ``intervals``, to name the interval at fault: the first in input
     order for an end, in sorted order for an overlap. ``intervals`` is
     the tuple of :class:`TimeInterval` in input order, as given or
@@ -301,7 +313,6 @@ class AnnotationTrack:
     intervals: tuple[TimeInterval, ...]
     multi_label: bool
     columns: IntervalColumns = field(init=False, repr=False, compare=False)
-    duration_us: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, video_id: str, duration_s: float,
                  intervals: Iterable[TimeInterval] = (),
@@ -311,17 +322,15 @@ class AnnotationTrack:
         if duration_s <= 0:
             raise ValidationError(
                 f"video {video_id!r}: duration {duration_s} must be > 0")
+        cols = IntervalColumns.of(intervals)
         # intervals, not stored, is read from the columns
         self.__dict__.update(video_id=video_id, duration_s=duration_s,
-                             multi_label=multi_label,
-                             duration_us=seconds_to_us(duration_s),
-                             columns=IntervalColumns.of(intervals))
-        self.columns.check_ends(duration_s, video_id)
-        start_us, end_us = self.columns.start_us, self.columns.end_us
+                             multi_label=multi_label, columns=cols)
+        cols.check_ends(duration_s, video_id)
         if not multi_label:
-            late = start_us[1:] < np.maximum.accumulate(end_us[:-1])
+            late = cols.start_us[1:] < np.maximum.accumulate(cols.end_us[:-1])
             if np.count_nonzero(late):
-                iv = self.intervals[self.columns.order[late.argmax() + 1]]
+                iv = self.intervals[cols.order[late.argmax() + 1]]
                 raise ValidationError(
                     f"video {video_id!r}: interval [{iv.start_s}, {iv.end_s}) "
                     "overlaps an earlier one but track is not multi_label")
@@ -345,7 +354,8 @@ class SlotGrid:
     ``codes`` is the grid: one read-only ``numpy.intp`` array of each
     slot's class code (``vocab.codes``: background 0, the classes 1..C),
     which both IA engines score. ``labels`` is derived from it on first
-    use. The constructor takes labels and names the first unknown one;
+    use. The constructor takes labels and names the first value that is
+    not one, through :meth:`LabelVocabulary.code`;
     :func:`discretize` and :meth:`PredictionStream.as_grid` build grids
     from the codes they hold. ``==`` and ``hash`` compare the slot size,
     the vocabulary and the codes; ``repr`` shows the codes as labels.
@@ -360,11 +370,7 @@ class SlotGrid:
                  vocab: LabelVocabulary):
         labels = tuple(labels)
         slot_us(delta_t_s)  # a bad slot size is reported before any label
-        try:
-            codes = list(map(vocab.codes.__getitem__, labels))
-        except KeyError as exc:
-            raise VocabularyError(f"unknown slot label {exc.args[0]!r}") from None
-        self._hold(delta_t_s, codes, vocab)
+        self._hold(delta_t_s, list(map(vocab.code, labels)), vocab)
         self.__dict__["labels"] = labels
 
     @classmethod
@@ -519,7 +525,7 @@ class PredictionStream:
 
     def append(self, label: str) -> int:
         """Record the decision for the next slot; returns its 1-based index."""
-        code = self.vocab.codes[self.vocab.require(label)]
+        code = self.vocab.code(label)
         j = len(self._codes) + 1
         if self.num_slots is not None and j > self.num_slots:
             raise CausalityError(
@@ -545,8 +551,8 @@ class PredictionStream:
         """Append each label in turn, as repeated :meth:`append` would.
 
         When all of them fit, they are mapped to codes at once, and that
-        lookup is their label check; if they do not fit or a label is
-        unknown, they are appended one by one, so the same error is
+        lookup is their label check; if they do not fit or a value is not
+        a label, they are appended one by one, so the same error is
         raised at the same slot and the valid prefix before it is kept.
         """
         labels = list(labels)
@@ -555,7 +561,7 @@ class PredictionStream:
             try:  # the whole list is mapped before any code is added
                 self._codes += list(map(self.vocab.codes.__getitem__, labels))
                 return
-            except KeyError:
+            except (KeyError, TypeError):
                 pass
         for lab in labels:
             self.append(lab)

@@ -18,6 +18,7 @@ from oadeval.timeline import (
     LabelVocabulary,
     TimeInterval,
     discretize,
+    seconds_to_us,
 )
 from test_offline import brute_force_frame_labels
 
@@ -239,7 +240,7 @@ class TestSyntheticCorpus:
                 assert track.intervals
                 for iv in track.intervals:
                     assert iv.end_us - iv.start_us >= 300_000
-                    assert iv.end_us <= track.duration_us
+                    assert iv.end_us <= seconds_to_us(track.duration_s)
 
     def test_too_short_range_is_named(self):
         with pytest.raises(ValidationError, match=re.escape(

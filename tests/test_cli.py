@@ -571,6 +571,17 @@ class TestOffline:
         assert run("offline", "--gt", worked_gt, "--pred", pred,
                    "--fps", "4.0", "--out-dir", tmp_path / "o") == 1
 
+    @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_fps_is_one_error_before_any_input(self, tmp_path, capsys,
+                                                   fps):
+        # neither input exists: the flag is checked first, as baseline's is
+        out = tmp_path / "o"
+        assert run("offline", "--gt", tmp_path / "missing.jsonl", "--pred",
+                   tmp_path / "missing.pred.jsonl", f"--fps={fps}",
+                   "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: --fps {float(fps)} must be finite and > 0\n")
+        assert not out.exists()
 
     def test_duplicate_scores_is_a_located_error(self, tmp_path, worked_gt,
                                                  capsys):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +10,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_script(name, *args):
+    return run_python(ROOT / "scripts" / name, *args)
 
 
 def test_make_synthetic_corpus(tmp_path):
@@ -98,6 +102,33 @@ def test_cli_snapshot_is_the_same_twice(tmp_path):
         b"error: video 'tiny': delta_t 0.5 larger than duration 0.3: zero "
         b"slots at --delta-t 0.5\n")
     assert run_script("cli_snapshot.py", a).returncode != 0  # not empty
+
+
+# the first cases of cli_mutations.py, six per command; a whole run
+# holds CASES of them
+MUTATION_CASES = 24
+RUN_MUTATIONS = ("import runpy, sys; runpy.run_path(sys.argv[1])['snapshot']"
+                 "(sys.argv[2], int(sys.argv[3]))")
+
+
+def test_cli_mutations_is_the_same_twice(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "nested" / "b"
+    for out in (a, b):
+        proc = run_python("-c", RUN_MUTATIONS,
+                          ROOT / "scripts" / "cli_mutations.py", out,
+                          MUTATION_CASES)
+        assert proc.returncode == 0, proc.stderr
+    files = snapshot_files(a)
+    assert files == snapshot_files(b)
+    logs = [files[Path(f"{command}.txt")].decode()
+            for command in ("evaluate", "offline", "baseline", "convert")]
+    assert [log.count("\n== case ") + log.startswith("== case ")
+            for log in logs] == [6, 6, 6, 6]
+    exits = re.findall(r"^exit: (.*)$", "".join(logs), re.MULTILINE)
+    assert len(exits) == MUTATION_CASES and set(exits) <= {"0", "1", "2"}
+    assert "\nescaped: " not in "".join(logs)
+    assert not (a / "work").exists()
+    assert run_script("cli_mutations.py", a).returncode != 0  # not empty
 
 
 E2E = [{"name": "items_per_ref_s", "unit": "1/ref_s", "better": "higher",

@@ -171,7 +171,7 @@ class TestLabelVocabulary:
         with pytest.raises(VocabularyError):
             vocab.is_action("walk")
         with pytest.raises(VocabularyError):
-            vocab.require("walk")
+            vocab.code("walk")
 
     @pytest.mark.parametrize("classes,background", [
         (("jump", "jump"), "background"),   # duplicate class
@@ -198,11 +198,33 @@ class TestLabelVocabulary:
             unknown = (VocabularyError, f"unknown label {label!r}")
             assert outcome(lambda: vocab.is_action(label)) == (
                 None if known else unknown)
-            assert outcome(lambda: vocab.require(label)) == (
+            assert outcome(lambda: vocab.code(label)) == (
                 None if known else unknown)
             if known:
                 assert vocab.is_action(label) == (label in classes)
-                assert vocab.require(label) == label
+                assert vocab.labels[vocab.code(label)] == label
+
+    @pytest.mark.parametrize("kwargs", [
+        {"classes": "jump"},                # a string, not a collection
+        {"classes": (1,)},
+        {"classes": (["a"],)},              # unhashable
+        {"classes": ("a",), "background": ["b"]},
+        {"classes": ("a",), "background": None},
+    ], ids=["string", "int", "list", "list-background", "none-background"])
+    def test_labels_must_be_strings(self, kwargs):
+        error, text = outcome(lambda: LabelVocabulary(**kwargs))
+        assert error is ValidationError
+        assert text == ("labels must be strings, classes a collection: "
+                        f"{kwargs['classes']!r}, "
+                        f"{kwargs.get('background', 'background')!r}")
+
+    @pytest.mark.parametrize("classes,background,text", [
+        (("jump", ""), "background", "class names must be non-empty"),
+        (("jump",), "", "background label must be non-empty"),
+    ])
+    def test_empty_names_keep_their_texts(self, classes, background, text):
+        assert outcome(lambda: LabelVocabulary(classes, background)) == (
+            ValidationError, text)
 
     def test_codes_background_zero_then_declared_order(self):
         vocab = LabelVocabulary(classes=("run", "jump"), background="bg")
@@ -235,6 +257,16 @@ class TestTimeInterval:
         with pytest.raises(ValidationError):
             TimeInterval("jump", -1.0, 2.0)
 
+    @pytest.mark.parametrize("label,text", [
+        (["x"], "interval label ['x'] is not a string"),
+        (None, "interval label None is not a string"),
+        (b"x", "interval label b'x' is not a string"),
+        ("", "interval label must be non-empty"),
+    ])
+    def test_label_must_be_a_non_empty_string(self, label, text):
+        assert outcome(lambda: TimeInterval(label, 0.0, 1.0)) == (
+            ValidationError, text)
+
     def test_microsecond_conversion_absorbs_float_noise(self):
         iv = TimeInterval("jump", 0.1 + 0.2, 1.0)
         assert iv.start_us == 300_000
@@ -246,7 +278,7 @@ class TestTimeInterval:
         moved = dataclasses.replace(iv, start_s=1.5)
         assert (moved.start_us, moved.end_us) == (1_500_000, 2_000_000)
         track = AnnotationTrack("v", 0.1 + 0.2, ())
-        assert track.duration_us == 300_000
+        assert not hasattr(track, "duration_us")
         assert "duration_us" not in repr(track)
 
     @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, 1e305])
@@ -645,7 +677,7 @@ class TestSlotGrid:
         if not labels:
             return
         unknown = [lab for lab in labels if lab not in vocab]
-        expected = (VocabularyError, f"unknown slot label {unknown[0]!r}"
+        expected = (VocabularyError, f"unknown label {unknown[0]!r}"
                     ) if unknown else None
         assert outcome(lambda: SlotGrid(0.5, labels, vocab)) == expected
         if not unknown:
@@ -856,3 +888,46 @@ class TestEventsToStream:
         assert expected == ["run", "background"]
         s = events_to_stream(detections, "v", 1.0, 0.5, vocab)
         assert list(s.decisions) == expected
+
+
+# values that are not labels of ("jump", "run"): an unknown string, bytes,
+# numbers and None, and unhashable values
+NOT_LABELS = ["walk", b"jump", 1, None, ["jump"], {"a": 1}]
+
+
+def _stream_after_jump(vocab, num_slots=None):
+    stream = PredictionStream("v", 0.5, vocab, num_slots=num_slots)
+    stream.append("jump")
+    return stream
+
+
+@pytest.mark.parametrize("value", NOT_LABELS, ids=repr)
+def test_every_slot_label_entry_point_refuses_a_non_label(vocab, value):
+    """One rule, LabelVocabulary.code: one class and text on every path."""
+    expected = (VocabularyError, f"unknown label {value!r}")
+    assert outcome(lambda: vocab.code(value)) == expected
+    assert outcome(lambda: vocab.is_action(value)) == expected
+    assert outcome(lambda: SlotGrid(0.5, ["jump", value], vocab)) == expected
+
+    stream = _stream_after_jump(vocab)
+    assert outcome(lambda: stream.append(value)) == expected
+    assert outcome(lambda: stream.record(2, value)) == expected
+    assert stream.decisions == ("jump",)
+    # extend maps the labels at once when they fit (without a slot count,
+    # or within it) and appends them one by one when they overflow; either
+    # way the valid prefix before the bad value is kept
+    for num_slots in (None, 4, 2):
+        stream = _stream_after_jump(vocab, num_slots)
+        assert outcome(lambda: stream.extend(["run", value, "jump"])) == expected
+        assert stream.decisions == ("jump", "run")
+
+    evaluator = StreamingEvaluator(SlotGrid(0.5, ["jump", "background"], vocab))
+    evaluator.consume("jump")
+    state, trace = evaluator.state, list(evaluator.trace)
+    assert outcome(lambda: evaluator.consume(value)) == expected
+    assert evaluator.state == state and evaluator.trace == trace
+    evaluator.consume("background")  # the failed call changed nothing
+    assert evaluator.state == (2, 1, 1, 1, 1)
+    # a completed stream is reported before a bad label
+    assert outcome(lambda: evaluator.consume(value)) == (
+        ValidationError, "all 2 slots already evaluated")
