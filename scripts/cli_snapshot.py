@@ -16,9 +16,13 @@ video id. Each command then gets a folder
 under ``out/``, the files it wrote. The last commands come in pairs
 whose second command (``rerun-...``) writes over the longer outputs of
 the first, in the first one's ``out/``, so the snapshot also holds files
-rewritten in place. Two ``offline`` commands with a bad ``--fps`` come
-last, one of them on a missing prediction file. Two versions of the
-package compare by snapshotting each and diffing the trees::
+rewritten in place. Two ``offline`` commands with a bad ``--fps``
+follow, one of them on a missing prediction file. Last come the
+benchmark's score round trip on a video longer than one block of the
+score writer (``formats._BLOCK_ROWS`` frames): ``baseline --kind pm``
+and ``--kind all-bg`` at ``--fps 4.0``, then ``offline --metric map``
+and ``cap`` on the Perfect-Model file. Two versions of the package
+compare by snapshotting each and diffing the trees::
 
     PYTHONPATH=src python3 scripts/cli_snapshot.py /tmp/snap-new
     PYTHONPATH=../old/src python3 scripts/cli_snapshot.py /tmp/snap-old
@@ -130,7 +134,7 @@ ACTIVITYNET_REPEATED_ID = (
     '"a": {"subset": "validation", "duration": 5.0}}}')
 
 GT = {"worked": "inputs/worked.gt.jsonl", "synthetic": "inputs/synthetic.gt.jsonl",
-      "corrupt": "inputs/corrupt.gt.jsonl"}
+      "corrupt": "inputs/corrupt.gt.jsonl", "long": "inputs/long.gt.jsonl"}
 
 
 def write_inputs(inputs: Path) -> None:
@@ -141,6 +145,10 @@ def write_inputs(inputs: Path) -> None:
     shutil.copytree(DATA / "thumos_fixture", inputs / "thumos")
     write_canonical_gt(synthetic_corpus(seed=2025, n_videos=6),
                        inputs / "synthetic.gt.jsonl")
+    # one video of more than 4,096 frames at 4 fps
+    write_canonical_gt(synthetic_corpus(seed=2026, n_videos=1,
+                                        duration_range=(1030.0, 1040.0)),
+                       inputs / "long.gt.jsonl")
     (inputs / "corrupt.gt.jsonl").write_text(CORRUPT_GT)
     (inputs / "corrupt.pred.jsonl").write_text(CORRUPT_PRED)
     for name, files in (("thumos-suffixes", THUMOS_FILES),
@@ -302,6 +310,16 @@ def catalogue():
         commands.append((f"offline-bad-fps-{fps}", [
             "offline", "--gt", GT["worked"], "--pred", pred, "--fps", fps,
             "--out-dir", "{out}"]))
+    # the benchmark's score round trip, past one block of score rows
+    for kind in ("pm", "all-bg"):
+        commands.append((f"baseline-long-{kind}-4.0", [
+            "baseline", "--gt", GT["long"], "--kind", kind, "--seed", "3",
+            "--fps", "4.0", "--out", "{out}/pred.jsonl"]))
+    pred = f"{folder(len(commands) - 1, commands[-2][0])}/out/pred.jsonl"
+    for metric in ("map", "cap"):
+        commands.append((f"offline-{metric}-long-pm-4.0", [
+            "offline", "--gt", GT["long"], "--pred", pred, "--fps", "4.0",
+            "--metric", metric, "--out-dir", "{out}"]))
     return commands
 
 

@@ -42,7 +42,11 @@ to which video, and reports unknown, duplicate and missing records per
 video with their line. :func:`write_predictions` writes each record as
 ``json.dumps(..., sort_keys=True)`` does, byte for byte; a score matrix
 goes out a block of rows at a time, each block's cells gathered from a
-table that holds the text of each distinct value once. Every file the
+table that holds the text of each distinct value once. The distinct
+values come from a sort; each cell finds its own among them by a
+binary search when they are few (a Perfect-Model block holds two), or
+through an argsort when they are many. :func:`build_scores` reads a
+checked score matrix in one conversion pass. Every file the
 toolkit writes goes through :func:`open_output`, which rewrites it in
 place, and empties and removes it if the write fails. Adapters for
 ActivityNet-style JSON and Thumos-style per-class text files convert
@@ -672,7 +676,9 @@ def build_scores(obj: dict, track: AnnotationTrack,
     naming the field, no line), and ``fps`` then
     :func:`~oadeval.offline.frame_count`, the one fps and frame-count
     rule. Each row must hold one int or float per class, and the rows
-    must number exactly the track's frames.
+    must number exactly the track's frames. The checked cells then
+    become the float matrix in one ``np.fromiter`` pass, in which an int
+    beyond the float range is a :class:`ValidationError`.
     """
     video_id = obj["video_id"]
     fps = _require(obj, "fps", (int, float))
@@ -689,7 +695,8 @@ def build_scores(obj: dict, track: AnnotationTrack,
             f"video {video_id!r}: {len(rows)} score rows but a "
             f"{track.duration_s} s video at {fps} fps has {expected} frames")
     try:
-        matrix = np.array(rows, dtype=float).reshape(len(rows), n_classes)
+        matrix = np.fromiter(chain.from_iterable(rows), float,
+                             len(rows) * n_classes).reshape(len(rows), n_classes)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValidationError(
             f"video {video_id!r}: score beyond the float range") from exc
@@ -757,28 +764,45 @@ def load_scores(path: str | Path, manifest: CorpusManifest,
 # rows of a score matrix formatted at a time, which bounds the writer's
 # buffers whatever the matrix's length
 _BLOCK_ROWS = 4096
+# distinct values up to which a block's inverse is a binary search into
+# them; past it, the scatter through an argsort is faster (on 2,880x20
+# blocks of uniformly drawn values the two cost the same at 4)
+_SEARCH_MAX = 4
 
 
 def _json_rows(block: np.ndarray) -> bytes:
     """The ``json.dumps`` text of the rows of a 2-D float64 block.
 
-    The rows are joined by ``", "``, with no brackets around them. Each
-    distinct bit pattern (so ``-0.0`` and ``0.0`` apart) is formatted
-    once, by ``json.dumps`` of the distinct values, into a NUL-padded
-    fixed-width table whose rows read ``"\\0" + token + ", \\0"``.
-    Gathering a table row per cell lays the block out; the first
-    column's cells then open their row with ``"["``, the last column's
-    close it with ``"], "`` (the block's last cell with ``"]"``), and
-    deleting the NUL bytes leaves the text.
+    The rows are joined by ``", "``, with no brackets around them. The
+    block's distinct bit patterns (so ``-0.0`` and ``0.0`` apart) come
+    from one ``np.sort`` and a neighbour mask. Each cell's index among
+    them is a ``np.searchsorted`` while they number at most
+    :data:`_SEARCH_MAX` (a one-hot block has two), and otherwise the
+    running count of the mask scattered through ``np.argsort``. Each
+    distinct value is formatted once, by ``json.dumps`` of their list,
+    into a NUL-padded fixed-width table whose rows read
+    ``"\\0" + token + ", \\0"``. Taking a table row per cell lays the
+    block out; the first column's cells then open their row with
+    ``"["``, the last column's close it with ``"], "`` (the block's last
+    cell with ``"]"``), and deleting the NUL bytes leaves the text.
     """
-    distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    bits = block.view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    distinct = ordered[first]
+    if len(distinct) <= _SEARCH_MAX:
+        inverse = np.searchsorted(distinct, bits)
+    else:
+        inverse = np.empty(bits.size, np.intp)
+        inverse[np.argsort(bits, axis=None)] = np.cumsum(first) - 1
+        inverse = inverse.reshape(bits.shape)
     tokens = np.array(
         json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), "S")
     width = tokens.itemsize
     table = np.zeros((len(tokens), width + 4), np.uint8)
     table[:, 1:width + 1] = tokens.view(np.uint8).reshape(-1, width)
     table[:, width + 1:width + 3] = (ord(","), ord(" "))
-    cells = table[inverse.reshape(block.shape)]
+    cells = np.take(table, inverse, axis=0)
     cells[:, 0, 0] = ord("[")
     cells[:, -1, width + 1:] = (ord("]"), ord(","), ord(" "))
     cells[-1, -1, width + 2:] = 0
@@ -792,7 +816,10 @@ def write_predictions(path: str | Path, streams=(), score_matrices=()) -> None:
     fields, one per line. A scores record's matrix is written
     :data:`_BLOCK_ROWS` rows at a time by :func:`_json_rows`, byte for
     byte the text ``json.dumps`` gives its ``tolist()``, so every value
-    is its ``float.__repr__``.
+    is its ``float.__repr__``. A block costs one sort of its cells and
+    a binary search per cell while it holds at most :data:`_SEARCH_MAX`
+    distinct values (``baseline`` writes two), or an argsort of its
+    cells past that, plus one ``json.dumps`` of its distinct values.
     """
     streams = sorted(streams, key=lambda s: s.video_id)
     matrices = sorted(score_matrices, key=lambda m: m.video_id)

@@ -106,7 +106,10 @@ class LabelVocabulary:
     codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = (self.background, *self.classes)
+        try:
+            labels = (self.background, *self.classes)
+        except TypeError:  # classes that are not a collection
+            labels = (None,)
         if isinstance(self.classes, str) or not all(
                 isinstance(label, str) for label in labels):
             raise ValidationError("labels must be strings, classes a collection:"
@@ -125,7 +128,10 @@ class LabelVocabulary:
                              codes={c: i for i, c in enumerate(labels)})
 
     def __contains__(self, label: str) -> bool:
-        return label in self.codes
+        try:
+            return label in self.codes
+        except TypeError:  # an unhashable value is no label
+            return False
 
     def code(self, label: str) -> int:
         """The class code of ``label``: 0 for background, 1..C for a class.
@@ -162,10 +168,15 @@ class TimeInterval:
             raise ValidationError(f"interval label {self.label!r} is not a string")
         if not self.label:
             raise ValidationError("interval label must be non-empty")
-        if self.start_s < 0:
-            raise ValidationError(f"interval start {self.start_s} < 0")
-        object.__setattr__(self, "start_us", seconds_to_us(self.start_s))
-        object.__setattr__(self, "end_us", seconds_to_us(self.end_s))
+        try:
+            if self.start_s < 0:
+                raise ValidationError(f"interval start {self.start_s} < 0")
+            object.__setattr__(self, "start_us", seconds_to_us(self.start_s))
+            object.__setattr__(self, "end_us", seconds_to_us(self.end_s))
+        except TypeError:
+            raise ValidationError(
+                f"interval [{self.start_s!r}, {self.end_s!r}) for "
+                f"{self.label!r} has a time that is not a number") from None
         if self.end_us <= self.start_us:
             raise ValidationError(
                 f"interval [{self.start_s}, {self.end_s}) for {self.label!r} "
@@ -319,9 +330,13 @@ class AnnotationTrack:
                  multi_label: bool = False):
         if not video_id:
             raise ValidationError("video_id must be non-empty")
-        if duration_s <= 0:
-            raise ValidationError(
-                f"video {video_id!r}: duration {duration_s} must be > 0")
+        try:
+            if duration_s <= 0:
+                raise ValidationError(
+                    f"video {video_id!r}: duration {duration_s} must be > 0")
+        except TypeError:
+            raise ValidationError(f"video {video_id!r}: duration "
+                                  f"{duration_s!r} is not a number") from None
         cols = IntervalColumns.of(intervals)
         # intervals, not stored, is read from the columns
         self.__dict__.update(video_id=video_id, duration_s=duration_s,

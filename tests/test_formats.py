@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oadeval import formats
@@ -133,6 +133,38 @@ def score_matrices(draw):
     if layout == "strided":
         return np.repeat(matrix, 2, axis=0)[::2]
     return matrix
+
+
+def distinct_count_matrix(count, layout):
+    """A 7x3 score matrix of ``count`` distinct bit patterns, all 21 if None.
+
+    From two patterns on, ``-0.0`` sits beside ``0.0``. ``layout`` is
+    ``"C"``, ``"F"`` (Fortran order) or ``"strided"`` (a view of every
+    other row).
+    """
+    if count is None:
+        cells = [0.0, -0.0, *np.random.default_rng(7).random(19)]
+    else:
+        pool = [0.0, -0.0, 1.0, 0.5, 1e-7, 1 / 3, 5e-324]
+        cells = [pool[i % count] for i in range(21)]
+    matrix = np.array(cells).reshape(7, 3)
+    if layout == "F":
+        return np.asfortranarray(matrix)
+    if layout == "strided":
+        return np.repeat(matrix, 2, axis=0)[::2]
+    return matrix
+
+
+def with_distinct_count_examples(test):
+    """``test`` with one example per distinct count and layout: 1, 2, the
+    writer's search limit, one past it, and all distinct, so that each
+    inverse of :func:`formats._json_rows` is taken from every layout."""
+    for count in (1, 2, formats._SEARCH_MAX, formats._SEARCH_MAX + 1, None):
+        for layout in ("C", "F", "strided"):
+            test = example(matrix=distinct_count_matrix(count, layout),
+                           block_rows=formats._BLOCK_ROWS, video_id="v",
+                           fps=4.0)(test)
+    return test
 
 
 # One interval fault per list, with what load_canonical_gt (its file is
@@ -952,6 +984,7 @@ class TestPredictions:
         ("[0.5]", "each score row needs 2 numbers"),
         ('{"a": 0.5}', "each score row needs 2 numbers"),
         ("1" + "0" * 400, "score beyond the float range"),
+        ("-1" + "0" * 400, "score beyond the float range"),
         ("1e400", "scores must be finite"),
     ])
     def test_non_number_score_cells_rejected(self, manifest, tmp_path, cell,
@@ -968,6 +1001,8 @@ class TestPredictions:
     @given(rows=st.integers(1, 5).flatmap(lambda n: st.lists(
         st.lists(SCORE_CELLS, min_size=n, max_size=n), min_size=1,
         max_size=8)))
+    @example(rows=[[0, 1], [2 ** 53 + 1, -(2 ** 53 + 1)], [-0.0, 0.0]])
+    @example(rows=[[2 ** 80, 1, -7, 0.5]])
     @settings(max_examples=200)
     def test_score_rows_build_the_float_matrix(self, rows):
         vocab = LabelVocabulary(classes=tuple(f"c{i}" for i in
@@ -1029,6 +1064,7 @@ class TestPredictions:
     @given(matrix=score_matrices(),
            block_rows=st.sampled_from([1, 2, 5, formats._BLOCK_ROWS]),
            video_id=st.text(max_size=4), fps=st.floats(1e-3, 1e3))
+    @with_distinct_count_examples
     @settings(max_examples=200)
     def test_written_scores_are_the_json_dumps_record(
             self, matrix, block_rows, video_id, fps, tmp_path_factory):

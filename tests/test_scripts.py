@@ -101,6 +101,23 @@ def test_cli_snapshot_is_the_same_twice(tmp_path):
     assert files[Path("33-baseline-corrupt-pm/stderr")] == (
         b"error: video 'tiny': delta_t 0.5 larger than duration 0.3: zero "
         b"slots at --delta-t 0.5\n")
+    assert proc.stdout.startswith("ran 73 commands ")
+    # the last four run the score round trip on more than one block of
+    # the score writer's rows
+    long_runs = ["70-baseline-long-pm-4.0", "71-baseline-long-all-bg-4.0",
+                 "72-offline-map-long-pm-4.0", "73-offline-cap-long-pm-4.0"]
+    assert sorted({path.parts[0] for path in files})[-5:] == [
+        *long_runs, "inputs"]
+    for name in long_runs:
+        assert files[Path(name, "exit")] == b"0\n"
+    for name, values in ((long_runs[0], {0.0, 1.0}), (long_runs[1], {0.0})):
+        lines = files[Path(name, "out", "pred.jsonl")].decode().splitlines()
+        scores = json.loads(lines[-1])["scores"]
+        assert len(scores) > 4096
+        assert {x for row in scores for x in row} == values
+    for name in long_runs[2:]:  # both rank the Perfect-Model file
+        assert f"--pred {long_runs[0]}/out/pred.jsonl " in files[
+            Path(name, "argv")].decode()
     assert run_script("cli_snapshot.py", a).returncode != 0  # not empty
 
 

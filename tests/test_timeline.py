@@ -167,6 +167,12 @@ class TestLabelVocabulary:
         assert vocab.is_action("jump") and not vocab.is_action("background")
         assert "walk" not in vocab
 
+    @pytest.mark.parametrize("value", [["jump"], {"a": 1}, {"jump"},
+                                       b"jump", 1, None])
+    def test_membership_of_a_non_label_is_false(self, vocab, value):
+        assert outcome(lambda: value in vocab) is None
+        assert value not in vocab
+
     def test_unknown_label_raises(self, vocab):
         with pytest.raises(VocabularyError):
             vocab.is_action("walk")
@@ -210,7 +216,10 @@ class TestLabelVocabulary:
         {"classes": (["a"],)},              # unhashable
         {"classes": ("a",), "background": ["b"]},
         {"classes": ("a",), "background": None},
-    ], ids=["string", "int", "list", "list-background", "none-background"])
+        {"classes": 5},                     # not iterable
+        {"classes": None},
+    ], ids=["string", "int", "list", "list-background", "none-background",
+            "int-classes", "none-classes"])
     def test_labels_must_be_strings(self, kwargs):
         error, text = outcome(lambda: LabelVocabulary(**kwargs))
         assert error is ValidationError
@@ -266,6 +275,24 @@ class TestTimeInterval:
     def test_label_must_be_a_non_empty_string(self, label, text):
         assert outcome(lambda: TimeInterval(label, 0.0, 1.0)) == (
             ValidationError, text)
+
+    @pytest.mark.parametrize("start,end", [
+        ("0", 1.0), (0.0, None), (0.0, "1"), ([0], 1.0), (None, 1.0),
+        (0.0, [1.0]), (1j, 2.0),
+    ])
+    def test_times_must_be_numbers(self, start, end):
+        assert outcome(lambda: TimeInterval("x", start, end)) == (
+            ValidationError, f"interval [{start!r}, {end!r}) for 'x' has a "
+            "time that is not a number")
+
+    def test_numpy_scalar_times_are_numbers(self):
+        iv = TimeInterval("x", np.float64(0.5), np.float32(1.5))
+        assert (iv.start_us, iv.end_us) == (500_000, 1_500_000)
+        assert iv == TimeInterval("x", 0.5, 1.5)
+        track = AnnotationTrack("v", np.float64(2.0), (iv,))
+        assert track.intervals == (iv,)
+        assert outcome(lambda: AnnotationTrack("v", np.float64(1.0), (iv,))
+                       )[0] is ValidationError
 
     def test_microsecond_conversion_absorbs_float_noise(self):
         iv = TimeInterval("jump", 0.1 + 0.2, 1.0)
@@ -323,6 +350,12 @@ class TestAnnotationTrack:
                TimeInterval("run", 3.0, 4.0))
         with pytest.raises(ValidationError):
             AnnotationTrack("v", 6.0, ivs)
+
+    @pytest.mark.parametrize("duration", ["10", None, [10.0], b"1"])
+    def test_duration_must_be_a_number(self, duration):
+        assert outcome(lambda: AnnotationTrack("v", duration)) == (
+            ValidationError, f"video 'v': duration {duration!r} is not a "
+            "number")
 
     def test_empty_video_id_rejected(self):
         with pytest.raises(ValidationError,
