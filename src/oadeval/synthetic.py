@@ -7,6 +7,9 @@ behavior on unbalanced timelines) are checked on corpora built here.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 import numpy as np
 
 from .errors import ValidationError
@@ -35,29 +38,39 @@ def synthetic_corpus(seed: int, n_videos: int = 20,
 
     A video that draws no segment gets one from 1.0 s, cut at the
     video's end, so every video needs at least 1.3 s: a shorter one
-    raises :class:`ValidationError` naming ``duration_range``.
+    raises :class:`ValidationError` naming ``duration_range``. So does a
+    range with a bound that is not finite, a difference that is not, or
+    ``high < low``, for either range, before anything is drawn.
+
+    Each uniform value is drawn as ``low + (high - low) * rng.random()``,
+    the arithmetic of ``Generator.uniform`` without its per-call checks,
+    so a seed gives the same corpus as it did through ``uniform``.
     """
+    dur_lo, dur_span = _checked_range("duration_range", duration_range)
+    den_lo, den_span = _checked_range("density_range", density_range)
     rng = np.random.default_rng(seed)
+    draw = rng.random
     vocab = LabelVocabulary(classes=tuple(classes))
     tracks = []
     for i in range(n_videos):
-        duration = round(float(rng.uniform(*duration_range)), 2)
+        duration = round(dur_lo + dur_span * draw(), 2)
         if snap_duration_s:
             duration = round(duration / snap_duration_s) * snap_duration_s
         # the fallback segment below needs 0.3 s after 1.0 s
         if duration < 1.3:
             raise ValidationError(f"{duration_range=} drew {duration} s < 1.3 s")
-        target = float(rng.uniform(*density_range)) * duration
+        target = (den_lo + den_span * draw()) * duration
         intervals = []
         covered = 0.0
-        t = round(float(rng.uniform(0.5, 2.5)), 2)
+        t = round(0.5 + (2.5 - 0.5) * draw(), 2)
         while covered < target and t < duration - 1.0:
-            seg = round(float(rng.uniform(0.6, 2.4)), 2)
+            seg = round(0.6 + (2.4 - 0.6) * draw(), 2)
             seg = min(seg, target - covered + 0.3, duration - t - 0.5)
             label = classes[int(rng.integers(len(classes)))]
-            intervals.append(TimeInterval(label, round(t, 2), round(t + seg, 2)))
+            # t is already rounded to 2 places
+            intervals.append(TimeInterval(label, t, round(t + seg, 2)))
             covered += seg
-            t = round(t + seg + float(rng.uniform(1.0, 4.0)), 2)
+            t = round(t + seg + (1.0 + (4.0 - 1.0) * draw()), 2)
         if not intervals:
             # guarantee at least one action segment per video, cut at its end
             label = classes[int(rng.integers(len(classes)))]
@@ -68,3 +81,22 @@ def synthetic_corpus(seed: int, n_videos: int = 20,
             intervals=tuple(intervals)))
     return CorpusManifest(vocabulary=vocab, tracks=tuple(tracks),
                           source=f"synthetic:seed={seed}")
+
+
+def _checked_range(name: str, bounds) -> tuple[float, float]:
+    """``(low, high - low)`` of a uniform range, as ``uniform`` takes them.
+
+    A bound that is not a real number, a string among them, raises
+    ``TypeError``, as in ``Generator.uniform``. That raises
+    ``OverflowError`` for a bound or a difference that is not finite
+    and ``ValueError`` for ``high < low``; those ranges raise
+    :class:`ValidationError` naming ``name`` here.
+    """
+    low, high = bounds
+    if not (isinstance(low, Real) and isinstance(high, Real)):
+        raise TypeError(f"{name}={bounds!r} must be two real numbers")
+    low, span = float(low), float(high) - float(low)
+    if not 0 <= span < math.inf:
+        raise ValidationError(f"{name}={bounds!r} must be finite with "
+                              "low <= high")
+    return low, span

@@ -225,6 +225,82 @@ class TestSyntheticCorpus:
         assert digest.hexdigest() == (
             "794dd31dcda79edb4e83fa450a3a98c02bad704dccd2ebaf79b20413ead67947")
 
+    def test_benchmark_corpus_settings_are_unchanged(self, tmp_path):
+        # sha256 of one-video corpora at the three corpus settings of the
+        # benchmark set-ups (video count, duration range; 20 classes),
+        # each video at its duration and density stratum midpoints, taken
+        # while each draw went through Generator.uniform
+        classes = tuple(f"class{i:02d}" for i in range(20))
+        digest = hashlib.sha256()
+        path = tmp_path / "gt.jsonl"
+        for n_videos, (lo, hi) in [(48, (60.0, 300.0)), (4, (120.0, 600.0)),
+                                   (2, (120.0, 600.0))]:
+            strata = np.random.default_rng(0).permutation(n_videos).tolist()
+            for i, stratum in enumerate(strata):
+                duration = lo + (hi - lo) / n_videos * (i + 0.5)
+                density = 0.1 + (0.4 - 0.1) / n_videos * (stratum + 0.5)
+                for seed in range(3):
+                    write_canonical_gt(synthetic_corpus(
+                        seed * 1009 + i, n_videos=1, classes=classes,
+                        duration_range=(duration, duration),
+                        density_range=(density, density)), path)
+                    digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "f27a33bcb417be6391c867d2e1066a11f6fbda10a2475db1b32f5b8d6a8e8eaf")
+
+    @pytest.mark.parametrize("low,high", [
+        (8.0, 30.0), (0.1, 0.4), (0.5, 2.5), (0.6, 2.4), (1.0, 4.0),
+        (60, 300), (5.0, 5.0), (0.0, 0.0), (-3.5, 1e-3), (1e-300, 1e300)])
+    def test_draw_rule_is_generator_uniform(self, low, high):
+        # synthetic_corpus draws low + (high - low) * random(); a NumPy
+        # whose uniform differs from that breaks every seeded corpus
+        for seed in (0, 1, 2**31):
+            ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+            for _ in range(500):
+                drawn = low + (high - low) * ours.random()
+                assert drawn.hex() == float(theirs.uniform(low, high)).hex()
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("bounds", [
+        (0.1, math.inf), (-math.inf, 0.4), (math.inf, math.inf),
+        (-math.inf, -math.inf), (math.nan, 0.4), (0.1, math.nan),
+        (-1e308, 1e308), (0.4, 0.1), (30.0, 8.0)],
+        ids=["inf-high", "inf-low", "inf-both", "-inf-both", "nan-low",
+             "nan-high", "overflow", "reversed", "reversed-durations"])
+    @pytest.mark.parametrize("name", ["duration_range", "density_range"])
+    def test_bad_ranges_are_named_before_any_draw(self, name, bounds):
+        # the ranges Generator.uniform refuses, with OverflowError for a
+        # bound or difference that is not finite and ValueError for
+        # high < low
+        with pytest.raises((OverflowError, ValueError)):
+            np.random.default_rng(0).uniform(*bounds)
+        for n_videos in (0, 3):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"{name}={bounds!r} must be finite with low <= high")):
+                synthetic_corpus(0, n_videos=n_videos, **{name: bounds})
+
+    @pytest.mark.parametrize("bounds", [("8", "30"), (8.0, None),
+                                        (b"8", 30.0)])
+    @pytest.mark.parametrize("name", ["duration_range", "density_range"])
+    def test_bounds_must_be_real_numbers(self, name, bounds):
+        with pytest.raises(TypeError):
+            np.random.default_rng(0).uniform(*bounds)
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name}={bounds!r} must be two real numbers")):
+            synthetic_corpus(0, n_videos=1, **{name: bounds})
+
+    @pytest.mark.parametrize("bounds", [
+        (np.float32(8.25), np.float32(30.5)), (np.int64(8), np.int64(30)),
+        (8, 30.0), (np.float16(8.0), 30)])
+    def test_numpy_and_int_bounds_draw_as_floats(self, bounds):
+        # uniform takes each bound as a double
+        as_float = tuple(map(float, bounds))
+        for name in ("duration_range", "density_range"):
+            ours = synthetic_corpus(3, n_videos=4, **{name: bounds})
+            assert ours.tracks == synthetic_corpus(
+                3, n_videos=4, **{name: as_float}).tracks
+            assert {type(t.duration_s) for t in ours.tracks} == {float}
+
     @pytest.mark.parametrize("settings", [
         {"duration_range": (2.0, 4.0), "density_range": (0.05, 0.9)},
         {"duration_range": (1.5, 3.0), "density_range": (0.05, 0.9),

@@ -1,5 +1,6 @@
 """The README's scripts run end to end at a small size."""
 
+import hashlib
 import json
 import os
 import re
@@ -24,11 +25,15 @@ def run_script(name, *args):
 
 def test_make_synthetic_corpus(tmp_path):
     out = tmp_path / "gt.jsonl"
-    proc = run_script("make_synthetic_corpus.py", "--n-videos", 2, "--out", out)
+    proc = run_script("make_synthetic_corpus.py", "--seed", 2025,
+                      "--n-videos", 2, "--out", out)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "wrote 2 videos" in proc.stdout
-    assert out.exists()
+    # the bytes the script wrote while each draw went through
+    # Generator.uniform
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "503c9768cd11992d7609cbfa6b3f6d2bcdd62c7505b61ae1657dd633618caeb9")
 
 
 def test_metric_comparison_pm_saturates_maia(tmp_path):

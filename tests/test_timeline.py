@@ -6,6 +6,9 @@ import math
 import pickle
 import re
 import tracemalloc
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,9 +23,15 @@ from oadeval.errors import (
     VocabularyError,
 )
 from oadeval.baselines import all_bg, perfect_model
-from oadeval.formats import build_scores, build_stream
+from oadeval.formats import (
+    build_scores,
+    build_stream,
+    load_canonical_gt,
+    write_canonical_gt,
+)
 from oadeval.ia import StreamingEvaluator, evaluate_grids, ia_at, maia, oracle_ia
 from oadeval.offline import frame_count, rasterize_frames
+from oadeval.synthetic import synthetic_corpus
 from oadeval.timeline import (
     MAX_SLOTS,
     AnnotationTrack,
@@ -279,6 +288,9 @@ class TestTimeInterval:
     @pytest.mark.parametrize("start,end", [
         ("0", 1.0), (0.0, None), (0.0, "1"), ([0], 1.0), (None, 1.0),
         (0.0, [1.0]), (1j, 2.0),
+        # these compare with 0, so the time rule is what refuses them
+        (True, 2.0), (0.0, np.True_), (Fraction(1, 2), 1.0),
+        (0.0, Decimal("1.5")), (np.array(0.5), 1.0),
     ])
     def test_times_must_be_numbers(self, start, end):
         assert outcome(lambda: TimeInterval("x", start, end)) == (
@@ -308,6 +320,74 @@ class TestTimeInterval:
         assert not hasattr(track, "duration_us")
         assert "duration_us" not in repr(track)
 
+    def test_constructor_contract(self):
+        iv = TimeInterval("jump", 1.0, 2.5)
+        assert iv == TimeInterval(label="jump", start_s=1.0, end_s=2.5)
+        assert iv == TimeInterval("jump", end_s=2.5, start_s=1.0)
+        assert vars(iv) == {"label": "jump", "start_s": 1.0, "end_s": 2.5,
+                            "start_us": 1_000_000, "end_us": 2_500_000}
+        assert {f.name: f.init for f in dataclasses.fields(iv)} == {
+            "label": True, "start_s": True, "end_s": True,
+            "start_us": False, "end_us": False}
+        for copied in (pickle.loads(pickle.dumps(iv)), copy.deepcopy(iv),
+                       copy.copy(iv)):
+            assert copied == iv and hash(copied) == hash(iv)
+            assert vars(copied) == vars(iv) and repr(copied) == repr(iv)
+        moved = dataclasses.replace(iv, label="run", end_s=3)
+        assert vars(moved) == {"label": "run", "start_s": 1.0, "end_s": 3,
+                               "start_us": 1_000_000, "end_us": 3_000_000}
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(iv, start_us=0)
+        for name in ("start_us", "end_us"):
+            with pytest.raises(TypeError):
+                TimeInterval("jump", 1.0, 2.5, **{name: 0})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iv.start_s = 0.0
+        # checks keep their order: the label, the start, the times, the length
+        assert outcome(lambda: TimeInterval("", -1.0, None)) == (
+            ValidationError, "interval label must be non-empty")
+        assert outcome(lambda: TimeInterval("x", -1.0, None)) == (
+            ValidationError, "interval start -1.0 < 0")
+        assert outcome(lambda: TimeInterval("x", 2.0, math.nan)) == (
+            ValidationError, "time nan s is not a finite number of "
+            "microseconds below 2**63")
+
+    def test_intervals_rebuilt_from_parsed_columns_are_the_objects(self,
+                                                                   tmp_path):
+        # a parser's columns build their TimeInterval tuple on first read
+        manifest = synthetic_corpus(seed=4, n_videos=6)
+        path = tmp_path / "gt.jsonl"
+        write_canonical_gt(manifest, path)
+        for built, parsed in zip(manifest.tracks,
+                                 load_canonical_gt(path).tracks):
+            assert parsed.columns.times_s is not None
+            assert "intervals" not in vars(parsed.columns)
+            rebuilt = parsed.intervals
+            assert rebuilt == built.intervals
+            assert [vars(iv) for iv in rebuilt] == [
+                vars(iv) for iv in built.intervals]
+            assert {type(iv.start_s) for iv in rebuilt} <= {float}
+
+    def test_numpy_integer_times_do_not_wrap(self):
+        iv = TimeInterval("x", np.int64(0), np.uint8(200))
+        assert (iv.start_us, iv.end_us) == (0, 200_000_000)
+        assert outcome(lambda: TimeInterval("x", np.int64(0),
+                                            np.int64(10 ** 13))) == (
+            ValidationError, "time 10000000000000 s is not a finite number "
+            "of microseconds below 2**63")
+
+    def test_a_list_time_is_refused_before_any_product(self):
+        tracemalloc.start()
+        try:
+            error = outcome(lambda: TimeInterval("x", 0.0, [1.0] * 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert error == (ValidationError, "interval [0.0, [1.0, 1.0, 1.0, "
+                         "1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]) for 'x' has a "
+                         "time that is not a number")
+        assert peak < 2 ** 16
+
     @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, 1e305])
     def test_non_finite_time_rejected(self, seconds):
         with pytest.raises(ValidationError, match="not a finite number"):
@@ -332,6 +412,54 @@ class TestTimeInterval:
                 seconds_to_us(seconds)
 
 
+class TestNumberRule:
+    """seconds_to_us and slot_us check a number before its product."""
+
+    def test_numpy_floats_convert_at_their_own_precision(self):
+        assert seconds_to_us(np.float32(3188.4387)) == 3_188_438_721
+        assert slot_us(np.float32(0.1)) == 100_000
+        assert seconds_to_us(np.float16(0.1)) == 99_976  # 0.0999755859375 s
+        times = np.random.default_rng(0).uniform(0, 1e5, 2_000)
+        for value in times.astype(np.float32):
+            assert seconds_to_us(value) == seconds_to_us(float(value))
+        for value in times:
+            assert seconds_to_us(value) == seconds_to_us(float(value))
+            assert slot_us(value) == slot_us(float(value))
+
+    def test_integers_convert_exactly(self):
+        assert seconds_to_us(np.int64(5)) == seconds_to_us(5) == 5_000_000
+        assert seconds_to_us(np.uint64(9)) == 9_000_000
+        assert slot_us(np.int32(1)) == slot_us(1) == 1_000_000
+        assert seconds_to_us(2 ** 63 // 10 ** 6) == 9_223_372_036_854_000_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a wrapped product warns
+            for value in (np.int64(10 ** 13), np.int64(-10 ** 13),
+                          np.uint64(2 ** 64 - 1)):
+                assert outcome(lambda: seconds_to_us(value)) == (
+                    ValidationError, f"time {value} s is not a finite "
+                    "number of microseconds below 2**63")
+
+    @pytest.mark.parametrize("value", [
+        True, False, np.True_, "1", b"1", None, [0.5], (0.5,), 1j,
+        Fraction(1, 2), Decimal("0.5"), np.array(0.5), np.array([0.5])])
+    @pytest.mark.parametrize("convert", [seconds_to_us, slot_us])
+    def test_other_values_are_refused(self, convert, value):
+        # a bool is no number, as in the file readers
+        with pytest.raises(TypeError, match="is not a number"):
+            convert(value)
+
+    @pytest.mark.parametrize("convert", [seconds_to_us, slot_us])
+    def test_a_list_is_refused_before_any_product(self, convert):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TypeError):
+                convert([0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+
 class TestAnnotationTrack:
     def test_interval_beyond_duration_rejected(self):
         with pytest.raises(ValidationError):
@@ -351,11 +479,20 @@ class TestAnnotationTrack:
         with pytest.raises(ValidationError):
             AnnotationTrack("v", 6.0, ivs)
 
-    @pytest.mark.parametrize("duration", ["10", None, [10.0], b"1"])
+    @pytest.mark.parametrize("duration", [
+        "10", None, [10.0], b"1",
+        # these compare with 0, so the time rule is what refuses them
+        True, np.True_, Fraction(5), Decimal("5"), np.array(5.0)])
     def test_duration_must_be_a_number(self, duration):
         assert outcome(lambda: AnnotationTrack("v", duration)) == (
             ValidationError, f"video 'v': duration {duration!r} is not a "
             "number")
+
+    def test_numpy_durations_do_not_wrap(self):
+        assert AnnotationTrack("v", np.int64(3)).duration_s == 3
+        assert outcome(lambda: AnnotationTrack("v", np.int64(2 * 10 ** 13))
+                       ) == (ValidationError, "time 20000000000000 s is not a "
+                             "finite number of microseconds below 2**63")
 
     def test_empty_video_id_rejected(self):
         with pytest.raises(ValidationError,
