@@ -19,9 +19,12 @@ wins out of the pairs (ties count for neither side), the parent's
 interquartile range (IQR), whether the change's median is worse than
 the parent's by more than the metric's bound, and whether a gain may be
 claimed: at least ten pairs, wins in at least nine tenths of them, and
-a median gap in the better direction larger than the parent's IQR. It
-also counts, per side, the runs that were not correct and the failed
-operations out of those attempted.
+a median gap in the better direction larger than the parent's IQR. A
+metric whose parent IQR is wider than its bound, as a share of the
+parent's median, is reported as unresolved against the bound, not as
+within it or past it, unless every change run reads better than every
+parent run. It also counts, per side, the runs that were not correct
+and the failed operations out of those attempted.
 """
 
 from __future__ import annotations
@@ -145,9 +148,17 @@ def summarize(lines) -> list[str]:
                       f"pairs; parent IQR {_fmt(iqr)}, median gain "
                       f"{_fmt(gain)}")
         worse = -gain / parent if parent else 0.0
-        report.append(f"  bound {metric['bound']:.0%}: " + (
-            f"worse by {worse:.1%}, past the bound" if worse > metric["bound"]
-            else "within it"))
+        spread = iqr / abs(parent) if parent else 0.0
+        better_throughout = (
+            min(values["change"]) > max(values["parent"]) if higher
+            else max(values["change"]) < min(values["parent"]))
+        if spread > metric["bound"] and not better_throughout:
+            verdict = f"unresolved, parent IQR {spread:.1%} of its median"
+        elif worse > metric["bound"]:
+            verdict = f"worse by {worse:.1%}, past the bound"
+        else:
+            verdict = "within it"
+        report.append(f"  bound {metric['bound']:.0%}: {verdict}")
         holds = len(pairs) >= 10 and wins * 10 >= 9 * len(pairs) and gain > iqr
         report.append("  gain rule (>= 10 pairs, >= 9/10 wins, median gain "
                       f"> parent IQR): {'holds' if holds else 'does not hold'}")

@@ -17,7 +17,10 @@ under ``out/``, the files it wrote. The last commands come in pairs
 whose second command (``rerun-...``) writes over the longer outputs of
 the first, in the first one's ``out/``, so the snapshot also holds files
 rewritten in place. Two ``offline`` commands with a bad ``--fps``
-follow, one of them on a missing prediction file. Last come the
+follow, one of them on a missing prediction file. Then ``offline
+--metric map`` and ``cap`` rank score records whose cells are ints, ints
+past int64, or floats on a line that holds a ``"true"`` (a video id), and
+``offline --metric map`` refuses a record with a ``true`` cell. Last come the
 benchmark's score round trip on a video longer than one block of the
 score writer (``formats._BLOCK_ROWS`` frames): ``baseline --kind pm``
 and ``--kind all-bg`` at ``--fps 4.0``, then ``offline --metric map``
@@ -133,6 +136,26 @@ ACTIVITYNET_REPEATED_ID = (
     '"annotations": [{"label": "x", "segment": [1.0, 2.0]}]}, '
     '"a": {"subset": "validation", "duration": 5.0}}}')
 
+# score records that take the per-cell checks or integer cells: a video
+# id holding "true", int cells, and ints past int64 and uint64
+INT_SCORES_GT = VOCAB_LINE + "".join([
+    video_line("true-story", VALID_ENTRY, duration="2.0"),
+    video_line("ints", '{"label": "run", "start_s": 0.0, "end_s": 1.0}',
+               duration="2.0"),
+    video_line("wide-ints", '{"label": "jump", "start_s": 1.0, "end_s": 2.0}, '
+               '{"label": "run", "start_s": 0.0, "end_s": 0.5}', "true",
+               "2.0")])
+INT_SCORES = {
+    "true-story": "[[0.1, 0.9], [0.8, 0.2], [0.7, 0.3], [0.4, 0.6]]",
+    "ints": "[[0, 3], [1, 2], [2, 1], [3, 0]]",
+    "wide-ints": f"[[{2 ** 64}, 0], [{2 ** 63}, 1], [{-2 ** 63 - 1}, 2], "
+                 f"[0, {2 ** 64 - 1}]]",
+}
+INT_SCORES_PRED = "".join(
+    f'{{"record": "scores", "video_id": "{video_id}", "fps": 2.0, '
+    f'"scores": {rows}}}\n' for video_id, rows in INT_SCORES.items())
+BOOL_CELL_PRED = INT_SCORES_PRED.replace("[1, 2]", "[1, true]")
+
 GT = {"worked": "inputs/worked.gt.jsonl", "synthetic": "inputs/synthetic.gt.jsonl",
       "corrupt": "inputs/corrupt.gt.jsonl", "long": "inputs/long.gt.jsonl"}
 
@@ -176,6 +199,9 @@ def write_inputs(inputs: Path) -> None:
         f'[{TWO_PAST_END}]}}\n')
     (inputs / "activitynet-repeated-id.json").write_text(
         ACTIVITYNET_REPEATED_ID)
+    (inputs / "int-scores.gt.jsonl").write_text(INT_SCORES_GT)
+    (inputs / "int-scores.pred.jsonl").write_text(INT_SCORES_PRED)
+    (inputs / "bool-cell.pred.jsonl").write_text(BOOL_CELL_PRED)
 
 
 def folder(n: int, name: str) -> str:
@@ -309,6 +335,12 @@ def catalogue():
                       ("-1", worked_scores)):
         commands.append((f"offline-bad-fps-{fps}", [
             "offline", "--gt", GT["worked"], "--pred", pred, "--fps", fps,
+            "--out-dir", "{out}"]))
+    for metric, pred in (("map", "int-scores"), ("cap", "int-scores"),
+                         ("map", "bool-cell")):
+        commands.append((f"offline-{metric}-{pred}", [
+            "offline", "--gt", "inputs/int-scores.gt.jsonl", "--pred",
+            f"inputs/{pred}.pred.jsonl", "--metric", metric,
             "--out-dir", "{out}"]))
     # the benchmark's score round trip, past one block of score rows
     for kind in ("pm", "all-bg"):

@@ -156,7 +156,7 @@ def cmd_evaluate(args) -> int:
     # system would compare them, each with the video that wrote it
     written = {}
     for vid in sorted(records):
-        lineno, kind, obj = records[vid]
+        lineno, kind, obj, _ = records[vid]
         track = tracks[vid]
         name = f"{_safe_filename(vid)}.trace.csv"
         if name.casefold() in written:

@@ -466,16 +466,23 @@ class SlotGrid:
 def num_slots(duration_s: float, delta_t_s: float) -> int:
     """Slot count ``K = floor(duration / delta_t)``, exact in microseconds.
 
-    The one slot-count rule: the duration must be > 0, the slot size
+    The one slot-count rule: the duration must be a number > 0 (as
+    :func:`seconds_to_us` takes it, so never a bool), the slot size
     must pass :func:`slot_us`, and ``K`` must be at least 1 and at most
     :data:`MAX_SLOTS`. Each failure raises :class:`ValidationError`
     before anything is allocated; ``K = 0``, a slot longer than the
     video, raises its subclass :class:`DegenerateInputError`, since a
     video without slots has no IA at any instant.
     """
-    if duration_s <= 0:
-        raise ValidationError(f"duration {duration_s} must be > 0")
-    k = seconds_to_us(duration_s) // slot_us(delta_t_s)
+    try:
+        if duration_s <= 0:
+            raise ValidationError(f"duration {duration_s} must be > 0")
+        # a bool passes the comparison, and seconds_to_us refuses it
+        duration_us = seconds_to_us(duration_s)
+    except TypeError:
+        raise ValidationError(
+            f"duration {duration_s!r} is not a number") from None
+    k = duration_us // slot_us(delta_t_s)
     if k == 0:
         raise DegenerateInputError(
             f"delta_t {delta_t_s} larger than duration {duration_s}: zero slots")
@@ -558,8 +565,12 @@ class PredictionStream:
         if not video_id:
             raise ValidationError("video_id must be non-empty")
         slot_us(delta_t_s)
-        if num_slots is not None and num_slots <= 0:
-            raise ValidationError("num_slots must be positive when given")
+        try:
+            if num_slots is not None and _real(num_slots) <= 0:
+                raise ValidationError("num_slots must be positive when given")
+        except TypeError:
+            raise ValidationError(
+                f"num_slots {num_slots!r} is not a number") from None
         self.video_id = video_id
         self.delta_t_s = delta_t_s
         self.vocab = vocab

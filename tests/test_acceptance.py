@@ -162,7 +162,7 @@ def test_worked_example_regression():
                                          manifest, ("decisions", "detections"))
     assert failures == {}
     track = manifest.tracks[0]
-    _, kind, obj = records[track.video_id]
+    _, kind, obj, _ = records[track.video_id]
     stream = build_stream(kind, obj, track, manifest.vocabulary, DELTA)
     gt = discretize(track.intervals, track.duration_s, DELTA,
                     manifest.vocabulary)

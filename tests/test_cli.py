@@ -903,7 +903,8 @@ def _mutated_value(draw, mutation, old):
     return draw(st.sampled_from({
         "non-finite": [float("nan"), float("inf"), -float("inf")],
         "bool": [True, False],
-        "huge": [1e308, -1e308, 10 ** 400]}[mutation]))
+        "huge": [1e308, -1e308, 10 ** 400],
+        "overflow": [10 ** 400]}[mutation]))
 
 
 def _write_lines(path, lines):
@@ -1009,6 +1010,69 @@ def test_one_mutated_ground_truth_record_fails_alone(fuzz_clean_run, case):
         check_fails_alone(_evaluate_in_process(gt, pred, out), out,
                           clean_traces, FUZZ_GT_RECORDS[index].get("video_id"),
                           gt, index + 1)
+
+
+# scores for FUZZ_GT_RECORDS' videos at 1 fps: int cells, float cells with
+# a -0.0, and both in one record
+FUZZ_SCORE_RECORDS = (
+    {"record": "scores", "video_id": "a", "fps": 1,
+     "scores": [[0, 1], [1, 0]]},
+    {"record": "scores", "video_id": "b", "fps": 1.0,
+     "scores": [[0.25, 0.75], [0.5, -0.0]]},
+    {"record": "scores", "video_id": "c", "fps": 1.0,
+     "scores": [[0.1, 0.9], [1, 0.0], [0.0, 1.0]]},
+)
+# any finite number is a valid score, so of the "huge" values only the
+# one beyond the float range is drawn
+OFFLINE_MUTATIONS = [m for m in MUTATIONS if m != "huge"] + ["overflow"]
+
+
+def _offline_in_process(gt, pred, metric, out):
+    return _run_in_process("offline", "--gt", gt, "--pred", pred,
+                           "--metric", metric, "--out-dir", out)
+
+
+@pytest.fixture(scope="module")
+def offline_fuzz_gt(tmp_path_factory):
+    """FUZZ_GT_RECORDS' file, on which the clean scores rank for both
+    metrics."""
+    root = tmp_path_factory.mktemp("offline-fuzz")
+    gt = _write_lines(root / "gt.jsonl", map(json.dumps, FUZZ_GT_RECORDS))
+    pred = _write_lines(root / "clean.jsonl",
+                        map(json.dumps, FUZZ_SCORE_RECORDS))
+    for metric in ("map", "cap"):
+        code, _, err = _offline_in_process(gt, pred, metric, root / metric)
+        assert code == 0, err
+        assert [p.name for p in (root / metric).iterdir()] == [
+            f"offline_{metric}.json"]
+    return gt
+
+
+# an emptied line would leave its video without scores, which is named
+# with the video but no line; a finite fps past the frame limit is drawn
+# by no mutation
+@example(case=(1, [json.dumps(r) for r in FUZZ_SCORE_RECORDS[:1]] + [
+    json.dumps(dict(FUZZ_SCORE_RECORDS[1], fps=1e308))] + [
+    json.dumps(r) for r in FUZZ_SCORE_RECORDS[2:]]), metric="map")
+@given(case=mutated_files(FUZZ_SCORE_RECORDS, OFFLINE_MUTATIONS, shortest=1),
+       metric=st.sampled_from(["map", "cap"]))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_one_mutated_scores_record_fails_located(offline_fuzz_gt, case,
+                                                 metric):
+    # the whole load fails: exit 1, one error line at the mutated record,
+    # no output file and never a traceback
+    index, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        pred = _write_lines(Path(tmp) / "p.jsonl", lines)
+        out = Path(tmp) / "out"
+        code, stdout, stderr = _offline_in_process(offline_fuzz_gt, pred,
+                                                   metric, out)
+        assert code == 1, stdout
+        assert "Traceback" not in stdout + stderr
+        assert re.match(rf"error: {re.escape(str(pred))}, line {index + 1}"
+                        "[:,] ", stderr), stderr
+        assert stderr.count("\n") == 1 and stdout == ""
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 # convert's inputs: an ActivityNet document whose first segment runs to the

@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -827,7 +828,7 @@ class TestPredictions:
         """Build the worked example's one stream record, on line 1."""
         records, failures = read_predictions(path, manifest, STREAM_KINDS)
         assert failures == {}
-        lineno, kind, obj = records["worked-example"]
+        lineno, kind, obj, _ = records["worked-example"]
         assert lineno == 1
         return build_stream(kind, obj, manifest.tracks[0],
                             manifest.vocabulary, delta_t_s)
@@ -1000,28 +1001,75 @@ class TestPredictions:
 
     @given(rows=st.integers(1, 5).flatmap(lambda n: st.lists(
         st.lists(SCORE_CELLS, min_size=n, max_size=n), min_size=1,
-        max_size=8)))
-    @example(rows=[[0, 1], [2 ** 53 + 1, -(2 ** 53 + 1)], [-0.0, 0.0]])
-    @example(rows=[[2 ** 80, 1, -7, 0.5]])
+        max_size=8)), video_id=st.sampled_from(["v", "true", "not-false"]))
+    @example(rows=[[0, 1], [2 ** 53 + 1, -(2 ** 53 + 1)], [-0.0, 0.0]],
+             video_id="v")
+    @example(rows=[[2 ** 80, 1, -7, 0.5]], video_id="v")
+    # ints alone: an int64 array, then a uint64 one, converted after
+    @example(rows=[[0, 1], [-7, 3]], video_id="v")
+    @example(rows=[[2 ** 63, 2 ** 64 - 1]], video_id="v")
+    # ints at the edges of float and int64, among floats and alone
+    @example(rows=[[2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 0.5]],
+             video_id="v")
+    @example(rows=[[2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]],
+             video_id="v")
+    @example(rows=[[2 ** 63 - 1, -(2 ** 63)], [-1, 2 ** 53 + 1]], video_id="v")
+    @example(rows=[[-0.0, 0], [0.0, -0.0]], video_id="v")
+    # a "true" in the line sends the same rows down the per-cell path
+    @example(rows=[[0.25, 0.75], [1, -0.0]], video_id="true")
+    # a bool cell is refused, with or without the line
+    @example(rows=[[0.25, True]], video_id="v")
+    @example(rows=[[False, 0.5]], video_id="v")
     @settings(max_examples=200)
-    def test_score_rows_build_the_float_matrix(self, rows):
+    def test_score_rows_build_the_float_matrix(self, rows, video_id):
+        # load_scores, which hands build_scores the record's line, and
+        # build_scores called alone give the same matrix, bit for bit, or
+        # the same error; only a line without "true" or "false" may take
+        # the one-pass conversion
         vocab = LabelVocabulary(classes=tuple(f"c{i}" for i in
                                               range(len(rows[0]))))
-        track = AnnotationTrack("v", float(len(rows)))
-        matrix = formats.build_scores(
-            {"video_id": "v", "fps": 1, "scores": json.loads(json.dumps(rows))},
-            track, vocab)
-        expected = np.array(rows, dtype=float)
-        assert matrix.scores.shape == expected.shape
-        assert (matrix.scores.view(np.int64).tolist()
-                == expected.view(np.int64).tolist())
+        track = AnnotationTrack(video_id, float(len(rows)))
+        line = json.dumps({"record": "scores", "video_id": video_id,
+                           "fps": 1, "scores": rows})
 
+        def built(load):
+            try:
+                return load()[video_id].scores
+            except ValidationError as exc:
+                return str(exc)
+
+        direct = built(lambda: {video_id: build_scores(
+            json.loads(line), track, vocab)})
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                formats, "_number_matrix",
+                wraps=formats._number_matrix) as one_pass:
+            path = Path(tmp) / "p.jsonl"
+            path.write_text(line + "\n")
+            loaded = built(lambda: load_scores(
+                path, CorpusManifest(vocab, (track,))))
+        assert one_pass.called == ("true" not in line
+                                   and "false" not in line)
+        if any(type(x) is bool for row in rows for x in row):
+            assert direct == (f"video {video_id!r}: each score row needs "
+                              f"{len(rows[0])} numbers")
+            assert loaded == f"{path}, line 1: {direct}"
+            return
+        expected = np.array([list(map(float, row)) for row in rows])
+        for matrix in (direct, loaded):
+            assert matrix.dtype == np.float64
+            assert matrix.shape == expected.shape
+            assert (matrix.view(np.int64).tolist()
+                    == expected.view(np.int64).tolist())
+
+    # one row of another shape among good ones, or every row alike, so
+    # that the rows make an array of numbers of another shape
+    @pytest.mark.parametrize("alike", [False, True])
     @pytest.mark.parametrize("row", [[0.5], [0.5, 0.5, 0.5], [], "0.5",
-                                     {"a": 0.5}, None])
+                                     {"a": 0.5}, None, [[0.5], [0.5]],
+                                     [[0.5, 0.5]]])
     def test_score_rows_of_the_wrong_shape_rejected(self, manifest, tmp_path,
-                                                    row):
-        rows = [[0.0, 0.0]] * 20
-        rows[3] = row
+                                                    row, alike):
+        rows = [row if alike or i == 3 else [0.0, 0.0] for i in range(20)]
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps({
             "record": "scores", "video_id": "worked-example", "fps": 2.0,
@@ -1194,6 +1242,8 @@ class TestReadPredictions:
             "a": (1, "decisions"), "b": (2, "detections"),
             "c": (3, "decisions"), "d": (4, "detections")}
         assert records["b"][2] == {"record": "detections", "video_id": "b"}
+        # the line the record was parsed from, for the score reader's guard
+        assert records["b"][3] == json.dumps(records["b"][2])
 
     def test_unknown_video_of_any_kind_fails(self, manifest, tmp_path):
         path = self.write(tmp_path, ("decisions", "a"), ("scores", "x"),

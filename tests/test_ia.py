@@ -185,6 +185,12 @@ class TestMaia:
                            match=f"^duration {duration} must be > 0$"):
             maia([(5.0, [1.0] * 10), (duration, [])], 0.5)
 
+    @pytest.mark.parametrize("duration", ["5", True, None])
+    def test_duration_that_is_no_number_rejected(self, duration):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"duration {duration!r} is not a number") + "$"):
+            maia([(duration, [1.0])], 0.5)
+
 
 def _slice_sum_oracle(grid_pred, grid_gt, mode=MatchingMode.CLASS_AWARE):
     """Reference for :func:`oracle_ia`: the same flags as lists, each

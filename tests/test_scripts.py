@@ -106,11 +106,16 @@ def test_cli_snapshot_is_the_same_twice(tmp_path):
     assert files[Path("33-baseline-corrupt-pm/stderr")] == (
         b"error: video 'tiny': delta_t 0.5 larger than duration 0.3: zero "
         b"slots at --delta-t 0.5\n")
-    assert proc.stdout.startswith("ran 73 commands ")
+    assert proc.stdout.startswith("ran 76 commands ")
+    # int cells rank, and a true cell is refused, with its line
+    assert files[Path("71-offline-cap-int-scores/exit")] == b"0\n"
+    assert files[Path("72-offline-map-bool-cell/stderr")] == (
+        b"error: inputs/bool-cell.pred.jsonl, line 2: video 'ints': each "
+        b"score row needs 2 numbers\n")
     # the last four run the score round trip on more than one block of
     # the score writer's rows
-    long_runs = ["70-baseline-long-pm-4.0", "71-baseline-long-all-bg-4.0",
-                 "72-offline-map-long-pm-4.0", "73-offline-cap-long-pm-4.0"]
+    long_runs = ["73-baseline-long-pm-4.0", "74-baseline-long-all-bg-4.0",
+                 "75-offline-map-long-pm-4.0", "76-offline-cap-long-pm-4.0"]
     assert sorted({path.parts[0] for path in files})[-5:] == [
         *long_runs, "inputs"]
     for name in long_runs:
@@ -209,6 +214,58 @@ def test_bench_pairs_summary_of_fixed_result_lines(tmp_path):
         "  gain rule (>= 10 pairs, >= 9/10 wins, median gain > parent IQR): "
         "does not hold",
     ]
+
+
+def test_bench_pairs_summary_leaves_a_wide_spread_unresolved(tmp_path):
+    # the parent's throughput spreads wider than the 25% bound, and the
+    # change's alternates between runs above and below the parent's
+    lines = [{"record": "pairs", "workload": "w", "seconds": 30,
+              "end_to_end": E2E, "parent": "p", "change": "c"}]
+    for pair in range(10):
+        for side, items, setup in (
+                ("parent", 60 + 10 * pair, 2.0 + pair / 10),
+                ("change", 55 + 10 * pair + 10 * (pair % 2), 1.0 + pair / 10)):
+            lines.append({"record": "run", "pair": pair, "seed": pair,
+                          "side": side, "first": side == "parent",
+                          "result": bench_result(items, setup)})
+    raw = tmp_path / "pairs.jsonl"
+    raw.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    proc = run_script("bench_pairs.py", "summary", raw)
+    assert proc.returncode == 0, proc.stderr
+    report = proc.stdout.splitlines()
+    # exclusive quartiles of 60..150 are 77.5 and 132.5: an IQR of 55 is
+    # 52.4% of the median 105, so even an equal median is unresolved
+    assert report[3:8] == [
+        "items_per_ref_s (1/ref_s, higher is better):",
+        "  parent: 105 [77.5, 132.5]",
+        "  change: 105 [75, 135]",
+        "  change +0.0%, better in 5/10 pairs; parent IQR 55, median gain 0",
+        "  bound 25%: unresolved, parent IQR 52.4% of its median",
+    ]
+    # set-ups of 2.0..2.9 s: an IQR of 0.55 is 22.4% of the median 2.45
+    assert report[12:14] == [
+        "  change -40.8%, better in 10/10 pairs; parent IQR 0.55, "
+        "median gain 1",
+        "  bound 25%: within it"]
+    # parent set-ups of 2..11 s spread past the bound, but every change
+    # run is faster than every parent run, which resolves it
+    for line in lines[1:]:
+        if line["side"] == "parent":
+            line["result"]["metrics"]["setup_s"]["value"] = 2.0 + line["pair"]
+    raw.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    report = run_script("bench_pairs.py", "summary", raw).stdout.splitlines()
+    assert report[10:14] == [
+        "  parent: 6.5 [3.75, 9.25]",
+        "  change: 1.45 [1.175, 1.725]",
+        "  change -77.7%, better in 10/10 pairs; parent IQR 5.5, "
+        "median gain 5.05",
+        "  bound 25%: within it",
+    ]
+    # one change run slower than the fastest parent run: unresolved
+    lines[-1]["result"]["metrics"]["setup_s"]["value"] = 2.5
+    raw.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    report = run_script("bench_pairs.py", "summary", raw).stdout.splitlines()
+    assert report[13] == "  bound 25%: unresolved, parent IQR 84.6% of its median"
 
 
 # the same stub in both checkouts: it logs each call and reports the

@@ -968,6 +968,18 @@ class TestSlotCount:
             f"{MAX_SLOTS} per video")
         assert allocation_peak(lambda: call(vocab)) < 2 ** 20
 
+    @pytest.mark.parametrize("duration", [
+        "5", b"5", True, np.True_, None, [5.0], Fraction(5), Decimal("5")])
+    @pytest.mark.parametrize("call", SLOT_COUNT_CALLS.values(),
+                             ids=SLOT_COUNT_CALLS.keys())
+    def test_a_duration_that_is_no_number_is_refused(self, vocab, call,
+                                                     duration):
+        # never a bare TypeError from comparing it with 0; the calls that
+        # take a track name its video too
+        kind, text = outcome(lambda: call(duration, vocab))
+        assert kind is ValidationError
+        assert text.endswith(f"duration {duration!r} is not a number")
+
     def test_the_limit_itself_is_allowed(self):
         # 1 us slots and 1 fps frames: counts equal to the durations in
         # us and s, so nothing is allocated to probe the edge
@@ -1018,6 +1030,19 @@ class TestPredictionStream:
         with pytest.raises(ValidationError,
                            match="^num_slots must be positive when given$"):
             PredictionStream("v", 0.5, vocab, num_slots=num_slots)
+
+    @pytest.mark.parametrize("num_slots", ["3", b"3", True, np.True_, [3],
+                                           Fraction(3)])
+    def test_slot_count_that_is_no_number_rejected(self, vocab, num_slots):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"num_slots {num_slots!r} is not a number") + "$"):
+            PredictionStream("v", 0.5, vocab, num_slots=num_slots)
+
+    def test_numpy_integer_slot_count_accepted(self, vocab):
+        stream = PredictionStream("v", 0.5, vocab, num_slots=np.int64(1))
+        stream.append("jump")
+        with pytest.raises(CausalityError):
+            stream.append("jump")
 
     @given(before=st.lists(st.sampled_from(["jump", "background"]), max_size=4),
            labels=labels_maybe_unknown(),
