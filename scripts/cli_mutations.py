@@ -8,8 +8,8 @@ A sibling of ``cli_snapshot.py``, for the error paths. One seed derives
 records, an ActivityNet file and a Thumos folder), mutates one input
 file one to three times with the mutation kinds of ``tests/test_cli.py``
 (a value of the wrong type, a non-finite number, a bool, a huge number,
-a missing field, an unknown record kind, a truncated line, and a video
-of 1e12 s) and runs one command on it, in-process through
+a missing field, an unknown record kind, a truncated line, a key given
+twice in one object, and a video of 1e12 s) and runs one command on it, in-process through
 ``oadeval.cli.main``, from inside ``OUT_DIR`` and on relative paths.
 The cases depend only on the seed, never on the package, so two
 versions of the package run the same cases.
@@ -87,7 +87,7 @@ THUMOS = {"Jump_test.txt": "v1 1.0 5.0\nv2 0.5 2.0\n",
           "durations.txt": "v1 5.0\nv2 4.0\n"}
 
 MUTATIONS = ("wrong type", "non-finite", "bool", "huge", "missing field",
-             "unknown kind", "truncated line")
+             "unknown kind", "truncated line", "repeated key")
 # the output of a command, which these small inputs keep far below this,
 # is recorded whole up to this size and cut there beyond it
 MAX_RECORDED = 1 << 16
@@ -100,6 +100,13 @@ def json_paths(value, path=()):
              else enumerate(value) if isinstance(value, list) else ())
     for key, child in items:
         yield from json_paths(child, path + (key,))
+
+
+def at(value, path):
+    """The part of a JSON value at ``path``."""
+    for key in path:
+        value = value[key]
+    return value
 
 
 def cut_short(rng, text: str) -> str:
@@ -122,10 +129,53 @@ def mutated_value(rng, mutation, old):
                        "huge": [1e308, -1e308, 10 ** 400]}[mutation])
 
 
+class Repeated(dict):
+    """An object whose JSON text (:func:`dumps`) gives one of its keys a
+    second time, after its pairs: ``extra`` is that ``(key, value)``."""
+
+    def __init__(self, pairs, extra):
+        super().__init__(pairs)
+        self.extra = extra
+
+
+def dumps(value) -> str:
+    """``json.dumps(value)``, but each :class:`Repeated` object in it
+    written with its repeated key."""
+    if isinstance(value, Repeated):
+        pairs = [*value.items(), value.extra]
+        return "{" + ", ".join(f"{json.dumps(key)}: {dumps(item)}"
+                               for key, item in pairs) + "}"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {dumps(item)}"
+                               for key, item in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dumps, value)) + "]"
+    return json.dumps(value)
+
+
 def mutated_json(rng, value, mutation):
     """``(value, note)``: ``value`` with one position mutated (in place
     unless the whole value is replaced) and where."""
     paths = list(json_paths(value))
+    if mutation == "repeated key":
+        paths = [p for p in paths if at(value, p)
+                 and isinstance(at(value, p), dict)]
+        if not paths:
+            return value, "no key to repeat"
+        path = rng.choice(paths)
+        obj = at(value, path)
+        key = rng.choice(list(obj))
+        # the value it has, which json reads as if the key were given
+        # once, or one of another type
+        again = (obj[key] if rng.random() < 0.5
+                 else mutated_value(rng, "wrong type", obj[key]))
+        where = "".join(f"[{k!r}]" for k in (*path, key))
+        note = f"{where} again = {json.dumps(again)[:40]}"
+        new = Repeated(obj, (key, again))
+        if not path:
+            return new, note
+        at(value, path[:-1])[path[-1]] = new
+        return value, note
     if mutation == "missing field":
         paths = [p for p in paths if p and isinstance(p[-1], str)]
         if not paths:
@@ -174,7 +224,7 @@ def mutated_lines(rng, records, mutations):
         else:
             records[index], note = mutated_json(rng, records[index], mutation)
         notes.append(f"line {index + 1}: {mutation}: {note}")
-    lines = [json.dumps(r) for r in records]
+    lines = [dumps(r) for r in records]
     for index in cuts:
         lines[index] = cut_short(rng, lines[index])
     return lines, notes
@@ -190,7 +240,8 @@ def mutated_thumos(rng):
         lines = files[name].splitlines() or [""]
         i = rng.randrange(len(lines))
         tokens = lines[i].split()
-        mutation = rng.choice([m for m in MUTATIONS if m != "unknown kind"])
+        mutation = rng.choice([m for m in MUTATIONS
+                               if m not in ("unknown kind", "repeated key")])
         if mutation == "truncated line" or not tokens:
             lines[i] = cut_short(rng, lines[i])
             mutation = "truncated line"
@@ -238,7 +289,7 @@ def make_case(rng, command: str, work: Path):
             else:
                 doc, note = mutated_json(rng, copy.deepcopy(ACTIVITYNET),
                                          mutation)
-                files["anet.json"] = [json.dumps(doc)]
+                files["anet.json"] = [dumps(doc)]
                 notes = [f"anet.json: {mutation}: {note}"]
             argv = ["convert", "--format", "activitynet",
                     "--in", f"{work}/anet.json"]

@@ -20,11 +20,16 @@ rewritten in place. Two ``offline`` commands with a bad ``--fps``
 follow, one of them on a missing prediction file. Then ``offline
 --metric map`` and ``cap`` rank score records whose cells are ints, ints
 past int64, or floats on a line that holds a ``"true"`` (a video id), and
-``offline --metric map`` refuses a record with a ``true`` cell. Last come the
-benchmark's score round trip on a video longer than one block of the
-score writer (``formats._BLOCK_ROWS`` frames): ``baseline --kind pm``
-and ``--kind all-bg`` at ``--fps 4.0``, then ``offline --metric map``
-and ``cap`` on the Perfect-Model file. Two versions of the package
+``offline --metric map`` refuses a record with a ``true`` cell. Then
+comes the benchmark's score round trip on a video longer than one block
+of the score writer (``formats._BLOCK_ROWS`` frames): ``baseline --kind
+pm`` and ``--kind all-bg`` at ``--fps 4.0``, then ``offline --metric
+map`` and ``cap`` on the Perfect-Model file. Last, ``convert`` writes
+labels and video ids that need JSON escapes (a quote, a backslash,
+non-ASCII letters), from ActivityNet and from Thumos, and each kind of
+record, and an interval or event entry, repeats a key once in a file of
+its own; a file whose ids and labels hold colons repeats none. Two
+versions of the package
 compare by snapshotting each and diffing the trees::
 
     PYTHONPATH=src python3 scripts/cli_snapshot.py /tmp/snap-new
@@ -35,6 +40,7 @@ compare by snapshotting each and diffing the trees::
 import argparse
 import contextlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -156,6 +162,53 @@ INT_SCORES_PRED = "".join(
     f'"scores": {rows}}}\n' for video_id, rows in INT_SCORES.items())
 BOOL_CELL_PRED = INT_SCORES_PRED.replace("[1, 2]", "[1, true]")
 
+# labels and video ids that need JSON escapes, in each convert format
+ACTIVITYNET_ESCAPES = {"database": {
+    'v"\u00e9\\1': {"subset": "validation", "duration": 5.0, "annotations": [
+        {"label": 'saut "haut" \\ \u00e9', "segment": [1.0, 2.0]},
+        {"label": "\u65e5\u672c", "segment": [2.5, 4.0]}]},
+    "v\u2028\t2": {"subset": "validation", "duration": 3.0, "annotations": [
+        {"label": "\u65e5\u672c", "segment": [0.5, 1.0]}]}}}
+THUMOS_ESCAPES = {"Saut\u00e9_test.txt": 'v"1 1.0 2.0\nv\\2 0.5 1.5\n',
+                  'Say "hi"_val.txt': "v\u00e93 0.0 1.0\n",
+                  "Back\\slash_val.txt": 'v"1 3.0 4.0\n',
+                  "durations.txt": 'v"1 5.0\nv\\2 4.0\nv\u00e93 2.0\n'}
+# a key given twice in one object of each kind of record, in the ground
+# truth or in the predictions for it; json alone would keep the second
+REPEATED_GT = VOCAB_LINE + video_line("v", VALID_ENTRY)
+REPEATED_DECISIONS = ('{"record": "decisions", "video_id": "v", "delta_t_s": '
+                      '0.5, "labels": ["background", "jump", "background", '
+                      '"background", "background", "background", '
+                      '"background", "background"]}\n')
+REPEATED_SCORES = ('{"record": "scores", "video_id": "v", "fps": 1.0, '
+                   '"scores": [[0.25, 0.75], [0.5, 0.5], [1.0, 0.0], '
+                   '[0.0, 1.0]]}\n')
+REPEATED_KEYS = {
+    # name: (ground truth, predictions), each a file's text
+    "vocabulary": (REPEATED_GT.replace('"background"}', '"background", '
+                                       '"classes": ["jump", "run"]}'),
+                   REPEATED_DECISIONS),
+    "video": (REPEATED_GT.replace(', "multi_label"',
+                                  ', "intervals": [], "multi_label"'),
+              REPEATED_DECISIONS),
+    "interval": (REPEATED_GT.replace('"end_s": 1.0}',
+                                     '"end_s": 1.0, "end_s": 3.0}'),
+                 REPEATED_DECISIONS),
+    "decisions": (REPEATED_GT, REPEATED_DECISIONS.replace(
+        '"video_id": "v"', '"video_id": "v", "video_id": "v"')),
+    "detections": (REPEATED_GT, '{"record": "detections", "video_id": "v", '
+                   f'"events": [{VALID_ENTRY}], "events": []}}\n'),
+    "event": (REPEATED_GT, '{"record": "detections", "video_id": "v", '
+              '"events": [{"label": "jump", "start_s": 0.5, "start_s": 0.0, '
+              '"end_s": 1.0}]}\n'),
+    "scores": (REPEATED_GT, REPEATED_SCORES.replace(
+        '"fps": 1.0', '"fps": 1.0, "fps": 1.0')),
+    # colons in ids and labels only: no key repeats
+    "none-colons": (REPEATED_GT.replace('"v"', '"v:1"').replace(
+        '"jump"', '"jump:high"'), REPEATED_DECISIONS.replace(
+        '"v"', '"v:1"').replace('"jump"', '"jump:high"')),
+}
+
 GT = {"worked": "inputs/worked.gt.jsonl", "synthetic": "inputs/synthetic.gt.jsonl",
       "corrupt": "inputs/corrupt.gt.jsonl", "long": "inputs/long.gt.jsonl"}
 
@@ -202,6 +255,15 @@ def write_inputs(inputs: Path) -> None:
     (inputs / "int-scores.gt.jsonl").write_text(INT_SCORES_GT)
     (inputs / "int-scores.pred.jsonl").write_text(INT_SCORES_PRED)
     (inputs / "bool-cell.pred.jsonl").write_text(BOOL_CELL_PRED)
+    (inputs / "activitynet-escapes.json").write_text(
+        json.dumps(ACTIVITYNET_ESCAPES))
+    (inputs / "thumos-escapes").mkdir()
+    for file_name, text in THUMOS_ESCAPES.items():
+        (inputs / "thumos-escapes" / file_name).write_text(text,
+                                                           encoding="utf-8")
+    for name, (gt, pred) in REPEATED_KEYS.items():
+        (inputs / f"repeated-{name}.gt.jsonl").write_text(gt)
+        (inputs / f"repeated-{name}.pred.jsonl").write_text(pred)
 
 
 def folder(n: int, name: str) -> str:
@@ -352,6 +414,21 @@ def catalogue():
         commands.append((f"offline-{metric}-long-pm-4.0", [
             "offline", "--gt", GT["long"], "--pred", pred, "--fps", "4.0",
             "--metric", metric, "--out-dir", "{out}"]))
+    commands += [
+        ("convert-activitynet-escapes", [
+            "convert", "--format", "activitynet", "--in",
+            "inputs/activitynet-escapes.json", "--out", "{out}/gt.jsonl"]),
+        ("convert-thumos-escapes", [
+            "convert", "--format", "thumos", "--in", "inputs/thumos-escapes",
+            "--durations", "inputs/thumos-escapes/durations.txt",
+            "--out", "{out}/gt.jsonl"])]
+    for name in REPEATED_KEYS:
+        files = ["--gt", f"inputs/repeated-{name}.gt.jsonl",
+                 "--pred", f"inputs/repeated-{name}.pred.jsonl"]
+        commands.append((f"repeated-key-{name}", [
+            "offline", *files, "--metric", "map", "--out-dir", "{out}"]
+            if name == "scores" else
+            ["evaluate", *files, "--out-dir", "{out}"]))
     return commands
 
 

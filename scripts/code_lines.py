@@ -5,12 +5,13 @@ across it and it is not part of a docstring (the leading string of a
 module, class or function body). Blank lines, comment lines and
 docstrings are left out.
 
-    python3 scripts/code_lines.py src/oadeval
+    python3 scripts/code_lines.py
     python3 scripts/code_lines.py src/oadeval/cli.py src/oadeval/ia.py
 
 Each PATH is a ``.py`` file or a directory searched recursively for
-them. Prints one ``count path`` line per file, in path order, and then
-the total.
+them; with no PATH, the package, ``src/oadeval`` next to this folder, is
+counted. Prints one ``count path`` line per file, in path order, and
+then the total.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 _BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oadeval"
 
 
 def code_lines(source: str) -> int:
@@ -52,7 +54,8 @@ def python_files(paths) -> list[Path]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("paths", nargs="+", metavar="PATH")
+    parser.add_argument("paths", nargs="*", metavar="PATH",
+                        default=[PACKAGE])
     args = parser.parse_args(argv)
     total = 0
     for path in python_files(args.paths):

@@ -21,8 +21,9 @@ Predictions (any mix of record kinds, at most one stream per video)::
      "scores": [[0.1, 0.9], ...]}
 
 Every record passes the same field checks (:func:`_require`,
-:func:`_parse_interval`): structural problems (bad JSON, missing fields,
-wrong types, non-finite numbers, unknown record kinds) raise
+:func:`_parse_interval`): structural problems (bad JSON, a key repeated
+in one object, missing fields, wrong types, non-finite numbers, unknown
+record kinds) raise
 :class:`ParseError` naming the field, with the file and line;
 semantic problems (unknown labels, bounds, slot counts) raise
 validation errors naming the video. A list of intervals or events, a
@@ -39,8 +40,10 @@ A prediction record's own checks
 caller, which knows it.
 :func:`read_predictions` alone decides which prediction record belongs
 to which video, and reports unknown, duplicate and missing records per
-video with their line. :func:`write_predictions` writes each record as
-``json.dumps(..., sort_keys=True)`` does, byte for byte; a score matrix
+video with their line. :func:`write_canonical_gt` and
+:func:`write_predictions` write each record as
+``json.dumps(..., sort_keys=True)`` does, byte for byte; a video
+record's text is laid out with no dict per interval, and a score matrix
 goes out a block of rows at a time, each block's cells gathered from a
 table that holds the text of each distinct value once. The distinct
 values come from a sort; each cell finds its own among them by a
@@ -61,6 +64,7 @@ come from a sidecar table because its annotation files carry none.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -178,6 +182,15 @@ def _iter_records(path: str, text: str, kinds: tuple[str, ...],
     Each line must be a JSON object whose ``record`` field is a string
     among ``kinds``; anything else is a :class:`ParseError` on its line.
     ``json_line`` is the line's text, which the record was parsed from.
+
+    No object in a line may repeat a key (:func:`_unique_keys`). In
+    JSON, one ``:`` outside strings follows each key, so a line holds at
+    least as many colons as it writes pairs, and it writes at least as
+    many as its objects hold (:func:`_pair_count` counts the record's
+    and those of its interval or event entries). When the two counts
+    are equal no key repeats, and ``json.loads`` was enough; otherwise
+    (a repeated key, a colon in a string, an object elsewhere) the line
+    is parsed again with the hook, which names the key or passes.
     """
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -190,11 +203,38 @@ def _iter_records(path: str, text: str, kinds: tuple[str, ...],
         if not isinstance(obj, dict):
             raise ParseError("record must be a JSON object",
                              path=path, line=lineno)
+        if line.count(":") != _pair_count(obj):
+            obj = json.loads(line, object_pairs_hook=functools.partial(
+                _unique_keys, path=path, line=lineno))
         kind = _require(obj, "record", str, path, lineno)
         if kind not in kinds:
             raise ParseError(f"unknown record kind {kind!r}",
                              path=path, line=lineno, field="record")
         yield lineno, kind, obj, line
+
+
+def _unique_keys(pairs: list, path=None, line=None) -> dict:
+    """The object of the JSON ``pairs``, whose keys must not repeat.
+
+    The one repeated-key rule of every reader, an ``object_pairs_hook``:
+    where ``json`` would keep the last value of a key, a repeated key is
+    a :class:`ParseError` at ``path`` and ``line`` that names it (the
+    most repeated, the first of those).
+    """
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = Counter(key for key, _ in pairs).most_common(1)[0][0]
+        raise ParseError(f"duplicate key {key!r}", path=path, line=line)
+    return obj
+
+
+def _pair_count(record: dict) -> int:
+    """The pairs of a record and of the objects among its ``intervals``
+    or ``events``, the nested objects of the canonical grammar."""
+    entries = record.get("intervals") or record.get("events")
+    if type(entries) is not list:
+        return len(record)
+    return len(record) + sum([len(e) for e in entries if type(e) is dict])
 
 
 # exact types: bool is an int subclass but never a number here
@@ -388,20 +428,53 @@ def open_output(path: str | Path) -> Iterator:
         raise
 
 
+class _JsonTexts(dict):
+    """The ``json.dumps`` text of each value looked up, made on its first
+    lookup."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = json.dumps(value)
+        return text
+
+
 def write_canonical_gt(manifest: CorpusManifest, path: str | Path) -> None:
+    """Write ``manifest`` as a canonical ground-truth file.
+
+    Each line is byte for byte the ``json.dumps(record, sort_keys=True)``
+    text of its record, but only the vocabulary record goes through
+    ``json.dumps`` whole: a video record's text is laid out here, its
+    keys in sorted order with the ``", "`` and ``": "`` separators. An
+    exact ``float`` time or duration is its ``float.__repr__``, which is
+    what ``json.dumps`` writes for it (every time and duration of a track
+    is finite); any other number goes through ``json.dumps``, so an int
+    or a ``float`` subclass is written, and a value JSON cannot encode
+    (a NumPy integer) raises ``TypeError``, as ``json.dumps`` of the
+    record would. The video id and ``multi_label`` go through
+    ``json.dumps`` too, and each distinct label once per call. Each line
+    is written as it is made, inside :func:`open_output`, so a failure
+    leaves no file.
+    """
     vocab = manifest.vocabulary
-    records = chain([{"record": "vocabulary", "classes": list(vocab.classes),
-                      "background": vocab.background}], ({
-        "record": "video",
-        "video_id": track.video_id,
-        "duration_s": track.duration_s,
-        "intervals": [{"label": iv.label, "start_s": iv.start_s,
-                       "end_s": iv.end_s} for iv in track.intervals],
-        "multi_label": track.multi_label,
-    } for track in manifest.tracks))
+    dumps, labels = json.dumps, _JsonTexts()
     with open_output(path) as out:
-        for record in records:
-            out.write(json.dumps(record, sort_keys=True).encode() + b"\n")
+        out.write(dumps({"record": "vocabulary", "classes": list(vocab.classes),
+                         "background": vocab.background},
+                        sort_keys=True).encode() + b"\n")
+        for track in manifest.tracks:
+            # first, as json.dumps formats it first
+            duration = track.duration_s
+            duration = (repr(duration) if type(duration) is float
+                        else dumps(duration))
+            intervals = ", ".join([
+                f'{{"end_s": {repr(end) if type(end) is float else dumps(end)}'
+                f', "label": {labels[iv.label]}, "start_s": '
+                f'{repr(start) if type(start) is float else dumps(start)}}}'
+                for iv in track.intervals
+                for end, start in [(iv.end_s, iv.start_s)]])
+            out.write(
+                f'{{"duration_s": {duration}, "intervals": [{intervals}], '
+                f'"multi_label": {dumps(track.multi_label)}, "record": '
+                f'"video", "video_id": {dumps(track.video_id)}}}\n'.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +493,11 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
     most repeated, the first of those), where ``json`` would keep only
     its last value.
     """
-    def unique_keys(pairs: list) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            key = Counter(key for key, _ in pairs).most_common(1)[0][0]
-            raise ParseError(f"duplicate key {key!r}", path=str(path))
-        return obj
-
     report = LoadReport()
     raw, text = _read_text(path)
     try:
-        data = json.loads(text, object_pairs_hook=unique_keys)
+        data = json.loads(text, object_pairs_hook=functools.partial(
+            _unique_keys, path=str(path)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path),
                          line=exc.lineno) from exc

@@ -27,6 +27,7 @@ from .timeline import (
     MAX_SLOTS,
     AnnotationTrack,
     LabelVocabulary,
+    _number,
     paint_midpoints,
 )
 
@@ -35,8 +36,9 @@ from .timeline import (
 class FrameScoreMatrix:
     """Per-frame confidence scores, one column per action class.
 
-    Column order follows the vocabulary's class order. Row count must
-    equal ``floor(duration * fps)`` of the matching video. ``scores`` is
+    Column order follows the vocabulary's class order. ``fps`` must be a
+    finite number > 0, kept as given, and the row count must equal
+    ``floor(duration * fps)`` of the matching video. ``scores`` is
     read-only, so the scores stay finite after the check made here: a
     float64 array passed in is frozen, not copied, and anything else is
     converted to a new float64 array first. A pickled or copied matrix
@@ -48,8 +50,7 @@ class FrameScoreMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.fps < math.inf:
-            raise ValidationError(f"fps {self.fps} must be finite and > 0")
+        _rate(self.fps)
         scores = np.asarray(self.scores, dtype=float)
         if scores.ndim != 2:
             raise ValidationError("scores must be a 2-D frame x class array")
@@ -76,24 +77,35 @@ class APResult:
     skipped_classes: tuple[str, ...] = ()
 
 
+def _rate(fps: float) -> float:
+    """``fps`` as a number (:func:`~oadeval.timeline._real`, so never a
+    bool), which must be finite and > 0; else a :class:`ValidationError`."""
+    rate = _number(fps, "fps")
+    if not 0 < rate < math.inf:
+        raise ValidationError(f"fps {fps} must be finite and > 0")
+    return rate
+
+
 def frame_count(duration_s: float, fps: float) -> int:
     """``floor(duration_s * fps)``, the one frame-count rule.
 
-    A non-finite or non-positive fps, a product that overflows, and a
-    count above :data:`~oadeval.timeline.MAX_SLOTS` raise
+    The fps and the duration must be numbers, as
+    :func:`~oadeval.timeline._real` takes them, so never bools. A
+    non-finite or non-positive fps, a negative duration, a product that
+    overflows, and a count above :data:`~oadeval.timeline.MAX_SLOTS` raise
     :class:`ValidationError` before anything is allocated. Zero frames,
     a video shorter than one frame, raise its subclass
     :class:`DegenerateInputError`, as zero slots do in
     :func:`~oadeval.timeline.num_slots`: such a video has no frame to
     score or rank.
     """
-    if not 0 < fps < math.inf:
-        raise ValidationError(f"fps {fps} must be finite and > 0")
-    frames = duration_s * fps
+    frames = _rate(fps) * _number(duration_s, "duration")
     if not math.isfinite(frames):
         raise ValidationError(
             f"{duration_s} s at fps {fps} is not a finite frame count")
     n = math.floor(frames)
+    if n < 0:  # the fps is > 0
+        raise ValidationError(f"duration {duration_s} must be > 0")
     if n == 0:
         raise DegenerateInputError(
             f"{duration_s} s at fps {fps} is shorter than one frame: zero frames")

@@ -72,6 +72,15 @@ def _real(value):
     raise TypeError(f"{value!r} is not a number")
 
 
+def _number(value, name: str):
+    """``value`` through :func:`_real`, or a :class:`ValidationError`
+    that names it: ``fps '4' is not a number``."""
+    try:
+        return _real(value)
+    except TypeError:
+        raise ValidationError(f"{name} {value!r} is not a number") from None
+
+
 def seconds_to_us(seconds: float) -> int:
     """Convert seconds to integer microseconds (round half to even).
 
@@ -364,14 +373,10 @@ class AnnotationTrack:
                  multi_label: bool = False):
         if not video_id:
             raise ValidationError("video_id must be non-empty")
-        try:
-            if duration_s <= 0:
-                raise ValidationError(
-                    f"video {video_id!r}: duration {duration_s} must be > 0")
-            seconds_to_us(duration_s)  # a bool compares but is no number
-        except TypeError:
-            raise ValidationError(f"video {video_id!r}: duration "
-                                  f"{duration_s!r} is not a number") from None
+        if _number(duration_s, f"video {video_id!r}: duration") <= 0:
+            raise ValidationError(
+                f"video {video_id!r}: duration {duration_s} must be > 0")
+        seconds_to_us(duration_s)
         cols = IntervalColumns.of(intervals)
         # intervals, not stored, is read from the columns
         self.__dict__.update(video_id=video_id, duration_s=duration_s,
@@ -474,15 +479,9 @@ def num_slots(duration_s: float, delta_t_s: float) -> int:
     video, raises its subclass :class:`DegenerateInputError`, since a
     video without slots has no IA at any instant.
     """
-    try:
-        if duration_s <= 0:
-            raise ValidationError(f"duration {duration_s} must be > 0")
-        # a bool passes the comparison, and seconds_to_us refuses it
-        duration_us = seconds_to_us(duration_s)
-    except TypeError:
-        raise ValidationError(
-            f"duration {duration_s!r} is not a number") from None
-    k = duration_us // slot_us(delta_t_s)
+    if _number(duration_s, "duration") <= 0:
+        raise ValidationError(f"duration {duration_s} must be > 0")
+    k = seconds_to_us(duration_s) // slot_us(delta_t_s)
     if k == 0:
         raise DegenerateInputError(
             f"delta_t {delta_t_s} larger than duration {duration_s}: zero slots")
@@ -557,7 +556,9 @@ class PredictionStream:
 
     Decisions are 1-indexed; slot ``j`` may be recorded only once and
     only after slots ``1..j-1``. Revising a past slot or skipping ahead
-    raises :class:`CausalityError`.
+    raises :class:`CausalityError`. A given ``num_slots`` caps the stream:
+    a whole count from 1 to :data:`MAX_SLOTS`, the range of
+    :func:`num_slots`, as :func:`_real` takes a number, so never a bool.
     """
 
     def __init__(self, video_id: str, delta_t_s: float, vocab: LabelVocabulary,
@@ -565,12 +566,13 @@ class PredictionStream:
         if not video_id:
             raise ValidationError("video_id must be non-empty")
         slot_us(delta_t_s)
-        try:
-            if num_slots is not None and _real(num_slots) <= 0:
+        if num_slots is not None:
+            count = _number(num_slots, "num_slots")
+            if count <= 0:
                 raise ValidationError("num_slots must be positive when given")
-        except TypeError:
-            raise ValidationError(
-                f"num_slots {num_slots!r} is not a number") from None
+            if count % 1 or not count <= MAX_SLOTS:  # NaN % 1 is NaN, true
+                raise ValidationError(f"num_slots {num_slots} must be a "
+                                      f"whole count of at most {MAX_SLOTS}")
         self.video_id = video_id
         self.delta_t_s = delta_t_s
         self.vocab = vocab

@@ -843,7 +843,7 @@ def _json_kind(value):
 
 
 MUTATIONS = ["wrong type", "non-finite", "bool", "huge", "missing field",
-             "unknown kind", "truncated line"]
+             "unknown kind", "truncated line", "repeated key"]
 
 
 @st.composite
@@ -851,7 +851,8 @@ def mutated_files(draw, records, mutations=MUTATIONS, shortest=0):
     """One of ``records`` mutated once: ``(index, lines)``.
 
     A truncated line keeps at least ``shortest`` characters; a "long
-    video" mutation sets the ``duration_s`` of a video record to 1e12 s.
+    video" mutation sets the ``duration_s`` of a video record to 1e12 s;
+    a "repeated key" one gives a key of one object of the record twice.
     """
     index = draw(st.integers(0, len(records) - 1))
     mutation = draw(st.sampled_from(mutations))
@@ -863,6 +864,9 @@ def mutated_files(draw, records, mutations=MUTATIONS, shortest=0):
     if mutation == "truncated line":
         lines[index] = lines[index][:draw(st.integers(shortest,
                                                       len(lines[index]) - 1))]
+        return index, lines
+    if mutation == "repeated key":
+        lines[index] = _with_repeated_key(draw, record)
         return index, lines
     if mutation == "long video":
         record["duration_s"] = 1e12
@@ -892,6 +896,32 @@ def _mutated_json(draw, value, mutation):
     if not path:
         return new
     parent[path[-1]] = new
+    return value
+
+
+def _with_repeated_key(draw, value):
+    """The JSON text of ``value`` with one key of one of its objects given
+    a second time, after its pairs: with the same value (which ``json``
+    reads as if the key were given once) or with one of another type.
+    Changes ``value``."""
+    paths = [p for p in _json_paths(value) if _at(value, p)
+             and isinstance(_at(value, p), dict)]
+    path = draw(st.sampled_from(paths))
+    obj = _at(value, path)
+    key = draw(st.sampled_from(list(obj)))
+    again = (obj[key] if draw(st.booleans())
+             else _mutated_value(draw, "wrong type", obj[key]))
+    text = f"{json.dumps(obj)[:-1]}, {json.dumps(key)}: {json.dumps(again)}}}"
+    if not path:
+        return text
+    marker = "\0repeated key\0"  # a string no record holds
+    _at(value, path[:-1])[path[-1]] = marker
+    return json.dumps(value).replace(json.dumps(marker), text)
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
     return value
 
 
@@ -1075,6 +1105,52 @@ def test_one_mutated_scores_record_fails_located(offline_fuzz_gt, case,
         assert not out.exists() or list(out.iterdir()) == []
 
 
+BASELINE_RUNS = [(kind, flags) for kind in ("pm", "all-bg")
+                 for flags in ([], ["--fps", "2.0"])]
+
+
+def _baseline_in_process(gt, kind, flags, out):
+    return _run_in_process("baseline", "--gt", gt, "--kind", kind, *flags,
+                           "--out", out)
+
+
+def test_clean_ground_truth_gives_every_baseline(tmp_path):
+    gt = _write_lines(tmp_path / "gt.jsonl", map(json.dumps, FUZZ_GT_RECORDS))
+    for kind, flags in BASELINE_RUNS:
+        out = tmp_path / "p.jsonl"
+        code, _, err = _baseline_in_process(gt, kind, flags, out)
+        assert code == 0, err
+        assert len(out.read_text().splitlines()) == (
+            3 if kind == "all-bg" and not flags else 6)
+
+
+# an emptied ground-truth line would delete the vocabulary, and the error
+# would then be located at the next line
+@given(mutated_files(FUZZ_GT_RECORDS, MUTATIONS + ["long video"], shortest=1))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_one_mutated_ground_truth_record_fails_baseline_located(case):
+    # every baseline run on the file exits 0, 1 or 2; a failed one prints
+    # one error line, at the mutated record or naming its video, writes no
+    # output file and never a traceback
+    index, lines = case
+    video_id = FUZZ_GT_RECORDS[index].get("video_id")
+    with tempfile.TemporaryDirectory() as tmp:
+        gt = _write_lines(Path(tmp) / "gt.jsonl", lines)
+        for kind, flags in BASELINE_RUNS:
+            out = Path(tmp) / "p.jsonl"
+            code, stdout, stderr = _baseline_in_process(gt, kind, flags, out)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in stdout + stderr
+            if code:
+                assert (stderr.startswith(f"error: {gt}, line {index + 1}")
+                        or stderr.startswith(f"error: video {video_id!r}: ")
+                        ), stderr
+                assert stderr.count("\n") == 1 and stdout == ""
+                assert not out.exists()
+            else:
+                out.unlink()
+
+
 # convert's inputs: an ActivityNet document whose first segment runs to the
 # end of its video, and a Thumos directory that holds its sidecar
 FUZZ_ACTIVITYNET = {"database": {
@@ -1093,10 +1169,13 @@ def mutated_convert_inputs(draw):
     file ``name`` mutated once, in one field or one line."""
     mutation = draw(st.sampled_from(
         [m for m in MUTATIONS if m != "unknown kind"]))
-    if draw(st.booleans()):
+    # a Thumos file has no keys to repeat
+    if mutation == "repeated key" or draw(st.booleans()):
         text = json.dumps(FUZZ_ACTIVITYNET)
         if mutation == "truncated line":
             text = text[:draw(st.integers(0, len(text) - 1))]
+        elif mutation == "repeated key":
+            text = _with_repeated_key(draw, copy.deepcopy(FUZZ_ACTIVITYNET))
         else:
             text = json.dumps(_mutated_json(
                 draw, copy.deepcopy(FUZZ_ACTIVITYNET), mutation))

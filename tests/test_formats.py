@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oadeval import formats
@@ -45,6 +45,7 @@ from oadeval.timeline import (
     TimeInterval,
     discretize,
 )
+from test_cli import _with_repeated_key
 
 DATA = Path(__file__).parent / "data"
 STREAM_KINDS = ("decisions", "detections")
@@ -95,6 +96,75 @@ def interval_entries(draw):
                   st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3)))
     return {"label": draw(st.sampled_from(["a", "walk", "bg"])),
             "start_s": start, "end_s": start + length}
+
+
+# names that need JSON escapes: quotes, backslashes, control and non-ASCII
+# characters, an astral one and a lone surrogate
+ESCAPED_NAMES = st.text(st.one_of(
+    st.sampled_from('a"\\/\n\t\x00\x7f\u00e9\u2028\U0001f600\ud800:'),
+    st.characters()), min_size=1, max_size=5).filter(lambda name: name != "bg")
+# times and durations of every type a track keeps as given
+GT_NUMBERS = st.one_of(st.integers(0, 10 ** 6), st.floats(0.0, 1e6),
+                       st.floats(0.0, 1e6).map(np.float64),
+                       st.sampled_from([0.1 + 0.2, 1e-6, 1e16, 2.5e-6]))
+
+
+@st.composite
+def escaped_manifests(draw):
+    """A manifest whose labels and ids need JSON escapes, whose times and
+    durations are ints, floats and ``np.float64`` values, with tracks
+    with and without ``multi_label`` and tracks without intervals."""
+    classes = draw(st.lists(ESCAPED_NAMES, min_size=1, max_size=3,
+                            unique=True))
+    tracks = []
+    for video_id in draw(st.lists(ESCAPED_NAMES, min_size=1, max_size=3,
+                                  unique=True)):
+        *bounds, duration = sorted(draw(st.lists(
+            GT_NUMBERS, min_size=1, max_size=9, unique_by=float)), key=float)
+        pairs = draw(st.permutations(list(zip(bounds[::2], bounds[1::2]))))
+        try:  # ends within a microsecond of their start are refused
+            tracks.append(AnnotationTrack(video_id, duration, [
+                TimeInterval(draw(st.sampled_from(classes)), start, end)
+                for start, end in pairs], draw(st.booleans())))
+        except ValidationError:
+            assume(False)
+    return CorpusManifest(LabelVocabulary(tuple(classes), "bg"), tracks)
+
+
+def json_dumps_gt(manifest) -> bytes:
+    """The ``json.dumps(record, sort_keys=True)`` lines of a manifest."""
+    vocab = manifest.vocabulary
+    records = [{"record": "vocabulary", "classes": list(vocab.classes),
+                "background": vocab.background}] + [{
+        "record": "video", "video_id": track.video_id,
+        "duration_s": track.duration_s,
+        "intervals": [{"label": iv.label, "start_s": iv.start_s,
+                       "end_s": iv.end_s} for iv in track.intervals],
+        "multi_label": track.multi_label} for track in manifest.tracks]
+    return "".join(json.dumps(record, sort_keys=True) + "\n"
+                   for record in records).encode()
+
+
+JSON_KEYS = st.text(st.sampled_from('ab:"\\'), max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text("a:", max_size=3),
+    lambda values: (st.lists(values, max_size=3)
+                    | st.dictionaries(JSON_KEYS, values, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def record_lines(draw):
+    """``(line, repeated)``: a video record's line, whose strings and keys
+    may hold colons, with objects among its intervals and elsewhere, and
+    whether a key of one of its objects is given twice in it."""
+    record = {"record": "video", **draw(st.dictionaries(
+        JSON_KEYS, JSON_VALUES, max_size=3)), "intervals": draw(st.lists(
+            st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=3)
+            | JSON_VALUES, max_size=3))}
+    if draw(st.booleans()):
+        return _with_repeated_key(draw, record), True
+    return json.dumps(record), False
 
 
 def _float_from_bits(bits: int) -> float:
@@ -362,6 +432,15 @@ class TestCanonicalGt:
          "field 'multi_label': expected a boolean"),
         (VIDEO[:-1] + ', "multi_label": null}',
          "field 'multi_label': expected a boolean"),
+        # a repeated key in any object of a record, with the value it has or
+        # another one
+        (VOCAB[:-1] + ', "classes": ["a"]}', "duplicate key 'classes'"),
+        (VIDEO[:-1] + ', "intervals": []}', "duplicate key 'intervals'"),
+        (VIDEO.replace('"v"', '"v:1"')[:-1] + ', "video_id": "v:1"}',
+         "duplicate key 'video_id'"),
+        (VIDEO.replace("[]", '[{"label": "a", "start_s": 1.0, "end_s": 2.0, '
+                             '"end_s": 3.0}]'), "duplicate key 'end_s'"),
+        (VIDEO[:-1] + ', "extra": [{"k": 1, "k": 1}]}', "duplicate key 'k'"),
     ])
     def test_parse_errors_carry_location(self, tmp_path, line, err):
         # the faulty line is the file's last; a vocabulary line of the case
@@ -407,6 +486,31 @@ class TestCanonicalGt:
         with pytest.raises(ParseError, match=re.escape(
                 f"{path}, line 2, {err}") + "$"):
             load_canonical_gt(path)
+
+    def test_colons_in_strings_and_unknown_objects_pass(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(
+            '{"record": "vocabulary", "classes": ["a:b"], "background": "bg"}\n'
+            '{"record": "video", "video_id": "v:1", "duration_s": 4.0, '
+            '"intervals": [{"label": "a:b", "start_s": 1.0, "end_s": 2.0}], '
+            '"extra": {"k": {"k": [{"k": 1}]}}}\n')
+        [track] = load_canonical_gt(path).tracks
+        assert track.video_id == "v:1"
+        assert track.intervals == (TimeInterval("a:b", 1.0, 2.0),)
+
+    @given(case=record_lines())
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_keys_are_refused_wherever_they_are(self, case):
+        # the colon count lets a line without a repeated key through as
+        # json.loads reads it, and names the key of any other line
+        line, repeated = case
+        records = formats._iter_records("r.jsonl", line, ("video",))
+        if repeated:
+            with pytest.raises(ParseError, match=r"^r\.jsonl, line 1: "
+                               r"duplicate key "):
+                list(records)
+        else:
+            assert list(records) == [(1, "video", json.loads(line), line)]
 
     @given(entries=st.lists(interval_entries(), max_size=30),
            key=st.sampled_from(["intervals", "events"]))
@@ -565,6 +669,30 @@ class TestCanonicalGt:
         loaded = load_canonical_gt(out)
         assert loaded.vocabulary == manifest.vocabulary
         assert loaded.tracks == manifest.tracks
+
+    @given(manifest=escaped_manifests())
+    @settings(max_examples=200, deadline=None)
+    def test_written_file_is_the_json_dumps_lines(self, manifest,
+                                                  tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "written-gt.jsonl"
+        write_canonical_gt(manifest, path)
+        assert path.read_bytes() == json_dumps_gt(manifest)
+
+    @pytest.mark.parametrize("where", ["duration", "start", "end"])
+    def test_numpy_integer_time_raises_as_json_dumps_does(self, tmp_path,
+                                                          where):
+        times = {"duration": 4.0, "start": 1.0, "end": 2.0}
+        times[where] = np.int64(times[where])
+        track = AnnotationTrack("v", times["duration"], (
+            TimeInterval("a", times["start"], times["end"]),))
+        manifest = CorpusManifest(LabelVocabulary(("a",)), (track,))
+        with pytest.raises(TypeError) as expected:
+            json_dumps_gt(manifest)
+        path = tmp_path / "gt.jsonl"
+        path.write_text("an older file\n")
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            write_canonical_gt(manifest, path)
+        assert not path.exists()
 
     def test_hand_built_labels_checked_where_the_track_is_used(self):
         # construction checks only ids; the rasterizer checks labels
@@ -1232,6 +1360,31 @@ class TestReadPredictions:
         path.write_text("".join(json.dumps({"record": kind, "video_id": vid})
                                 + "\n" for kind, vid in records))
         return path
+
+    @pytest.mark.parametrize("line,key", [
+        ('{"record": "decisions", "video_id": "a", "delta_t_s": 0.5, '
+         '"labels": ["jump", "jump"], "labels": []}', "labels"),
+        ('{"record": "decisions", "video_id": "a", "video_id": "a", '
+         '"delta_t_s": 0.5, "labels": []}', "video_id"),
+        ('{"record": "detections", "video_id": "a", "events": [{"label": '
+         '"jump", "start_s": 0.0, "end_s": 1.0}], "events": []}', "events"),
+        ('{"record": "detections", "video_id": "a", "events": [{"label": '
+         '"jump", "start_s": 0.0, "start_s": 0.5, "end_s": 1.0}]}',
+         "start_s"),
+        ('{"record": "scores", "video_id": "a", "fps": 1.0, "fps": 2.0, '
+         '"scores": [[1.0], [0.0]]}', "fps"),
+        # the most repeated key, the first of those
+        ('{"record": "scores", "record": "scores", "video_id": "a", '
+         '"fps": 1.0, "fps": 2.0, "fps": 2.0, "scores": []}', "fps"),
+    ], ids=["decisions", "video-id", "detections", "event", "scores",
+            "most-repeated"])
+    def test_repeated_key_is_a_located_parse_error(self, manifest, tmp_path,
+                                                   line, key):
+        path = tmp_path / "p.jsonl"
+        path.write_text(f'{{"record": "decisions", "video_id": "b"}}\n{line}\n')
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}, line 2: duplicate key {key!r}") + "$"):
+            read_predictions(path, manifest, STREAM_KINDS + ("scores",))
 
     def test_one_record_per_video(self, manifest, tmp_path):
         path = self.write(tmp_path, ("decisions", "a"), ("detections", "b"),

@@ -5,6 +5,8 @@ import json
 import math
 import pickle
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +216,34 @@ class TestRasterize:
             frame_count(0.7, 1.0)
         with pytest.raises(DegenerateInputError, match="zero frames$"):
             rasterize_frames(AnnotationTrack("v", 0.7), 1.0, vocab)
+
+    @pytest.mark.parametrize("value", [True, np.True_, "4", b"4", None,
+                                       [4.0], Fraction(4), Decimal(4)])
+    def test_rate_or_duration_that_is_no_number_rejected(self, vocab,
+                                                         worked_track, value):
+        # as the slot rules name them, before any arithmetic
+        fps = re.escape(f"fps {value!r} is not a number") + "$"
+        with pytest.raises(ValidationError, match=fps):
+            frame_count(10.0, value)
+        with pytest.raises(ValidationError, match=fps):
+            FrameScoreMatrix("v", value, np.zeros((1, 2)))
+        with pytest.raises(ValidationError, match=fps):
+            rasterize_frames(worked_track, value, vocab)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"duration {value!r} is not a number") + "$"):
+            frame_count(value, 4.0)
+
+    @pytest.mark.parametrize("duration", [-5.0, -0.5, -1])
+    def test_negative_duration_rejected(self, duration):
+        # it used to give a negative frame count
+        with pytest.raises(ValidationError, match=re.escape(
+                f"duration {duration} must be > 0") + "$"):
+            frame_count(duration, 1.0)
+
+    def test_numpy_and_int_rates_count_frames(self):
+        assert frame_count(np.float64(10.0), np.float32(0.5)) == 5
+        assert frame_count(np.int64(10), 4) == 40
+        assert FrameScoreMatrix("v", np.int64(2), np.zeros((1, 2))).fps == 2
 
     @pytest.mark.parametrize("fps", [0.0, -2.0, math.nan, math.inf, -math.inf])
     def test_bad_fps_rejected(self, vocab, worked_track, fps):

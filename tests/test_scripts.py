@@ -89,6 +89,20 @@ def test_code_lines_counts_only_lines_that_hold_code(tmp_path):
     ]
 
 
+def test_code_lines_counts_the_package_without_a_path(tmp_path):
+    # from any folder, the package's files one by one, then their total
+    package = ROOT / "src" / "oadeval"
+    proc = subprocess.run([sys.executable, ROOT / "scripts" / "code_lines.py"],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = proc.stdout.splitlines()
+    assert [row.split()[1] for row in rows] == [
+        str(path) for path in sorted(package.rglob("*.py"))]
+    assert int(total.split()[0]) == sum(int(row.split()[0]) for row in rows)
+    assert total.endswith(" total") and len(rows) >= 9
+
+
 def snapshot_files(root):
     return {path.relative_to(root): path.read_bytes()
             for path in sorted(root.rglob("*")) if path.is_file()}
@@ -106,18 +120,17 @@ def test_cli_snapshot_is_the_same_twice(tmp_path):
     assert files[Path("33-baseline-corrupt-pm/stderr")] == (
         b"error: video 'tiny': delta_t 0.5 larger than duration 0.3: zero "
         b"slots at --delta-t 0.5\n")
-    assert proc.stdout.startswith("ran 76 commands ")
+    assert proc.stdout.startswith("ran 86 commands ")
     # int cells rank, and a true cell is refused, with its line
     assert files[Path("71-offline-cap-int-scores/exit")] == b"0\n"
     assert files[Path("72-offline-map-bool-cell/stderr")] == (
         b"error: inputs/bool-cell.pred.jsonl, line 2: video 'ints': each "
         b"score row needs 2 numbers\n")
-    # the last four run the score round trip on more than one block of
-    # the score writer's rows
+    # four run the score round trip on more than one block of the score
+    # writer's rows
     long_runs = ["73-baseline-long-pm-4.0", "74-baseline-long-all-bg-4.0",
                  "75-offline-map-long-pm-4.0", "76-offline-cap-long-pm-4.0"]
-    assert sorted({path.parts[0] for path in files})[-5:] == [
-        *long_runs, "inputs"]
+    assert sorted({path.parts[0] for path in files})[-15:-11] == long_runs
     for name in long_runs:
         assert files[Path(name, "exit")] == b"0\n"
     for name, values in ((long_runs[0], {0.0, 1.0}), (long_runs[1], {0.0})):
@@ -128,6 +141,18 @@ def test_cli_snapshot_is_the_same_twice(tmp_path):
     for name in long_runs[2:]:  # both rank the Perfect-Model file
         assert f"--pred {long_runs[0]}/out/pred.jsonl " in files[
             Path(name, "argv")].decode()
+    # convert writes the JSON escapes of labels and ids; a repeated key is
+    # refused in each kind of record, and colons in strings are not one
+    assert files[Path("78-convert-thumos-escapes/out/gt.jsonl")].splitlines(
+        )[2] == (b'{"duration_s": 4.0, "intervals": [{"end_s": 1.5, "label": '
+                 b'"Saut\\u00e9", "start_s": 0.5}], "multi_label": true, '
+                 b'"record": "video", "video_id": "v\\\\2"}')
+    assert files[Path("80-repeated-key-video/stderr")] == (
+        b"error: inputs/repeated-video.gt.jsonl, line 2: duplicate key "
+        b"'intervals'\n")
+    assert [files[Path(name, "exit")] for name in sorted(
+        {path.parts[0] for path in files}) if "-repeated-key-" in name] == [
+        b"1\n"] * 7 + [b"0\n"]
     assert run_script("cli_snapshot.py", a).returncode != 0  # not empty
 
 

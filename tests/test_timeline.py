@@ -1038,6 +1038,27 @@ class TestPredictionStream:
                 f"num_slots {num_slots!r} is not a number") + "$"):
             PredictionStream("v", 0.5, vocab, num_slots=num_slots)
 
+    @pytest.mark.parametrize("num_slots", [math.nan, math.inf, 2.5,
+                                           np.float64(0.5), MAX_SLOTS + 1,
+                                           2 ** 64])
+    def test_slot_count_that_is_no_whole_count_rejected(self, vocab,
+                                                        num_slots):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"num_slots {num_slots} must be a whole count of at most "
+                f"{MAX_SLOTS}") + "$"):
+            PredictionStream("v", 0.5, vocab, num_slots=num_slots)
+
+    @pytest.mark.parametrize("num_slots", [1, 2.0, np.int64(2), MAX_SLOTS])
+    def test_whole_slot_counts_up_to_the_limit_accepted(self, vocab,
+                                                        num_slots):
+        stream = PredictionStream("v", 0.5, vocab, num_slots=num_slots)
+        stream.extend(["jump"] * min(int(num_slots), 2))
+        assert len(stream) == min(int(num_slots), 2)
+        if num_slots <= 2:
+            with pytest.raises(CausalityError, match=re.escape(
+                    f"stream is complete at {num_slots} slots")):
+                stream.append("jump")
+
     def test_numpy_integer_slot_count_accepted(self, vocab):
         stream = PredictionStream("v", 0.5, vocab, num_slots=np.int64(1))
         stream.append("jump")
