@@ -26,7 +26,7 @@ from oadeval.timeline import discretize
 def corpus_metrics(manifest, baseline, delta_t, **kwargs):
     ia_traces, wia_traces, matrices = [], [], []
     for track in manifest.tracks:
-        gt = discretize(track.intervals, track.duration_s, delta_t,
+        gt = discretize(track.columns, track.duration_s, delta_t,
                         manifest.vocabulary)
         stream, matrix = baseline(track, delta_t, manifest.vocabulary, **kwargs)
         rows = evaluate_grids(stream.as_grid(), gt).rows

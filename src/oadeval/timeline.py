@@ -81,6 +81,15 @@ def _number(value, name: str):
         raise ValidationError(f"{name} {value!r} is not a number") from None
 
 
+def _check_video_id(video_id) -> None:
+    """Refuse a ``video_id`` that is not a non-empty string, the only
+    form the canonical files hold."""
+    if not isinstance(video_id, str):
+        raise ValidationError(f"video_id {video_id!r} must be a string")
+    if not video_id:
+        raise ValidationError("video_id must be non-empty")
+
+
 def seconds_to_us(seconds: float) -> int:
     """Convert seconds to integer microseconds (round half to even).
 
@@ -342,9 +351,11 @@ class IntervalColumns:
 class AnnotationTrack:
     """Ground truth for one video: its duration and labeled intervals.
 
-    Overlapping intervals are rejected unless the source adapter flags
-    the track ``multi_label``; the discretizer then resolves each slot
-    deterministically (earliest interval start, then lexicographic label).
+    ``video_id`` must be a non-empty string and ``multi_label`` a bool,
+    the forms the canonical files hold. Overlapping intervals are
+    rejected unless the source adapter flags the track ``multi_label``;
+    the discretizer then resolves each slot deterministically (earliest
+    interval start, then lexicographic label).
 
     ``intervals`` may be :class:`TimeInterval` objects or the
     :class:`IntervalColumns` a parser built. The track keeps them as
@@ -371,8 +382,10 @@ class AnnotationTrack:
     def __init__(self, video_id: str, duration_s: float,
                  intervals: Iterable[TimeInterval] = (),
                  multi_label: bool = False):
-        if not video_id:
-            raise ValidationError("video_id must be non-empty")
+        _check_video_id(video_id)
+        if not isinstance(multi_label, bool):
+            raise ValidationError(f"video {video_id!r}: multi_label "
+                                  f"{multi_label!r} must be a bool")
         if _number(duration_s, f"video {video_id!r}: duration") <= 0:
             raise ValidationError(
                 f"video {video_id!r}: duration {duration_s} must be > 0")
@@ -563,8 +576,7 @@ class PredictionStream:
 
     def __init__(self, video_id: str, delta_t_s: float, vocab: LabelVocabulary,
                  num_slots: int | None = None):
-        if not video_id:
-            raise ValidationError("video_id must be non-empty")
+        _check_video_id(video_id)
         slot_us(delta_t_s)
         if num_slots is not None:
             count = _number(num_slots, "num_slots")

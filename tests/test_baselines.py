@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ from oadeval.errors import ValidationError
 from oadeval.formats import write_canonical_gt
 from oadeval.ia import evaluate_grids, maia, oracle_ia
 from oadeval.offline import frame_map, rasterize_frames
-from oadeval.synthetic import synthetic_corpus
+from oadeval.synthetic import _pcg64_draws, synthetic_corpus
 from oadeval.timeline import (
     AnnotationTrack,
     LabelVocabulary,
@@ -168,7 +169,80 @@ class TestPerfectModel:
             video_rng(-1, "v")
 
 
+def generator_corpus(seed, n_videos, classes, duration_range, density_range,
+                     snap_duration_s):
+    """Oracle: the tracks of ``synthetic_corpus`` as drawn through a
+    ``Generator``, one ``random`` or ``integers`` call per draw."""
+    rng = np.random.default_rng(seed)
+    (dur_lo, dur_hi), (den_lo, den_hi) = duration_range, density_range
+    tracks = []
+    for i in range(n_videos):
+        duration = round(dur_lo + (dur_hi - dur_lo) * rng.random(), 2)
+        if snap_duration_s:
+            duration = round(duration / snap_duration_s) * snap_duration_s
+        target = (den_lo + (den_hi - den_lo) * rng.random()) * duration
+        intervals = []
+        covered = 0.0
+        t = round(0.5 + (2.5 - 0.5) * rng.random(), 2)
+        while covered < target and t < duration - 1.0:
+            seg = round(0.6 + (2.4 - 0.6) * rng.random(), 2)
+            seg = min(seg, target - covered + 0.3, duration - t - 0.5)
+            label = classes[int(rng.integers(len(classes)))]
+            intervals.append(TimeInterval(label, t, round(t + seg, 2)))
+            covered += seg
+            t = round(t + seg + (1.0 + (4.0 - 1.0) * rng.random()), 2)
+        if not intervals:
+            label = classes[int(rng.integers(len(classes)))]
+            end = min(1.0 + max(0.6, target), duration)
+            intervals.append(TimeInterval(label, 1.0, end))
+        tracks.append(AnnotationTrack(f"synthetic-{i:03d}", duration,
+                                      tuple(intervals)))
+    return tuple(tracks)
+
+
+class TestPcg64Draws:
+    SEEDS = [0, 2**31, 2**63, 12345678901234567890, *range(1, 197)]
+    BOUNDS = [1, 2, 3, 20, 1000, 3 * 2**30, 2**31, 2**32 - 1]
+
+    def test_draws_are_the_generators(self):
+        # 3 * 2**30 rejects about a quarter of its 32-bit draws, and
+        # n == 1 reads no word, so the interleavings cover a kept half
+        # word across random() calls and a rejection on either half
+        for seed in self.SEEDS:
+            pattern = random.Random(seed)
+            rng = np.random.default_rng(seed)
+            draw, integers = _pcg64_draws(seed)
+            for _ in range(300):
+                if pattern.random() < 0.4:
+                    assert draw() == rng.random()
+                else:
+                    n = pattern.choice(self.BOUNDS)
+                    assert integers(n) == int(rng.integers(n))
+            assert draw() == rng.random()
+
+
 class TestSyntheticCorpus:
+    @pytest.mark.parametrize("n_classes", [1, 2, 4, 20])
+    @pytest.mark.parametrize("duration_range,density_range,snap", [
+        ((8.0, 30.0), (0.1, 0.4), 0.5), ((4.0, 12.0), (0.05, 0.6), 0.5),
+        ((30.0, 300.0), (0.5, 0.95), 0), ((8.0, 30.0), (0.0, 0.0), 0.5)])
+    def test_corpora_are_the_generator_loops(self, n_classes, duration_range,
+                                             density_range, snap):
+        classes = tuple(f"class{i:02d}" for i in range(n_classes))
+        for seed in range(10):
+            assert synthetic_corpus(
+                seed, n_videos=4, classes=classes,
+                duration_range=duration_range, density_range=density_range,
+                snap_duration_s=snap).tracks == generator_corpus(
+                seed, 4, classes, duration_range, density_range, snap)
+
+    @pytest.mark.parametrize("classes", [(), []])
+    def test_empty_classes_are_named_before_any_draw(self, classes):
+        for n_videos in (0, 3):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"classes={classes!r} must name at least one class")):
+                synthetic_corpus(0, n_videos=n_videos, classes=classes)
+
     def test_deterministic_and_in_density_band(self):
         a = synthetic_corpus(seed=5)
         b = synthetic_corpus(seed=5)

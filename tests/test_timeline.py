@@ -499,6 +499,20 @@ class TestAnnotationTrack:
                            match="^video_id must be non-empty$"):
             AnnotationTrack("", 5.0)
 
+    @pytest.mark.parametrize("video_id", [5, None, b"v", ("v",)])
+    def test_video_id_must_be_a_string(self, video_id):
+        assert outcome(lambda: AnnotationTrack(video_id, 4.0)) == (
+            ValidationError, f"video_id {video_id!r} must be a string")
+
+    @pytest.mark.parametrize("multi_label", ["yes", 1, 0, None, np.True_])
+    def test_multi_label_must_be_a_bool(self, multi_label):
+        # the canonical writer would write it as given, and its loader
+        # refuse the file
+        assert outcome(lambda: AnnotationTrack(
+            "v", 4.0, multi_label=multi_label)) == (
+            ValidationError, f"video 'v': multi_label {multi_label!r} must "
+            "be a bool")
+
     def test_touching_intervals_are_not_overlap(self):
         track = AnnotationTrack("v", 5.0, (TimeInterval("jump", 0.0, 2.0),
                                            TimeInterval("run", 2.0, 4.0)))
@@ -1024,6 +1038,11 @@ class TestPredictionStream:
         with pytest.raises(ValidationError,
                            match="^video_id must be non-empty$"):
             PredictionStream("", 0.5, vocab)
+
+    @pytest.mark.parametrize("video_id", [5, None, b"v"])
+    def test_video_id_must_be_a_string(self, vocab, video_id):
+        assert outcome(lambda: PredictionStream(video_id, 0.5, vocab)) == (
+            ValidationError, f"video_id {video_id!r} must be a string")
 
     @pytest.mark.parametrize("num_slots", [0, -1])
     def test_non_positive_slot_count_rejected(self, vocab, num_slots):
