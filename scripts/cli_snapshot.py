@@ -28,7 +28,12 @@ map`` and ``cap`` on the Perfect-Model file. Last, ``convert`` writes
 labels and video ids that need JSON escapes (a quote, a backslash,
 non-ASCII letters), from ActivityNet and from Thumos, and each kind of
 record, and an interval or event entry, repeats a key once in a file of
-its own; a file whose ids and labels hold colons repeats none. Two
+its own; a file whose ids and labels hold colons repeats none. Then
+``convert`` reads an ActivityNet file that gives every warning kind, in
+three subsets: in one, starts are clamped to 0, ends to the duration,
+segments left empty are dropped and videos without a valid duration
+skipped, several to a video; in another, the only video is skipped and
+no video is found; the third holds no video at all. Two
 versions of the package
 compare by snapshotting each and diffing the trees::
 
@@ -137,6 +142,27 @@ THUMOS_EMPTY_CLASS_NO_ROWS = {"Jump_test.txt": "v1 1.0 2.0\n", "_val.txt": ""}
 # ground truth and as detection events
 TWO_PAST_END = ('{"label": "run", "start_s": 3.0, "end_s": 5.0}, '
                 '{"label": "jump", "start_s": 1.0, "end_s": 4.5}')
+# every warning load_activitynet_gt gives: per segment, in videos that
+# hold several, and per video, in the "validation" subset; a "training"
+# subset whose one video is skipped, so no video is found; and no
+# "testing" subset at all
+ACTIVITYNET_WARNINGS = {"database": {
+    "b-clamped": {"subset": "validation", "duration": 6.0, "annotations": [
+        {"label": "jump", "segment": [4.0, 7.5]},
+        {"label": "run", "segment": [-0.5, 2.0]},
+        {"label": "jump", "segment": [-2.0, -1.0]},
+        {"label": "run", "segment": [6.5, 8.0]},
+        {"label": "run", "segment": [2.0, 2.0000004]},
+        {"label": "jump", "segment": [1.0, 3.0]}]},
+    "a-no-duration": {"subset": "validation", "annotations": [
+        {"label": "jump", "segment": [1.0, 2.0]}]},
+    "c-zero-duration": {"subset": "validation", "duration": 0.0},
+    "d-string-duration": {"subset": "validation", "duration": "5.0"},
+    "e-past-int64": {"subset": "validation", "duration": 1e13},
+    "f-dropped-only": {"subset": "validation", "duration": 3.0,
+                       "annotations": [{"label": "run",
+                                        "segment": [3.5, 4.0]}]},
+    "g-training": {"subset": "training", "duration": -1.0}}}
 ACTIVITYNET_REPEATED_ID = (
     '{"database": {"a": {"subset": "validation", "duration": 5.0, '
     '"annotations": [{"label": "x", "segment": [1.0, 2.0]}]}, '
@@ -257,6 +283,8 @@ def write_inputs(inputs: Path) -> None:
     (inputs / "bool-cell.pred.jsonl").write_text(BOOL_CELL_PRED)
     (inputs / "activitynet-escapes.json").write_text(
         json.dumps(ACTIVITYNET_ESCAPES))
+    (inputs / "activitynet-warnings.json").write_text(
+        json.dumps(ACTIVITYNET_WARNINGS))
     (inputs / "thumos-escapes").mkdir()
     for file_name, text in THUMOS_ESCAPES.items():
         (inputs / "thumos-escapes" / file_name).write_text(text,
@@ -429,6 +457,11 @@ def catalogue():
             "offline", *files, "--metric", "map", "--out-dir", "{out}"]
             if name == "scores" else
             ["evaluate", *files, "--out-dir", "{out}"]))
+    for subset in ("validation", "training", "testing"):
+        commands.append((f"convert-activitynet-warnings-{subset}", [
+            "convert", "--format", "activitynet", "--in",
+            "inputs/activitynet-warnings.json", "--subset", subset,
+            "--out", "{out}/gt.jsonl"]))
     return commands
 
 

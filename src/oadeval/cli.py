@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -31,7 +30,7 @@ from .formats import (
     write_predictions,
 )
 from .ia import MatchingMode, evaluate_grids, maia
-from .offline import frame_cap, frame_count, frame_map
+from .offline import _rate, frame_cap, frame_count, frame_map
 from .timeline import discretize, num_slots, slot_us
 
 TRACE_HEADER = "t_s,ia,wia,weight_w"
@@ -136,8 +135,11 @@ def _check_delta_t(delta_t_s: float) -> None:
 
 def _check_fps(fps: float | None) -> None:
     """Fail on an ``--fps`` that :func:`frame_count` rejects, naming the flag."""
-    if fps is not None and not 0 < fps < math.inf:
-        raise EvaluationError(f"--fps {fps} must be finite and > 0")
+    try:
+        if fps is not None:
+            _rate(fps)
+    except ValidationError:
+        raise EvaluationError(f"--fps {fps} must be finite and > 0") from None
 
 
 def cmd_evaluate(args) -> int:
@@ -286,8 +288,8 @@ def cmd_baseline(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.format == "activitynet":
-        manifest, report = load_activitynet_gt(args.input, subset=args.subset)
-        for warning in report.warnings:
+        manifest, warnings = load_activitynet_gt(args.input, subset=args.subset)
+        for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
     else:
         if args.durations is None:

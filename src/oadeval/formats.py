@@ -58,7 +58,10 @@ toolkit writes goes through :func:`open_output`, which rewrites it in
 place, and empties and removes it if the write fails. Adapters for
 ActivityNet-style JSON and Thumos-style per-class text files convert
 external ground truth into the canonical model; durations for Thumos
-come from a sidecar table because its annotation files carry none.
+come from a sidecar table because its annotation files carry none. The
+ActivityNet adapter returns its manifest with the sorted list of what it
+skipped, clamped or dropped; a manifest's ``source`` digests the bytes
+of every file its loader read.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ import os
 import re
 import stat
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator
@@ -122,22 +125,6 @@ class CorpusManifest:
 
     def by_id(self) -> dict[str, AnnotationTrack]:
         return {t.video_id: t for t in self.tracks}
-
-
-@dataclass
-class LoadReport:
-    """Deterministic account of what an adapter skipped or repaired."""
-
-    warnings: list[str] = field(default_factory=list)
-    videos_loaded: int = 0
-    videos_skipped: int = 0
-
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
-
-    def finalize(self) -> "LoadReport":
-        self.warnings.sort()
-        return self
 
 
 def _digest(data: bytes) -> str:
@@ -481,7 +468,7 @@ def write_canonical_gt(manifest: CorpusManifest, path: str | Path) -> None:
 # dataset adapters
 
 def load_activitynet_gt(path: str | Path, subset: str = "validation",
-                        ) -> tuple[CorpusManifest, LoadReport]:
+                        ) -> tuple[CorpusManifest, list[str]]:
     """Convert an ActivityNet-style structured annotation file.
 
     Keeps only videos of the requested subset. Videos without a valid
@@ -492,8 +479,13 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
     such as a video id, is an error naming the file and the key (the
     most repeated, the first of those), where ``json`` would keep only
     its last value.
+
+    Returns ``(manifest, warnings)``: ``warnings`` is the sorted list of
+    what was skipped, clamped or dropped, one ``...; skipped`` line per
+    skipped video, and ``no videos found for subset ...`` when the
+    subset held no video that loaded.
     """
-    report = LoadReport()
+    warnings = []
     raw, text = _read_text(path)
     try:
         data = json.loads(text, object_pairs_hook=functools.partial(
@@ -517,8 +509,8 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
         duration = entry.get("duration")
         # a duration past seconds_to_us's range is invalid too
         if not _is_number(duration) or not 0 < duration * US_PER_S < 2 ** 63:
-            report.warn(f"video {video_id!r}: missing or invalid duration; skipped")
-            report.videos_skipped += 1
+            warnings.append(
+                f"video {video_id!r}: missing or invalid duration; skipped")
             continue
         annotations = entry.get("annotations", [])
         if not isinstance(annotations, list):
@@ -540,17 +532,17 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
                     path=str(path))
             start, end = float(segment[0]), float(segment[1])
             if start < 0:
-                report.warn(f"video {video_id!r}: segment start {start} "
-                            "clamped to 0")
+                warnings.append(f"video {video_id!r}: segment start {start} "
+                                "clamped to 0")
                 start = 0.0
             if end > duration:
-                report.warn(f"video {video_id!r}: segment end {end} clamped "
-                            f"to duration {duration}")
+                warnings.append(f"video {video_id!r}: segment end {end} "
+                                f"clamped to duration {duration}")
                 end = float(duration)
             # a start past the clamped end is never converted
             if end <= start or seconds_to_us(end) <= seconds_to_us(start):
-                report.warn(f"video {video_id!r}: segment [{segment[0]}, "
-                            f"{segment[1]}] empty after clamping; dropped")
+                warnings.append(f"video {video_id!r}: segment [{segment[0]}, "
+                                f"{segment[1]}] empty after clamping; dropped")
                 continue
             if label == DEFAULT_BACKGROUND:
                 raise ParseError(
@@ -561,14 +553,13 @@ def load_activitynet_gt(path: str | Path, subset: str = "validation",
         tracks.append(AnnotationTrack(
             video_id=video_id, duration_s=float(duration),
             intervals=tuple(intervals), multi_label=True))
-        report.videos_loaded += 1
     if not tracks:
-        report.warn(f"no videos found for subset {subset!r}")
+        warnings.append(f"no videos found for subset {subset!r}")
 
     vocab = LabelVocabulary(classes=tuple(sorted(labels_seen)))
     manifest = CorpusManifest(vocabulary=vocab, tracks=tuple(tracks),
                               source=f"activitynet:{_digest(raw)}")
-    return manifest, report.finalize()
+    return manifest, sorted(warnings)
 
 
 def _finite_float(text: str) -> float:
@@ -621,9 +612,15 @@ def load_thumos_gt(dir_path: str | Path,
     microseconds; rows naming a video absent from it are an error, which
     names each such video with its first row, and so is a video id the
     sidecar repeats.
+
+    The manifest's ``source`` digests the bytes of every file read: the
+    sidecar's, then each class file's name and bytes, in read order.
+    Each file's byte count goes before its bytes, so two different sets
+    of files never make the same stream.
     """
     dir_path = Path(dir_path)
     raw, text = _read_text(durations_path)
+    digest = hashlib.sha256(b"%d\n" % len(raw) + raw)
     durations = _read_duration_table(durations_path, text)
     sidecar = Path(durations_path).resolve()
     class_files = sorted(p for p in dir_path.glob("*.txt")
@@ -643,8 +640,10 @@ def load_thumos_gt(dir_path: str | Path,
             raise ParseError(f"class {cls!r} is the background label, "
                              "not an action class", path=str(class_file))
         classes.append(cls)
-        for lineno, line in enumerate(
-                _read_text(class_file)[1].split("\n"), start=1):
+        data, text = _read_text(class_file)
+        digest.update(b"%s\0%d\n" % (os.fsencode(class_file.name), len(data))
+                      + data)
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             parts = line.split()
@@ -681,7 +680,7 @@ def load_thumos_gt(dir_path: str | Path,
     )
     vocab = LabelVocabulary(classes=tuple(sorted(set(classes))))
     return CorpusManifest(vocabulary=vocab, tracks=tracks,
-                          source=f"thumos:{_digest(raw)}")
+                          source=f"thumos:{digest.hexdigest()[:16]}")
 
 
 # ---------------------------------------------------------------------------

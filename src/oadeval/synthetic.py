@@ -24,7 +24,6 @@ def synthetic_corpus(seed: int, n_videos: int = 20,
                      classes: tuple[str, ...] = DEFAULT_CLASSES,
                      duration_range: tuple[float, float] = (8.0, 30.0),
                      density_range: tuple[float, float] = (0.1, 0.4),
-                     snap_duration_s: float = 0.5,
                      ) -> CorpusManifest:
     """Random untrimmed-video ground truth with controlled action density.
 
@@ -33,9 +32,9 @@ def synthetic_corpus(seed: int, n_videos: int = 20,
     until the target is covered. Densities well below one half keep the
     corpora as unbalanced as the datasets this protocol targets.
 
-    Durations snap to multiples of ``snap_duration_s`` (pass 0 to keep
-    raw durations) so that evaluation at that slot size covers whole
-    timelines with no trailing remainder.
+    Durations are drawn to 0.01 s and then snap to multiples of 0.5 s,
+    so that evaluation at a 0.5 s slot size covers whole timelines with
+    no trailing remainder.
 
     A video that draws no segment gets one from 1.0 s, cut at the
     video's end, so every video needs at least 1.3 s: a shorter one
@@ -59,9 +58,7 @@ def synthetic_corpus(seed: int, n_videos: int = 20,
     draw, integers = _pcg64_draws(seed)
     tracks = []
     for i in range(n_videos):
-        duration = round(dur_lo + dur_span * draw(), 2)
-        if snap_duration_s:
-            duration = round(duration / snap_duration_s) * snap_duration_s
+        duration = round(round(dur_lo + dur_span * draw(), 2) / 0.5) * 0.5
         # the fallback segment below needs 0.3 s after 1.0 s
         if duration < 1.3:
             raise ValidationError(f"{duration_range=} drew {duration} s < 1.3 s")

@@ -303,6 +303,7 @@ class IntervalColumns:
         return columns
 
     def __len__(self) -> int:
+        # perfbench/tracer.py counts with it the intervals discretize gets
         return len(self.codes)
 
     @cached_property

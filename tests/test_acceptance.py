@@ -244,8 +244,9 @@ def test_format_robustness(tmp_path):
     # valid fixtures load
     manifest = load_canonical_gt(DATA / "worked_example.gt.jsonl")
     assert len(manifest.tracks) == 1
-    anet, anet_report = load_activitynet_gt(DATA / "activitynet_fixture.json")
-    assert len(anet.tracks) == 2 and anet_report.videos_skipped == 1
+    anet, anet_warnings = load_activitynet_gt(DATA / "activitynet_fixture.json")
+    assert len(anet.tracks) == 2
+    assert sum(w.endswith("; skipped") for w in anet_warnings) == 1
     thumos = load_thumos_gt(DATA / "thumos_fixture",
                             DATA / "thumos_fixture" / "durations.txt")
     assert len(thumos.by_id()["video_001"].intervals) == 2

@@ -169,8 +169,7 @@ class TestPerfectModel:
             video_rng(-1, "v")
 
 
-def generator_corpus(seed, n_videos, classes, duration_range, density_range,
-                     snap_duration_s):
+def generator_corpus(seed, n_videos, classes, duration_range, density_range):
     """Oracle: the tracks of ``synthetic_corpus`` as drawn through a
     ``Generator``, one ``random`` or ``integers`` call per draw."""
     rng = np.random.default_rng(seed)
@@ -178,8 +177,7 @@ def generator_corpus(seed, n_videos, classes, duration_range, density_range,
     tracks = []
     for i in range(n_videos):
         duration = round(dur_lo + (dur_hi - dur_lo) * rng.random(), 2)
-        if snap_duration_s:
-            duration = round(duration / snap_duration_s) * snap_duration_s
+        duration = round(duration / 0.5) * 0.5
         target = (den_lo + (den_hi - den_lo) * rng.random()) * duration
         intervals = []
         covered = 0.0
@@ -223,18 +221,18 @@ class TestPcg64Draws:
 
 class TestSyntheticCorpus:
     @pytest.mark.parametrize("n_classes", [1, 2, 4, 20])
-    @pytest.mark.parametrize("duration_range,density_range,snap", [
-        ((8.0, 30.0), (0.1, 0.4), 0.5), ((4.0, 12.0), (0.05, 0.6), 0.5),
-        ((30.0, 300.0), (0.5, 0.95), 0), ((8.0, 30.0), (0.0, 0.0), 0.5)])
+    @pytest.mark.parametrize("duration_range,density_range", [
+        ((8.0, 30.0), (0.1, 0.4)), ((4.0, 12.0), (0.05, 0.6)),
+        ((30.0, 300.0), (0.5, 0.95)), ((8.0, 30.0), (0.0, 0.0))])
     def test_corpora_are_the_generator_loops(self, n_classes, duration_range,
-                                             density_range, snap):
+                                             density_range):
         classes = tuple(f"class{i:02d}" for i in range(n_classes))
         for seed in range(10):
             assert synthetic_corpus(
                 seed, n_videos=4, classes=classes,
-                duration_range=duration_range, density_range=density_range,
-                snap_duration_s=snap).tracks == generator_corpus(
-                seed, 4, classes, duration_range, density_range, snap)
+                duration_range=duration_range,
+                density_range=density_range).tracks == generator_corpus(
+                seed, 4, classes, duration_range, density_range)
 
     @pytest.mark.parametrize("classes", [(), []])
     def test_empty_classes_are_named_before_any_draw(self, classes):
@@ -377,11 +375,8 @@ class TestSyntheticCorpus:
 
     @pytest.mark.parametrize("settings", [
         {"duration_range": (2.0, 4.0), "density_range": (0.05, 0.9)},
-        {"duration_range": (1.5, 3.0), "density_range": (0.05, 0.9),
-         "snap_duration_s": 0},
-        {"duration_range": (1.3, 2.0), "density_range": (0.0, 1.0),
-         "snap_duration_s": 0},
-    ], ids=["short", "short-raw", "shortest-raw"])
+        {"duration_range": (1.3, 2.0), "density_range": (0.0, 1.0)},
+    ], ids=["short", "shortest"])
     def test_short_videos_hold_every_action(self, settings):
         # the fallback segment is cut at the video's end, never below 0.3 s
         for seed in range(60):
@@ -393,6 +388,7 @@ class TestSyntheticCorpus:
                     assert iv.end_us <= seconds_to_us(track.duration_s)
 
     def test_too_short_range_is_named(self):
+        # seed 0 draws 1.13 s, which snaps to 1.0 s
         with pytest.raises(ValidationError, match=re.escape(
-                "duration_range=(1.0, 1.2) drew 1.13 s < 1.3 s")):
-            synthetic_corpus(0, duration_range=(1.0, 1.2), snap_duration_s=0)
+                "duration_range=(1.0, 1.2) drew 1.0 s < 1.3 s")):
+            synthetic_corpus(0, duration_range=(1.0, 1.2))

@@ -27,6 +27,7 @@ from oadeval.formats import (
     CorpusManifest,
     build_scores,
     build_stream,
+    iter_prediction_records,
     load_activitynet_gt,
     load_canonical_gt,
     load_scores,
@@ -709,29 +710,32 @@ class TestCanonicalGt:
 
 class TestActivityNetAdapter:
     def test_fixture_conversion(self):
-        manifest, report = load_activitynet_gt(DATA / "activitynet_fixture.json")
+        manifest, warnings = load_activitynet_gt(
+            DATA / "activitynet_fixture.json")
         assert {t.video_id for t in manifest.tracks} == {"abc123", "def456"}
         assert manifest.vocabulary.classes == ("Long jump", "Triple jump")
-        assert report.videos_loaded == 2
-        assert report.videos_skipped == 1  # the one without a duration
-        assert any("jkl012" in w for w in report.warnings)
+        assert len(manifest.tracks) == 2
+        # the one without a duration is the one skipped
+        assert [w for w in warnings if w.endswith("; skipped")] == [
+            "video 'jkl012': missing or invalid duration; skipped"]
 
     def test_segment_clamped_to_duration(self):
-        manifest, report = load_activitynet_gt(DATA / "activitynet_fixture.json")
+        manifest, warnings = load_activitynet_gt(
+            DATA / "activitynet_fixture.json")
         track = manifest.by_id()["def456"]
         assert track.intervals[0].end_s == 8.0
-        assert any("clamped" in w for w in report.warnings)
+        assert any("clamped" in w for w in warnings)
 
     def test_warnings_sorted(self):
-        _, report = load_activitynet_gt(DATA / "activitynet_fixture.json")
-        assert report.warnings == sorted(report.warnings)
+        _, warnings = load_activitynet_gt(DATA / "activitynet_fixture.json")
+        assert warnings == sorted(warnings)
 
     def test_empty_database_warns(self, tmp_path):
         path = tmp_path / "anet.json"
         path.write_text('{"database": {}}')
-        manifest, report = load_activitynet_gt(path)
+        manifest, warnings = load_activitynet_gt(path)
         assert manifest.tracks == ()
-        assert report.warnings
+        assert warnings == ["no videos found for subset 'validation'"]
 
     def test_source_digest_is_of_the_bytes_read(self, monkeypatch):
         reads, read_bytes = [], Path.read_bytes
@@ -761,8 +765,8 @@ class TestActivityNetAdapter:
         path.write_text(json.dumps({"database": {"v1": {
             "subset": "validation", "duration": 5.0,
             "annotations": annotations}}}))
-        manifest, report = load_activitynet_gt(path)
-        return manifest.by_id()["v1"], report
+        manifest, warnings = load_activitynet_gt(path)
+        return manifest.by_id()["v1"], warnings
 
     @pytest.mark.parametrize("text", ['{"database": []}', '{"videos": {}}',
                                       '[]', '{"database": null}'])
@@ -783,10 +787,10 @@ class TestActivityNetAdapter:
             load_activitynet_gt(path)
 
     def test_negative_segment_start_clamped_to_zero(self, tmp_path):
-        track, report = self.load_one(
+        track, warnings = self.load_one(
             tmp_path, [{"label": "jump", "segment": [-1.5, 2.0]}])
         assert track.intervals == (TimeInterval("jump", 0.0, 2.0),)
-        assert report.warnings == [
+        assert warnings == [
             "video 'v1': segment start -1.5 clamped to 0"]
 
     @pytest.mark.parametrize("segment,warnings", [
@@ -799,11 +803,11 @@ class TestActivityNetAdapter:
     ])
     def test_segment_empty_after_clamping_dropped(self, tmp_path, segment,
                                                   warnings):
-        track, report = self.load_one(tmp_path, [
+        track, loaded = self.load_one(tmp_path, [
             {"label": "jump", "segment": segment},
             {"label": "jump", "segment": [1.0, 2.0]}])
         assert track.intervals == (TimeInterval("jump", 1.0, 2.0),)
-        assert report.warnings == sorted(warnings + [
+        assert loaded == sorted(warnings + [
             f"video 'v1': segment {segment} empty after clamping; dropped"])
 
     @pytest.mark.parametrize("text,key", [
@@ -834,10 +838,9 @@ class TestActivityNetAdapter:
                    "annotations": [{"label": "jump",
                                     "segment": [1.0, duration]}]},
             "v2": {"subset": "validation", "duration": 5.0}}}))
-        manifest, report = load_activitynet_gt(path)
+        manifest, warnings = load_activitynet_gt(path)
         assert [track.video_id for track in manifest.tracks] == ["v2"]
-        assert report.videos_skipped == 1
-        assert report.warnings == [
+        assert warnings == [
             "video 'v1': missing or invalid duration; skipped"]
 
 
@@ -850,7 +853,7 @@ class TestThumosAdapter:
         assert len(track.intervals) == 2
         assert {iv.label for iv in track.intervals} == {"HighJump", "PoleVault"}
 
-    def test_source_digest_is_of_the_durations_bytes_read(self, monkeypatch):
+    def test_source_digest_is_of_every_file_read(self, monkeypatch):
         reads, read_bytes = [], Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes",
                             lambda self: reads.append(self) or read_bytes(self))
@@ -860,7 +863,34 @@ class TestThumosAdapter:
         assert reads == [fixture / "durations.txt",
                          fixture / "HighJump_test.txt",
                          fixture / "PoleVault_test.txt"]
-        assert manifest.source == "thumos:2a1f3efd59ab2ffe"
+        # the sidecar's length and bytes, then each class file's name,
+        # length and bytes
+        sidecar, *class_files = reads
+        stream = b"%d\n" % len(read_bytes(sidecar)) + read_bytes(sidecar)
+        for path in class_files:
+            data = read_bytes(path)
+            stream += b"%s\0%d\n" % (path.name.encode(), len(data)) + data
+        assert manifest.source == (
+            f"thumos:{hashlib.sha256(stream).hexdigest()[:16]}")
+        assert manifest.source == "thumos:3245fa4d0d989728"
+
+    @pytest.mark.parametrize("change", ["row", "rename"])
+    def test_source_digest_covers_the_annotations(self, tmp_path, change):
+        fixture = DATA / "thumos_fixture"
+        for path in fixture.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        before = load_thumos_gt(tmp_path, tmp_path / "durations.txt")
+        if change == "row":
+            path = tmp_path / "PoleVault_test.txt"
+            assert path.read_text() == "video_001 7.0 9.2\n"
+            path.write_text("video_001 7.0 9.3\n")
+        else:  # the same class, from a file of another name
+            (tmp_path / "HighJump_test.txt").rename(
+                tmp_path / "HighJump_val.txt")
+        after = load_thumos_gt(tmp_path, tmp_path / "durations.txt")
+        assert after.vocabulary == before.vocabulary
+        assert (after.tracks == before.tracks) == (change == "rename")
+        assert after.source != before.source
 
     def test_malformed_row_names_file_and_line(self, tmp_path):
         (tmp_path / "Jump_test.txt").write_text("video_001 1.0\n")
@@ -1431,3 +1461,51 @@ class TestReadPredictions:
             records, failures = read_predictions(path, manifest, kinds)
             assert failures == {}
             assert [records[vid][0] for vid in "abcd"] == lines
+
+
+class TestIterPredictionRecords:
+    """The benchmark's reader: each record's line, kind and fields, with
+    no manifest, so no matching of records to videos."""
+
+    DECISIONS = {"record": "decisions", "video_id": "a", "delta_t_s": 0.5,
+                 "labels": ["jump"]}
+
+    def test_records_in_file_order_and_blank_lines_skipped(self, tmp_path):
+        records = [{"record": "scores", "video_id": "b", "fps": 1.0,
+                    "scores": []},
+                   self.DECISIONS,
+                   {"record": "detections", "video_id": "a", "events": []},
+                   # an unknown video, and a bad field of a known kind
+                   {"record": "decisions", "video_id": "x", "labels": 3}]
+        path = tmp_path / "p.jsonl"
+        path.write_text("\n{}\n  \n{}\n{}\n\t\n{}\n\n".format(
+            *map(json.dumps, records)))
+        assert list(iter_prediction_records(path)) == [
+            (2, "scores", records[0]), (4, "decisions", records[1]),
+            (5, "detections", records[2]), (7, "decisions", records[3])]
+
+    @pytest.mark.parametrize("line,fault", [
+        ('{"record": "decisions", "video_id": 7}',
+         ", field 'video_id': expected a string but got int"),
+        ('{"record": "scores", "video_id": null, "fps": 1.0}',
+         ", field 'video_id': expected a string but got NoneType"),
+        ('{"record": "vocabulary", "video_id": "a"}',
+         ", field 'record': unknown record kind 'vocabulary'"),
+        ('{"record": "video", "video_id": "a"}',
+         ", field 'record': unknown record kind 'video'"),
+        ('{"record": "decisions", "video_id": "a", "video_id": "b"}',
+         ": duplicate key 'video_id'"),
+        ('{"record": "detections", "video_id": "a", "events": [{"label": '
+         '"jump", "start_s": 0.0, "end_s": 1.0, "end_s": 2.0}]}',
+         ": duplicate key 'end_s'"),
+    ], ids=["int-video-id", "null-video-id", "vocabulary-kind", "video-kind",
+            "repeated-video-id", "repeated-event-key"])
+    def test_fault_refused_at_its_line(self, tmp_path, line, fault):
+        path = tmp_path / "p.jsonl"
+        good = json.dumps(self.DECISIONS)
+        path.write_text(f"{good}\n\n{line}\n{good}\n")
+        records = iter_prediction_records(path)
+        assert next(records) == (1, "decisions", self.DECISIONS)
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}, line 3{fault}") + "$"):
+            next(records)

@@ -17,7 +17,13 @@ from pathlib import Path
 import pytest
 
 from oadeval.ia import IATracePoint, MetricState, StreamingEvaluator
-from oadeval.timeline import LabelVocabulary, SlotGrid
+from oadeval.timeline import (
+    AnnotationTrack,
+    LabelVocabulary,
+    SlotGrid,
+    TimeInterval,
+    discretize,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,6 +52,21 @@ def test_patch_target_resolves(module_name, class_name, attr):
     if class_name is not None:
         owner = getattr(owner, class_name)
     assert callable(getattr(owner, attr, None))
+
+
+def test_discretize_counter_sizes_interval_columns():
+    # the CLI and the baselines pass discretize a track's columns, and the
+    # traced runs count them with len()
+    vocab = LabelVocabulary(classes=("jump",))
+    track = AnnotationTrack("v", 4.0, (TimeInterval("jump", 1.0, 2.0),
+                                       TimeInterval("jump", 3.0, 3.5)))
+    grid = discretize(track.columns, 4.0, 0.5, vocab)
+    counters = {entry[4] for entry in PATCHES
+                if entry[3] == "timeline.discretize"}
+    assert counters
+    for counter in counters:
+        assert counter((track.columns, 4.0, 0.5, vocab), {}, grid) == {
+            "slots": 8, "intervals": 2}
 
 
 def test_assigned_streaming_state_is_honoured():

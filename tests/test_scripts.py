@@ -120,7 +120,7 @@ def test_cli_snapshot_is_the_same_twice(tmp_path):
     assert files[Path("33-baseline-corrupt-pm/stderr")] == (
         b"error: video 'tiny': delta_t 0.5 larger than duration 0.3: zero "
         b"slots at --delta-t 0.5\n")
-    assert proc.stdout.startswith("ran 86 commands ")
+    assert proc.stdout.startswith("ran 89 commands ")
     # int cells rank, and a true cell is refused, with its line
     assert files[Path("71-offline-cap-int-scores/exit")] == b"0\n"
     assert files[Path("72-offline-map-bool-cell/stderr")] == (
@@ -130,7 +130,7 @@ def test_cli_snapshot_is_the_same_twice(tmp_path):
     # writer's rows
     long_runs = ["73-baseline-long-pm-4.0", "74-baseline-long-all-bg-4.0",
                  "75-offline-map-long-pm-4.0", "76-offline-cap-long-pm-4.0"]
-    assert sorted({path.parts[0] for path in files})[-15:-11] == long_runs
+    assert sorted({path.parts[0] for path in files})[72:76] == long_runs
     for name in long_runs:
         assert files[Path(name, "exit")] == b"0\n"
     for name, values in ((long_runs[0], {0.0, 1.0}), (long_runs[1], {0.0})):
@@ -153,6 +153,18 @@ def test_cli_snapshot_is_the_same_twice(tmp_path):
     assert [files[Path(name, "exit")] for name in sorted(
         {path.parts[0] for path in files}) if "-repeated-key-" in name] == [
         b"1\n"] * 7 + [b"0\n"]
+    # each ActivityNet warning kind, sorted, and an empty subset
+    warned = files[Path("87-convert-activitynet-warnings-validation/stderr")]
+    for kind in (b"; skipped", b"clamped to 0", b"clamped to duration",
+                 b"empty after clamping; dropped"):
+        assert kind in warned
+    assert warned.splitlines() == sorted(warned.splitlines())
+    assert files[Path("88-convert-activitynet-warnings-training/stderr")] == (
+        b"warning: no videos found for subset 'training'\n"
+        b"warning: video 'g-training': missing or invalid duration; "
+        b"skipped\n")
+    assert files[Path("89-convert-activitynet-warnings-testing/stderr")] == (
+        b"warning: no videos found for subset 'testing'\n")
     assert run_script("cli_snapshot.py", a).returncode != 0  # not empty
 
 
